@@ -12,7 +12,7 @@ Seeds come from --builtin {A1, A2, A2-principal} or --seed-file (JSON
 with 1-based indices).  Reports are JSON on stdout; exit code 0 means
 every requested verification passed, 2 a schedule failed the period
 check, 3 a numerical verification failed, 4 the input could not be
-parsed.
+parsed or was out of range.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import cmath
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +56,20 @@ class _Parser(argparse.ArgumentParser):
         raise CLIParseError(message)
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _rational_point(text):
+    q0 = Fraction(text)
+    if abs(q0) == 1:
+        raise argparse.ArgumentTypeError(f"q-Pochhammer denominators vanish at q0={text}")
+    return q0
+
+
 def _build_parser():
     top = _Parser(prog="clusterdilog", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -74,13 +89,13 @@ def _build_parser():
     p = sub.add_parser("verify", help="verify identities for a period")
     p.add_argument("modes", nargs="+", choices=VERIFY_MODES)
     add_seed_opts(p)
-    p.add_argument("-N", type=int, default=None, help="truncation order")
+    p.add_argument("-N", type=_positive_int, default=None, help="truncation order")
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance (default 1e-10; 1e-6 for saddle-lambda)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--cut", type=int, default=None,
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--cut", type=_positive_int, default=None,
                    help="shuffle cut index (default: every cut)")
-    p.add_argument("--q0", default=None,
+    p.add_argument("--q0", type=_rational_point, default=None,
                    help="rational point for the probabilistic fast mode, e.g. 3/8")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="deformation parameter as 're,im'")
@@ -115,12 +130,6 @@ def _load_seed(args):
     if getattr(args, "seed_file", None):
         return load_seed_file(args.seed_file)
     raise ValueError("a seed is required: pass --builtin or --seed-file")
-
-
-def _default_order(n, requested):
-    if requested is not None:
-        return requested
-    return 8 if n <= 2 else 6
 
 
 def _emit(report, fmt):
@@ -216,27 +225,23 @@ def _verify_one(mode, B, sched, args, rng):
                         "max_residuals": worst, "tolerance": tol,
                         "verdict": "PASS" if passed else "FAIL"}
 
-    q0 = None
-    if args.q0:
-        from fractions import Fraction
-        q0 = Fraction(args.q0)
-    N = _default_order(n, args.N)
+    N = args.N or (8 if n <= 2 else 6)
     if mode == "quantum-tropical":
-        rep = verify_tropical_identity(B, sched, N, q0=q0)
+        rep = verify_tropical_identity(B, sched, N, q0=args.q0)
         return rep.passed, rep.to_json()
     if mode == "quantum-universal":
-        rep = verify_universal_identity(B, sched, N, q0=q0)
+        rep = verify_universal_identity(B, sched, N, q0=args.q0)
         return rep.passed, rep.to_json()
     if mode == "shuffle":
         cuts = [args.cut] if args.cut else list(range(1, sched.length + 1))
-        reports = [verify_shuffle(B, sched, t, N, q0=q0) for t in cuts]
+        reports = [verify_shuffle(B, sched, t, N, q0=args.q0) for t in cuts]
         passed = all(r.passed for r in reports)
         return passed, {"identity": "shuffle", "order": N, "cuts": cuts,
                         "residual_terms": [r.to_json()["residual_terms"]
                                            for r in reports],
                         "verdict": "PASS" if passed else "FAIL"}
     if mode == "dual":
-        r1, r2 = verify_dual_pair(B, sched, N, q0=q0)
+        r1, r2 = verify_dual_pair(B, sched, N, q0=args.q0)
         passed = r1.passed and r2.passed
         return passed, {"identity": "dual", "order": N,
                         "direct": r1.to_json(), "reversed": r2.to_json(),

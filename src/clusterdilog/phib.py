@@ -6,6 +6,9 @@ the recurrence in steps of i*b.  For Im b^2 > 0 it factors as a ratio
 of two compact quantum dilogarithm products, which serves as an
 independent cross-check; for real b that product is invalid and the
 integral is the primary evaluation path.
+
+The integral uses fixed Gauss-Legendre rules; along the tails a 16-point
+rule beside the 32-point one, on the same panels, gives the error estimate.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dilog import li2, psiq_numeric
 from .errors import QuadratureFailure
 
-_ARC_NODES, _ARC_WEIGHTS = np.polynomial.legendre.leggauss(64)
+_GL16, _GL32, _GL64 = (np.polynomial.legendre.leggauss(n) for n in (16, 32, 64))
 
 
 @dataclass(frozen=True)
@@ -52,55 +54,53 @@ class PhibParams:
         return cmath.exp(-1j * math.pi / (self.b * self.b))
 
     @property
-    def hbar(self) -> complex:
-        h = math.pi * self.b * self.b
-        return h
-
-    @property
     def strip_height(self) -> float:
         return abs(self.c_b.imag)
 
 
-def _integrand_factor(x, z, b):
-    """e^(-2 i z x) / (x sinh(x b) sinh(x / b)) for x on the contour."""
-    return cmath.exp(-2j * z * x) / (x * cmath.sinh(x * b) * cmath.sinh(x / b))
+def _panel_sum(f, edges, rule) -> complex:
+    """Sum over panels [edges[i], edges[i+1]] of the Gauss-Legendre rule on f."""
+    nodes, weights = rule
+    left = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - left)
+    return complex(np.sum(half * weights * f(left + half * (nodes + 1.0))))
 
 
 def _log_phib_strip(z, p: PhibParams, tol: float):
     """-1/4 of the contour integral, for z strictly inside the strip."""
-    b = p.b
-    if b.real < 0:
-        b = -b  # the integrand is even under b -> -b
+    b = p.b if p.b.real > 0 else -p.b  # the integrand is even under b -> -b
     # keep the semicircle well below the first zeros of the sinh factors
     # on the imaginary axis (at pi*b*i*k and pi*i*k/b)
     r = min(1e-2 * (abs(b) + 1.0 / abs(b)),
             0.45 * math.pi * min(abs(b), 1.0 / abs(b)))
-    # symmetrised tails: int_r^X of g(x)+g(-x) = -2i sin(2 z x)/(x sinh sinh)
     rate = (b + 1.0 / b).real - 2.0 * abs(complex(z).imag)
     if rate <= 0:
         raise QuadratureFailure(
             f"z={z} outside the integrable strip for b={b}")
     upper = max(60.0 / rate, r + 1.0)
 
-    def sym(x):
-        return -2j * cmath.sin(2 * z * x) / (x * cmath.sinh(x * b) * cmath.sinh(x / b))
+    def g(x):
+        return np.exp(-2j * z * x) / (x * np.sinh(x * b) * np.sinh(x / b))
 
-    re, re_err = quad(lambda x: sym(x).real, r, upper, limit=400,
-                      epsabs=1e-13, epsrel=1e-12)
-    im, im_err = quad(lambda x: sym(x).imag, r, upper, limit=400,
-                      epsabs=1e-13, epsrel=1e-12)
-    tails = complex(re, im)
-    achieved = re_err + im_err
-    if achieved > 100 * tol:
+    def sym(x):  # the symmetrised tails g(x) + g(-x), without cancellation
+        return -2j * np.sin(2 * z * x) / (x * np.sinh(x * b) * np.sinh(x / b))
+
+    # panels double in width from r, where sym falls off like 1/x^2, but stay
+    # below 4/omega, omega the frequency sym oscillates with at large x
+    omega = abs((b + 1.0 / b).imag) + 2.0 * abs(z.real)
+    widest = 4.0 / omega if omega else math.inf
+    edges = [r]
+    while edges[-1] < upper:
+        edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
+    edges = np.array(edges)
+    tails = _panel_sum(sym, edges, _GL32)
+    achieved = abs(tails - _panel_sum(sym, edges, _GL16))
+    if not achieved <= 100 * tol:  # NaN, from sinh overflow at tiny b, fails too
         raise QuadratureFailure(
             f"tail quadrature error {achieved:.2e} above budget", achieved)
-    # upper semicircle from -r to r, passing above the origin
-    theta = 0.5 * math.pi * (_ARC_NODES + 1.0)
-    arc = 0.0 + 0.0j
-    for th, w in zip(theta, _ARC_WEIGHTS):
-        x = r * cmath.exp(1j * th)
-        arc += w * _integrand_factor(x, z, b) * x
-    arc *= -1j * (0.5 * math.pi)
+    # upper semicircle x = r e^(i theta) from -r to r, passing above the origin
+    arc = _panel_sum(lambda t: 1j * r * np.exp(1j * t) * g(r * np.exp(1j * t)),
+                     np.array([math.pi, 0.0]), _GL64)
     return -0.25 * (tails + arc)
 
 

@@ -161,11 +161,9 @@ class Residual:
 
 
 def _coeff_json(c):
-    if isinstance(c, tuple) and len(c) == 2:
-        num, den = c
-        return {"numerator": list(np.ravel(num).tolist()) if hasattr(num, "__len__") else num,
-                "denominator": list(np.ravel(den).tolist()) if hasattr(den, "__len__") else den}
-    return str(c)
+    num, den = c  # tuples of ints in Q(q), ints at a rational point
+    return {"numerator": list(num) if isinstance(num, tuple) else num,
+            "denominator": list(den) if isinstance(den, tuple) else den}
 
 
 def _ring(q0):

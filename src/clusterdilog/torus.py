@@ -169,10 +169,6 @@ def zero_element(B: ExchangeMatrix, N: int, ring=ratfunc.EXACT) -> TorusElement:
     return TorusElement(B, N, (0,) * B.n, {(0,) * B.n: ring.zero()}, ring)
 
 
-def scalar(c, B: ExchangeMatrix, N: int, ring=ratfunc.EXACT) -> TorusElement:
-    return TorusElement(B, N, (0,) * B.n, {(0,) * B.n: c}, ring)
-
-
 def _rebase(elem: TorusElement, newbase: tuple) -> dict:
     """Terms of elem re-expressed over a lower base (entrywise <=).
 

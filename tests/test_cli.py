@@ -105,6 +105,22 @@ class TestVerify:
     def test_parse_error_exit_4_bad_args(self, capsys):
         assert main(["verify", "no-such-mode", "--builtin", "A2"]) == 4
 
+    @pytest.mark.parametrize("extra", [
+        ("classical", "--trials", "-1"),
+        ("saddle", "--trials", "-1"),
+        ("classical", "--trials", "0"),
+        ("quantum-tropical", "-N", "-1"),
+        ("quantum-tropical", "-N", "0"),
+        ("quantum-tropical", "--q0", "1"),
+        ("quantum-tropical", "--q0", "-1"),
+        ("shuffle", "--cut", "0"),
+    ])
+    def test_parse_error_exit_4_out_of_range(self, capsys, extra):
+        mode, *opts = extra
+        assert main(["verify", mode, "--builtin", "A2", *opts]) == 4
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_numerical_failure_exit_3(self, capsys):
         code, rep = run_json(capsys, "verify", "classical", "--builtin", "A2",
                              "--trials", "5", "--tol", "1e-30")

@@ -4,7 +4,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from clusterdilog.dilog import (
     PI2_6,
@@ -26,9 +25,9 @@ A2, A2_SCHED = builtin_seed("A2")
 
 def li2_quadrature(x):
     """Independent oracle: -int_0^x log(1-y)/y dy by quadrature."""
-    val, err = quad(lambda y: -math.log1p(-y) / y, 0, x, limit=200)
+    val, err = mpmath.quad(lambda y: -mpmath.log1p(-y) / y, [0, x], error=True)
     assert err < 1e-9
-    return val
+    return float(val)
 
 
 class TestLi2:

@@ -1,9 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 
+import clusterdilog
 from clusterdilog.dilog import li2, psiq_numeric
 from clusterdilog.errors import QuadratureFailure
 from clusterdilog.phib import (
@@ -28,7 +34,6 @@ class TestParams:
         assert p.c_b == pytest.approx(0.5j * (1.3 + 1 / 1.3))
         assert p.q == pytest.approx(cmath.exp(1j * math.pi * 1.3**2))
         assert p.q_bar == pytest.approx(1 / p.q_dual)
-        assert p.hbar == pytest.approx(math.pi * 1.3**2)
 
     def test_rejects_imaginary_b(self):
         with pytest.raises(ValueError):
@@ -39,6 +44,31 @@ class TestParams:
             p = PhibParams(b)
             assert (b * b).imag > 0
             assert abs(p.q) < 1 and abs(p.q_bar) < 1
+
+
+def log_phib_mpmath(z, b):
+    """Independent oracle: -1/4 of the contour integral at 30 digits, with
+    mpmath's tanh-sinh rule on the tails out to infinity and on an arc of
+    a different radius than the one phib uses."""
+    with mpmath.workdps(30):
+        z, b = mpmath.mpc(z), mpmath.mpc(b)
+
+        def g(x):
+            return mpmath.exp(-2j * z * x) / (x * mpmath.sinh(x * b) * mpmath.sinh(x / b))
+
+        r = mpmath.pi / 4 * min(abs(b), 1 / abs(b))
+        tails = mpmath.quad(lambda x: g(x) + g(-x), [r, 1, 4, 16, mpmath.inf])
+        arc = mpmath.quad(lambda t: g(r * mpmath.expj(t)) * 1j * r * mpmath.expj(t),
+                          [mpmath.pi, 0])
+        return complex(-(tails + arc) / 4)
+
+
+class TestValues:
+    @pytest.mark.parametrize("b", (0.7, 1.3, COMPLEX_BS[0]))
+    def test_against_mpmath_contour(self, b):
+        p = PhibParams(b)
+        for z in (-0.3, 0.0, 0.15 + 0.1j):
+            assert abs(phib(z, p) - cmath.exp(log_phib_mpmath(z, b))) < 1e-10
 
 
 class TestUnitarity:
@@ -126,3 +156,39 @@ class TestStripHandling:
         with pytest.raises(QuadratureFailure):
             from clusterdilog.phib import _log_phib_strip
             _log_phib_strip(1.5j, p, 1e-8)
+
+    def test_error_estimate_above_budget_is_guarded(self):
+        with pytest.raises(QuadratureFailure) as info:
+            phib(0.2, PhibParams(1.0), tol=1e-20)
+        assert info.value.achieved_error > 1e-18
+
+    def test_overflowing_integrand_is_guarded(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureFailure):
+            phib(0.1, PhibParams(0.001))
+
+
+def test_depends_only_on_numpy():
+    """In a fresh interpreter where importing anything outside the standard
+    library, numpy and the package fails, the CLI imports and Phi_b evaluates."""
+    code = textwrap.dedent("""
+        import sys
+
+        class OnlyNumpy:
+            def find_spec(self, name, path=None, target=None):
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names | {"numpy", "clusterdilog"}:
+                    raise ImportError(f"{name} is not a declared dependency")
+
+        sys.meta_path.insert(0, OnlyNumpy())
+        import clusterdilog.cli
+        from clusterdilog.phib import PhibParams, phib, phipsi_residual
+        assert abs(abs(phib(0.3, PhibParams(1.0))) - 1) < 1e-8
+        assert phipsi_residual(0.1, PhibParams(0.8 + 0.3j)) < 1e-6
+    """)
+    src = os.path.dirname(os.path.dirname(clusterdilog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
