@@ -22,7 +22,6 @@ import cmath
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .phib import (PhibParams, check_duality, check_phib_asymptotics, phib,
                    phipsi_residual, recurrence_residual, unitarity_residual)
 from .qident import (verify_dual_pair, verify_shuffle,
                      verify_tropical_identity, verify_universal_identity)
+from .ratfunc import RationalPointField
 from .saddle import action, build_solution, newton_refine, residuals
 from .search import search_periods
 
@@ -64,10 +64,10 @@ def _positive_int(text):
 
 
 def _rational_point(text):
-    q0 = Fraction(text)
-    if abs(q0) == 1:
-        raise argparse.ArgumentTypeError(f"q-Pochhammer denominators vanish at q0={text}")
-    return q0
+    try:
+        return RationalPointField(text).q0
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"q0={text}: {exc}") from None
 
 
 def _build_parser():
@@ -182,10 +182,7 @@ def _render_csv(report):
 
 def cmd_mutate(args):
     B, sched = _load_seed(args)
-    if args.y:
-        y0 = [float(v) for v in args.y.split(",")]
-    else:
-        y0 = [1.0] * B.n
+    y0 = [float(v) for v in args.y.split(",")] if args.y else [1.0] * B.n
     if len(y0) != B.n:
         raise ValueError(f"--y needs {B.n} entries")
     traj = numeric_trajectory(B, sched.sequence, y0)
@@ -339,12 +336,9 @@ def cmd_phib(args):
         passed = all(r["residual"] < 1e-8 for r in rows)
         report.update(rows=rows, tolerance=1e-8)
     elif args.check == "recurrence":
-        rows = []
-        for zz in np.linspace(-0.4, 0.4, 5):
-            rows.append({"z": float(zz),
-                         "residual": recurrence_residual(float(zz), p),
-                         "residual_dual": recurrence_residual(float(zz), p,
-                                                              dual=True)})
+        rows = [{"z": float(zz), "residual": recurrence_residual(float(zz), p),
+                 "residual_dual": recurrence_residual(float(zz), p, dual=True)}
+                for zz in np.linspace(-0.4, 0.4, 5)]
         passed = all(max(r["residual"], r["residual_dual"]) < 1e-7
                      for r in rows)
         report.update(rows=rows, tolerance=1e-7)

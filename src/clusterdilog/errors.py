@@ -48,7 +48,8 @@ class BranchProximity(ClusterDilogError):
 
 class QuadratureFailure(ClusterDilogError):
     """Phi_b missed its accuracy budget (`achieved_error`: the gap between two
-    Gauss-Legendre rules on the tails), or z cannot be brought into the strip."""
+    Gauss-Legendre rules on the tails), its tails need more panels than the
+    cap allows, or z cannot be brought into the strip."""
 
     def __init__(self, message, achieved_error=None):
         super().__init__(message)

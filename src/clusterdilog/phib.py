@@ -23,6 +23,7 @@ from .dilog import li2, psiq_numeric
 from .errors import QuadratureFailure
 
 _GL16, _GL32, _GL64 = (np.polynomial.legendre.leggauss(n) for n in (16, 32, 64))
+_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     r = min(1e-2 * (abs(b) + 1.0 / abs(b)),
             0.45 * math.pi * min(abs(b), 1.0 / abs(b)))
     rate = (b + 1.0 / b).real - 2.0 * abs(complex(z).imag)
-    if rate <= 0:
+    if not rate > 0:
         raise QuadratureFailure(
             f"z={z} outside the integrable strip for b={b}")
     upper = max(60.0 / rate, r + 1.0)
@@ -88,6 +89,10 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     # panels double in width from r, where sym falls off like 1/x^2, but stay
     # below 4/omega, omega the frequency sym oscillates with at large x
     omega = abs((b + 1.0 / b).imag) + 2.0 * abs(z.real)
+    panels = math.log2(upper / r) + 0.25 * omega * upper + 2
+    if not panels <= _MAX_PANELS:  # counted before building; NaN fails too
+        raise QuadratureFailure(
+            f"tails need {panels:.3g} panels at z={z}, over {_MAX_PANELS}")
     widest = 4.0 / omega if omega else math.inf
     edges = [r]
     while edges[-1] < upper:

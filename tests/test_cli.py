@@ -113,6 +113,7 @@ class TestVerify:
         ("quantum-tropical", "-N", "0"),
         ("quantum-tropical", "--q0", "1"),
         ("quantum-tropical", "--q0", "-1"),
+        ("quantum-tropical", "--q0", "1/0"),
         ("shuffle", "--cut", "0"),
     ])
     def test_parse_error_exit_4_out_of_range(self, capsys, extra):
@@ -181,6 +182,11 @@ class TestPhibCommand:
         code, rep = run_json(capsys, "phib", "--check", "duality", "--b", "1.3",
                              "--z", "0.2")
         assert code == 0 and rep["residual_inverse_b"] < 1e-7
+
+    @pytest.mark.parametrize("z", ["inf", "1e20"])
+    def test_unresolvable_z_exit_3(self, capsys, z):
+        assert main(["phib", "--z", z]) == 3
+        assert main(["phib", "--check", "duality", "--z", z]) == 3
 
     def test_asymptotics_csv(self, capsys):
         code, out = run(capsys, "phib", "--check", "asymptotics", "--z", "0.0",

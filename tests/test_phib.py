@@ -162,6 +162,11 @@ class TestStripHandling:
             phib(0.2, PhibParams(1.0), tol=1e-20)
         assert info.value.achieved_error > 1e-18
 
+    @pytest.mark.parametrize("z", [1e20, math.inf, math.nan])
+    def test_panel_count_is_bounded(self, z):
+        with pytest.raises(QuadratureFailure):
+            phib(z, PhibParams(1.0))
+
     def test_overflowing_integrand_is_guarded(self):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(QuadratureFailure):
