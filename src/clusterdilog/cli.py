@@ -21,6 +21,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -103,7 +104,7 @@ def _build_parser():
 
     p = sub.add_parser("search", help="BFS for short periods")
     add_seed_opts(p)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_positive_int, default=6)
 
     p = sub.add_parser("phib", help="noncompact quantum dilogarithm")
     p.add_argument("--b", default="1.0", help="parameter b, 're' or 're,im'")
@@ -132,13 +133,12 @@ def _load_seed(args):
     raise ValueError("a seed is required: pass --builtin or --seed-file")
 
 
-def _emit(report, fmt):
+def _render(report, fmt):
     if fmt == "json":
-        print(json.dumps(report, indent=2, default=str))
-    elif fmt == "md":
-        print(_render_md(report))
-    else:
-        print(_render_csv(report))
+        return json.dumps(report, indent=2, default=str)
+    if fmt == "md":
+        return _render_md(report)
+    return _render_csv(report)
 
 
 def _render_md(report, indent=0):
@@ -385,15 +385,22 @@ def main(argv=None) -> int:
         else:
             code, report = cmd_phib(args)
     except NotAPeriod as exc:
-        print(json.dumps({"error": "not a period", "detail": str(exc)}))
-        return EXIT_NOT_A_PERIOD
+        code = EXIT_NOT_A_PERIOD
+        out = json.dumps({"error": "not a period", "detail": str(exc)})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ClusterDilogError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}))
-        return EXIT_NUMERICAL
-    _emit(report, getattr(args, "format", "json"))
+        code = EXIT_NUMERICAL
+        out = json.dumps({"error": type(exc).__name__, "detail": str(exc)})
+    else:
+        out = _render(report, getattr(args, "format", "json"))
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

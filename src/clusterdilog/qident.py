@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratfunc, torus
+from .errors import NonTruncating
 from .exchange import (ExchangeMatrix, MutationSchedule, TropicalState,
                        mutate_matrix, mutate_tropical, require_period,
                        sign_sequence, tropical_sign)
@@ -179,24 +180,54 @@ def _psi_factor(arg: TorusElement, eps: int) -> TorusElement:
     return invert(f) if eps < 0 else f
 
 
-def _tropical_product(B, ss, N, ring, reverse=False):
-    order = range(len(ss.signs) - 1, -1, -1) if reverse else range(len(ss.signs))
+def _psi_monomial(alpha, eps: int, B: ExchangeMatrix, N: int, ring) -> TorusElement:
+    """Psi(Y^alpha)^eps in closed form, with no torus products.
+
+    (Y^alpha)^n = Y^(n alpha) because <alpha, alpha> = 0, and by Euler
+    1/Psi_q(x) = sum_n q^(n^2) x^n / (q^2; q^2)_n, so either sign is a
+    sparse series with coefficients at the shifts n alpha.  Like
+    psi_series, alpha must be nonzero and nonnegative.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if not any(alpha) or min(alpha) < 0:
+        raise NonTruncating(
+            f"monomial argument Y^{alpha} must be nonzero and nonnegative "
+            "for the series to truncate")
+    coeff = ring.psi_coefficient if eps > 0 else ring.psi_inverse_coefficient
+    terms = {tuple(n * a for a in alpha): coeff(n)
+             for n in range(N // sum(alpha) + 1)}
+    return TorusElement(B, N, (0,) * B.n, terms, ring)
+
+
+def _tropical_product(B, ss, N, ring, steps):
+    """Product of Psi(Y^(eps_t alpha_t))^(eps_t) over the steps t, in order."""
     P = unit(B, N, ring)
-    for t in order:
+    for t in steps:
         eps = ss.signs[t]
-        arg = monomial(tuple(eps * a for a in ss.cvectors[t]), B, N, ring)
-        P = multiply(P, _psi_factor(arg, eps))
+        alpha = tuple(eps * a for a in ss.cvectors[t])
+        P = multiply(P, _psi_monomial(alpha, eps, B, N, ring))
+    return P
+
+
+def _universal_product(actives, signs, B, N, ring):
+    """Reverse-ordered product of Psi(Y_t^eps_t)^(eps_t) at the quantum
+    y-variables Y_t, through the generic series and invert."""
+    P = unit(B, N, ring)
+    for t in range(len(signs) - 1, -1, -1):
+        arg = actives[t] if signs[t] > 0 else invert(actives[t])
+        P = multiply(P, _psi_factor(arg, signs[t]))
     return P
 
 
 def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
                              N: int, q0=None) -> Residual:
     """Product over the period of Psi(Y^(eps_t alpha_t))^(eps_t), compared
-    against 1.  Exactly zero residual for every period."""
+    against 1.  Exactly zero residual for every period.  Every factor has
+    a monomial argument and is built in closed form (_psi_monomial)."""
     require_period(B, sched)
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
-    P = _tropical_product(B, ss, N, ring)
+    P = _tropical_product(B, ss, N, ring, range(sched.length))
     dev = torus.deviation_from(P, unit(B, N, ring))
     return Residual("tropical", N, tuple(dev), _mode(ring))
 
@@ -204,14 +235,12 @@ def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
 def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
                               N: int, q0=None) -> Residual:
     """Reverse-ordered product of Psi at the actual quantum y-variables
-    along the period, compared against 1."""
+    along the period, compared against 1.  The arguments are dense, so
+    the factors go through psi_series and invert."""
     require_period(B, sched)
     ring = _ring(q0)
     _, actives, signs = quantum_trajectory(B, sched.sequence, N, ring)
-    P = unit(B, N, ring)
-    for t in range(len(signs) - 1, -1, -1):
-        arg = actives[t] if signs[t] > 0 else invert(actives[t])
-        P = multiply(P, _psi_factor(arg, signs[t]))
+    P = _universal_product(actives, signs, B, N, ring)
     dev = torus.deviation_from(P, unit(B, N, ring))
     return Residual("universal", N, tuple(dev), _mode(ring))
 
@@ -220,22 +249,16 @@ def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
                    N: int, q0=None) -> Residual:
     """Shuffle formula at cut t: the first t tropical factors equal the
     first t universal factors in reverse order.  Holds with or without
-    periodicity."""
+    periodicity.  The tropical side uses the closed form for monomial
+    arguments; the universal side uses psi_series and invert."""
     L = sched.length
     if not 1 <= t <= L:
         raise ValueError(f"cut index t={t} outside 1..{L}")
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
-    lhs = unit(B, N, ring)
-    for s in range(t):
-        eps = ss.signs[s]
-        arg = monomial(tuple(eps * a for a in ss.cvectors[s]), B, N, ring)
-        lhs = multiply(lhs, _psi_factor(arg, eps))
+    lhs = _tropical_product(B, ss, N, ring, range(t))
     _, actives, signs = quantum_trajectory(B, sched.sequence[:t], N, ring)
-    rhs = unit(B, N, ring)
-    for s in range(t - 1, -1, -1):
-        arg = actives[s] if signs[s] > 0 else invert(actives[s])
-        rhs = multiply(rhs, _psi_factor(arg, signs[s]))
+    rhs = _universal_product(actives, signs, B, N, ring)
     dev = torus.deviation_from(lhs, rhs)
     return Residual("shuffle", N, tuple(dev), _mode(ring))
 
@@ -248,15 +271,16 @@ def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
     order-reversed twin for the dual generators: with the coefficient
     variable playing qbar = 1/q_dual, the dual generators obey the
     commutation of the opposite matrix -B, and the reversed product of
-    the same factors is again 1.
+    the same factors is again 1.  Both products are built from the
+    closed-form monomial factors (_psi_monomial).
     """
     require_period(B, sched)
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
-    P1 = _tropical_product(B, ss, N, ring)
+    P1 = _tropical_product(B, ss, N, ring, range(sched.length))
     dev1 = torus.deviation_from(P1, unit(B, N, ring))
     Bop = ExchangeMatrix(-B.entries)
-    P2 = _tropical_product(Bop, ss, N, ring, reverse=True)
+    P2 = _tropical_product(Bop, ss, N, ring, reversed(range(sched.length)))
     dev2 = torus.deviation_from(P2, unit(Bop, N, ring))
     return (Residual("dual-q", N, tuple(dev1), _mode(ring)),
             Residual("dual-qbar", N, tuple(dev2), _mode(ring)))

@@ -104,7 +104,7 @@ class Poly:
 
     def q_divisible(self, j: int = 1) -> bool:
         """True if q^j divides the polynomial."""
-        return self.val % (1 << (_K * j)) == 0
+        return self.val & ((1 << (_K * j)) - 1) == 0
 
     def unshift(self, j: int) -> "Poly":
         """Exact division by q^j."""
@@ -476,6 +476,11 @@ class ExactField:
         c = QCoefficient.q_power(n) * QCoefficient.qpochhammer_inverse(n)
         return c.scale_int(-1) if n % 2 else c
 
+    @staticmethod
+    def psi_inverse_coefficient(n):
+        """Series coefficient q^(n^2) / (q^2; q^2)_n of 1/Psi (Euler)."""
+        return QCoefficient.q_power(n * n) * QCoefficient.qpochhammer_inverse(n)
+
     def __eq__(self, other):
         return isinstance(other, ExactField)
 
@@ -576,11 +581,18 @@ class RationalPointField:
     def q_power(self, j):
         return RationalQ(Fraction(self.q0) ** j, self.q0)
 
-    def psi_coefficient(self, n):
+    def _qpochhammer(self, n):
+        """(q0^2; q0^2)_n."""
         den = Fraction(1)
         for m in range(1, n + 1):
             den *= 1 - self.q0 ** (2 * m)
-        return RationalQ((-self.q0) ** n / den, self.q0)
+        return den
+
+    def psi_coefficient(self, n):
+        return RationalQ((-self.q0) ** n / self._qpochhammer(n), self.q0)
+
+    def psi_inverse_coefficient(self, n):
+        return RationalQ(self.q0 ** (n * n) / self._qpochhammer(n), self.q0)
 
     def __eq__(self, other):
         return isinstance(other, RationalPointField) and other.q0 == self.q0

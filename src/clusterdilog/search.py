@@ -40,6 +40,8 @@ def search_periods(B: ExchangeMatrix, max_depth: int):
     """
     if B.n > MAX_RANK:
         raise ValueError(f"search is limited to rank <= {MAX_RANK}")
+    if max_depth < 1:
+        raise ValueError(f"search depth must be at least 1, got {max_depth}")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"search is limited to depth <= {MAX_DEPTH}")
     initial = TropicalState.initial(B)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import clusterdilog
 from clusterdilog.cli import main
 from clusterdilog.exchange import ExchangeMatrix
 from clusterdilog.fixtures import builtin_seed, seed_from_dict, seed_to_dict
@@ -115,10 +119,13 @@ class TestVerify:
         ("quantum-tropical", "--q0", "-1"),
         ("quantum-tropical", "--q0", "1/0"),
         ("shuffle", "--cut", "0"),
+        ("search", "--depth", "0"),
+        ("search", "--depth", "-1"),
     ])
     def test_parse_error_exit_4_out_of_range(self, capsys, extra):
         mode, *opts = extra
-        assert main(["verify", mode, "--builtin", "A2", *opts]) == 4
+        command = [mode] if mode == "search" else ["verify", mode]
+        assert main([*command, "--builtin", "A2", *opts]) == 4
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
@@ -158,12 +165,37 @@ class TestSearch:
         small, _ = builtin_seed("A2")
         with pytest.raises(ValueError):
             search_periods(small, 13)
+        for depth in (0, -1):
+            with pytest.raises(ValueError):
+                search_periods(small, depth)
 
     def test_every_reported_period_checks_out(self, capsys):
         from clusterdilog.exchange import check_period
         B, _ = builtin_seed("A2-principal")
         for sched in search_periods(B, 6):
             assert check_period(B, sched).periodic
+
+
+class TestClosedStdout:
+    def test_no_traceback_when_reader_is_gone(self):
+        """Writing the report into a pipe whose reader has already closed
+        (as in `clusterdilog search ... | head -c 1`) ends without a
+        traceback and with a documented exit code."""
+        src = os.path.dirname(os.path.dirname(clusterdilog.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "clusterdilog.cli", "search",
+                 "--builtin", "A2", "--depth", "6"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=60, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode in (0, 2, 3, 4)
 
 
 class TestPhibCommand:

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clusterdilog import qident, torus
-from clusterdilog.errors import NotAPeriod
+from clusterdilog import qident, ratfunc, torus
+from clusterdilog.errors import NonTruncating, NotAPeriod
 from clusterdilog.exchange import (
     ExchangeMatrix,
     MutationSchedule,
@@ -166,6 +167,47 @@ class TestQ1Degeneration:
         for i in range(2):
             assert step.Y[i].evaluate_commutative(y0, 1) == pytest.approx(
                 out.y[i], rel=1e-13)
+
+
+@st.composite
+def monomial_factor_cases(draw):
+    """A random skew-symmetric B of rank <= 4, a nonzero nonnegative
+    exponent vector alpha and a truncation order N <= 8."""
+    n = draw(st.integers(1, 4))
+    b = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-2, 2))
+            b[j, i] = -b[i, j]
+    alpha = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    return ExchangeMatrix(b), tuple(alpha), draw(st.integers(1, 8))
+
+
+class TestPsiMonomial:
+    """The closed form for Psi(Y^alpha)^(+-1) against the generic series
+    machinery (psi_series, invert)."""
+
+    @pytest.mark.parametrize("ring", [ratfunc.EXACT,
+                                      ratfunc.RationalPointField(Fraction(3, 8))],
+                             ids=["exact", "q0=3/8"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=monomial_factor_cases())
+    def test_matches_series_and_inverse(self, ring, case):
+        B, alpha, N = case
+        series = psi_series(monomial(alpha, B, N, ring))
+        plus = qident._psi_monomial(alpha, 1, B, N, ring)
+        minus = qident._psi_monomial(alpha, -1, B, N, ring)
+        assert plus == series
+        assert minus == invert(series)
+        one = unit(B, N, ring)
+        assert multiply(plus, minus) == one
+        assert multiply(minus, plus) == one
+
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, -1), (-1, 0)])
+    def test_non_truncating_argument_rejected(self, alpha):
+        for eps in (1, -1):
+            with pytest.raises(NonTruncating):
+                qident._psi_monomial(alpha, eps, A2, 6, ratfunc.EXACT)
 
 
 class TestTropicalIdentity:
