@@ -58,7 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0               # not an integer: reported as below
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value

@@ -2,7 +2,7 @@
 
 Coefficients of quantum-torus elements live in Q(q).  Numerators are
 integer polynomials stored packed into single Python integers (one
-balanced base-2^K digit per coefficient), so polynomial addition and
+balanced base-2^k digit per coefficient), so polynomial addition and
 multiplication become big-integer addition and multiplication, which
 CPython does in C.  Denominators are kept factored as
 
@@ -13,117 +13,142 @@ from series inversion is built from these factors; keeping them
 factored makes common denominators cheap and bounded.
 
 Exactness is unconditional: all operations are ring operations on the
-packed values.  The only representational hazard is a coefficient
-outgrowing a balanced digit, which is prevented by per-value magnitude
-bounds and on-demand renormalisation.
+packed values.  Each value carries its own digit width k, taken from
+the ladder 64, 128, 256, ... and a bound on its coefficients.  Before an
+operation the operands' bounds give a bound for the result; if that
+does not fit a balanced digit, the operands are first renormalised
+(their bounds recomputed from the digits) and, if it still does not
+fit, repacked at a wider digit.  A coefficient therefore never
+outgrows its digit, and a value is only as wide as its coefficients
+have needed.  Denominator factor products are cached per width.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-_K = 192                       # bits per packed coefficient
-_B = 1 << _K
-_HALF = _B >> 1
-_LIMIT = 1 << (_K - 8)         # renormalise when the bound crosses this
-_DIGIT_BYTES = _K // 8
+_MIN_WIDTH = 64                # narrowest digit, in bits
 
 _offsets = {}
 
 
-def _offset(nd):
-    """sum_{i<nd} HALF * B^i, used to make packed values nonnegative."""
-    off = _offsets.get(nd)
+def _width(bound) -> int:
+    """Narrowest ladder width whose balanced digits hold |c| <= bound."""
+    k = _MIN_WIDTH
+    bits = bound.bit_length()
+    while k <= bits:
+        k <<= 1
+    return k
+
+
+def _offset(nd, k):
+    """sum_{i<nd} 2^(k-1) * 2^(k*i), used to make packed values nonnegative."""
+    off = _offsets.get((nd, k))
     if off is None:
-        off = _HALF * ((_B**nd - 1) // (_B - 1))
-        _offsets[nd] = off
+        off = ((1 << (k * nd)) - 1) // ((1 << k) - 1) << (k - 1)
+        _offsets[nd, k] = off
     return off
 
 
 class Poly:
     """Integer polynomial packed into one big integer.
 
-    `val` is P(2^K); `nd` bounds the number of digits, `bound` the
-    magnitude of every coefficient.  Immutable.
+    `val` is P(2^k) for the digit width `k`; `nd` bounds the number of
+    digits, `bound` the magnitude of every coefficient, and
+    bound < 2^(k-1) always holds.  Immutable.
     """
 
-    __slots__ = ("val", "nd", "bound")
+    __slots__ = ("val", "nd", "bound", "k")
 
-    def __init__(self, val, nd, bound):
-        if bound > _LIMIT:
-            val, nd, bound = _renormalize(val, nd)
+    def __init__(self, val, nd, bound, k):
         self.val = val
         self.nd = nd
         self.bound = bound
+        self.k = k
 
     @staticmethod
     def from_coeffs(coeffs) -> "Poly":
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        val = 0
-        for c in reversed(coeffs):
-            val = (val << _K) + c
         bound = max((abs(c) for c in coeffs), default=0)
-        return Poly(val, len(coeffs), bound)
+        k = _width(bound)
+        return Poly(_pack(coeffs, k), len(coeffs), bound, k)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly(int(c), 1 if c else 0, abs(int(c)))
+        c = int(c)
+        return Poly(c, 1 if c else 0, abs(c), _width(abs(c)))
 
     def is_zero(self) -> bool:
         return self.val == 0
 
+    def at(self, k: int) -> int:
+        """The packed value at width k >= self.k."""
+        if k == self.k or self.val == 0:
+            return self.val
+        return _pack(_decode(self.val, self.nd, self.k), k)
+
+    def tight(self) -> "Poly":
+        """The same polynomial with its digit count and bound recomputed."""
+        digits = _decode(self.val, self.nd, self.k)
+        return Poly(self.val, len(digits),
+                    max((abs(d) for d in digits), default=0), self.k)
+
     def __add__(self, other):
-        return Poly(self.val + other.val, max(self.nd, other.nd),
-                    self.bound + other.bound)
+        return _poly_sum((self, other))
 
     def __sub__(self, other):
-        return Poly(self.val - other.val, max(self.nd, other.nd),
-                    self.bound + other.bound)
+        return _poly_sum((self, -other))
 
     def __neg__(self):
-        return Poly(-self.val, self.nd, self.bound)
+        return Poly(-self.val, self.nd, self.bound, self.k)
 
     def __mul__(self, other):
         if self.val == 0 or other.val == 0:
             return _ZERO_POLY
-        return Poly(self.val * other.val, self.nd + other.nd - 1,
-                    min(self.nd, other.nd) * self.bound * other.bound)
+        a, b = self, other
+        k = max(a.k, b.k)
+        bound = min(a.nd, b.nd) * a.bound * b.bound
+        if bound.bit_length() >= k:
+            a, b = a.tight(), b.tight()
+            bound = min(a.nd, b.nd) * a.bound * b.bound
+            k = max(k, _width(bound))
+        return Poly(a.at(k) * b.at(k), a.nd + b.nd - 1, bound, k)
 
     def scale(self, c: int) -> "Poly":
-        if c == 0 or self.val == 0:
-            return _ZERO_POLY
-        return Poly(self.val * c, self.nd, self.bound * abs(c))
+        return self * Poly.const(c)
 
     def shift(self, j: int) -> "Poly":
         """Multiply by q^j (j >= 0)."""
         if self.val == 0:
             return self
-        return Poly(self.val << (_K * j), self.nd + j, self.bound)
+        return Poly(self.val << (self.k * j), self.nd + j, self.bound, self.k)
 
     def q_divisible(self, j: int = 1) -> bool:
         """True if q^j divides the polynomial."""
-        return self.val & ((1 << (_K * j)) - 1) == 0
+        return self.val & ((1 << (self.k * j)) - 1) == 0
 
     def unshift(self, j: int) -> "Poly":
         """Exact division by q^j."""
-        return Poly(self.val >> (_K * j), max(self.nd - j, 0), self.bound)
+        return Poly(self.val >> (self.k * j), max(self.nd - j, 0),
+                    self.bound, self.k)
 
     def coeffs(self) -> tuple:
         """Decode to a coefficient tuple (constant term first)."""
-        val, nd, _ = _renormalize(self.val, self.nd)
-        return _decode(val, nd)
-
-    def degree(self) -> int:
-        c = self.coeffs()
-        return len(c) - 1
+        return _decode(self.val, self.nd, self.k)
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.val == other.val
+        if not isinstance(other, Poly):
+            return False
+        if self.k == other.k:
+            return self.val == other.val
+        k = max(self.k, other.k)
+        return self.at(k) == other.at(k)
 
     def __hash__(self):
-        return hash(self.val)
+        return hash(self.coeffs())
 
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -135,89 +160,85 @@ class Poly:
         return f"Poly{list(self.coeffs())}"
 
 
-def _decode(val, nd):
-    """Balanced digits of a value known to fit in nd digits."""
+def _pack(coeffs, k):
+    """P(2^k) for coefficients that fit balanced k-bit digits."""
+    half, nbytes = 1 << (k - 1), k // 8
+    raw = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _offset(len(coeffs), k)
+
+
+def _decode(val, nd, k):
+    """Balanced k-bit digits of a value known to fit in nd digits."""
     if nd == 0:
         return ()
-    shifted = val + _offset(nd)
-    raw = shifted.to_bytes(nd * _DIGIT_BYTES, "little")
-    out = []
-    for i in range(nd):
-        d = int.from_bytes(raw[i * _DIGIT_BYTES:(i + 1) * _DIGIT_BYTES],
-                           "little") - _HALF
-        out.append(d)
+    half, nbytes = 1 << (k - 1), k // 8
+    raw = (val + _offset(nd, k)).to_bytes(nd * nbytes, "little")
+    out = [int.from_bytes(raw[i:i + nbytes], "little") - half
+           for i in range(0, nd * nbytes, nbytes)]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
 
-def _renormalize(val, nd):
-    """Recompute the tight digit count and coefficient bound of a value."""
-    if val == 0:
-        return 0, 0, 0
-    # grow nd until the balanced-digit decoding covers the value
-    while val < -_offset(nd) or val > _B**nd - 1 - _offset(nd):
-        nd += 1
-    digits = _decode(val, nd)
-    bound = max(abs(d) for d in digits)
-    if bound > _LIMIT:
-        raise OverflowError(
-            "packed polynomial coefficient exceeded the digit capacity; "
-            "increase the packing width")
-    return val, len(digits), bound
+def _poly_sum(polys) -> Poly:
+    """Sum of packed polynomials, at the widest operand width or wider
+    if the sum needs it."""
+    k = max(p.k for p in polys)
+    bound = sum(p.bound for p in polys)
+    if bound.bit_length() >= k:
+        polys = [p.tight() for p in polys]
+        bound = sum(p.bound for p in polys)
+        k = max(k, _width(bound))
+    return Poly(sum(p.at(k) for p in polys), max(p.nd for p in polys),
+                bound, k)
 
 
-_ZERO_POLY = Poly(0, 0, 0)
-_ONE_POLY = Poly(1, 1, 1)
+_ZERO_POLY = Poly(0, 0, 0, _MIN_WIDTH)
+_ONE_POLY = Poly(1, 1, 1, _MIN_WIDTH)
 
-_factor_cache = {}
-
-
-def _qfactor(m: int) -> Poly:
-    """The basis factor 1 - q^(2m)."""
-    f = _factor_cache.get(m)
-    if f is None:
-        coeffs = [0] * (2 * m + 1)
-        coeffs[0] = 1
-        coeffs[2 * m] = -1
-        f = Poly.from_coeffs(coeffs)
-        _factor_cache[m] = f
-    return f
+_fac_cache = {}
 
 
-_fpow_cache = {}
-
-
-def _qfactor_pow(m: int, e: int) -> Poly:
-    key = (m, e)
-    p = _fpow_cache.get(key)
+def _fac_product(fac: tuple, k: int) -> Poly:
+    """prod (1 - q^(2m))^e over the (m, e) in fac, packed at width k or
+    wider if its coefficients need it."""
+    key = (fac, k)
+    p = _fac_cache.get(key)
     if p is None:
-        if e == 0:
-            p = _ONE_POLY
-        else:
-            p = _qfactor_pow(m, e - 1) * _qfactor(m)
-        _fpow_cache[key] = p
+        p = Poly(1, 1, 1, k)
+        for m, e in fac:
+            coeffs = [0] * (2 * m * e + 1)
+            for i in range(e + 1):
+                coeffs[2 * m * i] = -comb(e, i) if i % 2 else comb(e, i)
+            p = p * Poly.from_coeffs(coeffs)
+        p = p.tight()
+        _fac_cache[key] = p
     return p
 
 
 def _den_product(dq, dfac, dext) -> Poly:
     p = _ONE_POLY.shift(dq) if dq else _ONE_POLY
-    for m, e in dfac:
-        p = p * _qfactor_pow(m, e)
+    if dfac:
+        p = p * _fac_product(dfac, p.k)
     if dext is not None:
         p = p * dext
     return p
 
 
-def _merge_fac(f1, f2, op):
+def _add_fac(f1, f2):
+    """Exponent-wise sum of two factored denominators."""
+    if not f1 or not f2:
+        return f1 or f2
     d = dict(f1)
     for m, e in f2:
-        d[m] = op(d.get(m, 0), e)
-    return tuple(sorted((m, e) for m, e in d.items() if e > 0))
+        d[m] = d.get(m, 0) + e
+    return tuple(sorted(d.items()))
 
 
 def _fac_diff(big, small):
     """Exponent-wise difference big - small (assumed nonnegative)."""
+    if big == small:
+        return ()
     d = dict(big)
     for m, e in small:
         d[m] = d[m] - e
@@ -281,22 +302,13 @@ class QCoefficient:
             return other
         if other.is_zero():
             return self
-        dq = max(self.dq, other.dq)
-        dfac = _merge_fac(self.dfac, other.dfac, max)
-        if self.dext is None and other.dext is None:
-            dext = None
-            n1, n2 = self.num, other.num
-        elif self.dext == other.dext:
-            dext = self.dext
-            n1, n2 = self.num, other.num
-        else:
-            e1 = self.dext if self.dext is not None else _ONE_POLY
-            e2 = other.dext if other.dext is not None else _ONE_POLY
-            dext = e1 * e2
-            n1, n2 = self.num * e2, other.num * e1
-        n1 = _lift(n1, dq - self.dq, _fac_diff(dfac, self.dfac))
-        n2 = _lift(n2, dq - other.dq, _fac_diff(dfac, other.dfac))
-        return QCoefficient(n1 + n2, dq, dfac, dext)
+        if self.dext == other.dext:
+            return _common_sum((self, other), self.dext)
+        e1 = self.dext if self.dext is not None else _ONE_POLY
+        e2 = other.dext if other.dext is not None else _ONE_POLY
+        return _common_sum((QCoefficient(self.num * e2, self.dq, self.dfac),
+                            QCoefficient(other.num * e1, other.dq, other.dfac)),
+                           e1 * e2)
 
     def __neg__(self):
         return QCoefficient(-self.num, self.dq, self.dfac, self.dext)
@@ -314,8 +326,7 @@ class QCoefficient:
         else:
             dext = self.dext * other.dext
         return QCoefficient(self.num * other.num, self.dq + other.dq,
-                            _merge_fac(self.dfac, other.dfac,
-                                       lambda a, b: a + b), dext)
+                            _add_fac(self.dfac, other.dfac), dext)
 
     def mul_q_power(self, j: int) -> "QCoefficient":
         if j == 0 or self.is_zero():
@@ -432,9 +443,23 @@ class QCoefficient:
 def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
     if dq_extra:
         num = num.shift(dq_extra)
-    for m, e in fac_extra:
-        num = num * _qfactor_pow(m, e)
+    if fac_extra:
+        num = num * _fac_product(fac_extra, num.k)
     return num
+
+
+def _common_sum(coefs, dext=None) -> QCoefficient:
+    """Sum of nonzero coefficients sharing the extra denominator dext:
+    each numerator is lifted once onto the common denominator."""
+    dq = max(c.dq for c in coefs)
+    fac = {}
+    for c in coefs:
+        for m, e in c.dfac:
+            if e > fac.get(m, 0):
+                fac[m] = e
+    dfac = tuple(sorted(fac.items()))
+    nums = [_lift(c.num, dq - c.dq, _fac_diff(dfac, c.dfac)) for c in coefs]
+    return QCoefficient(_poly_sum(nums), dq, dfac, dext)
 
 
 _ZERO_COEF = QCoefficient(_ZERO_POLY)
@@ -469,6 +494,19 @@ class ExactField:
     @staticmethod
     def q_power(j):
         return QCoefficient.q_power(j)
+
+    @staticmethod
+    def sum(coefs):
+        """Sum of coefficients over one common denominator."""
+        coefs = [c for c in coefs if not c.is_zero()]
+        if len(coefs) < 2:
+            return coefs[0] if coefs else _ZERO_COEF
+        if any(c.dext is not None for c in coefs):
+            total = coefs[0]
+            for c in coefs[1:]:
+                total = total + c
+            return total
+        return _common_sum(coefs)
 
     @staticmethod
     def psi_coefficient(n):
@@ -580,6 +618,9 @@ class RationalPointField:
 
     def q_power(self, j):
         return RationalQ(Fraction(self.q0) ** j, self.q0)
+
+    def sum(self, coefs):
+        return RationalQ(sum((c.value for c in coefs), Fraction(0)), self.q0)
 
     def _qpochhammer(self, n):
         """(q0^2; q0^2)_n."""

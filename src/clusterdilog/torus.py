@@ -207,28 +207,31 @@ def add(a: TorusElement, b: TorusElement) -> TorusElement:
 
 
 def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Graded product; exact coefficients, terms above the order dropped."""
+    """Graded product; exact coefficients, terms above the order dropped.
+
+    The products landing on each output shift are summed in one step
+    (`ring.sum`), so each is lifted to the common denominator once."""
     _check_context(a, b)
     B, N = a.matrix, a.order
     g1, g2 = a.base, b.base
     head = -pairing(g1, g2, B)
     out = {}
-    bterms = list(b.terms.items())
+    bterms = [(e, sum(e), ce) for e, ce in b.terms.items() if not ce.is_zero()]
     for d, cd in a.terms.items():
         if cd.is_zero():
             continue
-        wd = sum(d)
+        room = N - sum(d)
         e1 = head + 2 * pairing(g2, d, B)
         row_d = _row_B(d, B)
-        for e, ce in bterms:
-            if ce.is_zero() or wd + sum(e) > N:
+        for e, we, ce in bterms:
+            if we > room:
                 continue
             key = tuple(x + y for x, y in zip(d, e))
             qexp = e1 - sum(r * ei for r, ei in zip(row_d, e))
-            val = (cd * ce).mul_q_power(qexp)
-            prev = out.get(key)
-            out[key] = val if prev is None else prev + val
-    return TorusElement(B, N, tuple(x + y for x, y in zip(g1, g2)), out, a.ring)
+            out.setdefault(key, []).append((cd * ce).mul_q_power(qexp))
+    total = a.ring.sum
+    return TorusElement(B, N, tuple(x + y for x, y in zip(g1, g2)),
+                        {key: total(vals) for key, vals in out.items()}, a.ring)
 
 
 def power(a: TorusElement, m: int) -> TorusElement:

@@ -13,6 +13,13 @@ from clusterdilog.fixtures import builtin_seed, seed_from_dict, seed_to_dict
 from clusterdilog.search import search_periods
 
 
+def cli_env():
+    """The environment for running the CLI of this checkout as `python -m`."""
+    src = os.path.dirname(os.path.dirname(clusterdilog.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -121,6 +128,10 @@ class TestVerify:
         ("shuffle", "--cut", "0"),
         ("search", "--depth", "0"),
         ("search", "--depth", "-1"),
+        ("search", "--depth", "x"),
+        ("quantum-tropical", "-N", "x"),
+        ("classical", "--trials", "x"),
+        ("shuffle", "--cut", "x"),
     ])
     def test_parse_error_exit_4_out_of_range(self, capsys, extra):
         mode, *opts = extra
@@ -128,6 +139,7 @@ class TestVerify:
         assert main([*command, "--builtin", "A2", *opts]) == 4
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "_positive_int" not in err
 
     def test_numerical_failure_exit_3(self, capsys):
         code, rep = run_json(capsys, "verify", "classical", "--builtin", "A2",
@@ -181,9 +193,6 @@ class TestClosedStdout:
         """Writing the report into a pipe whose reader has already closed
         (as in `clusterdilog search ... | head -c 1`) ends without a
         traceback and with a documented exit code."""
-        src = os.path.dirname(os.path.dirname(clusterdilog.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -191,7 +200,7 @@ class TestClosedStdout:
                 [sys.executable, "-m", "clusterdilog.cli", "search",
                  "--builtin", "A2", "--depth", "6"],
                 stdout=write_end, stderr=subprocess.PIPE, text=True,
-                timeout=60, env=env)
+                timeout=60, env=cli_env())
         finally:
             os.close(write_end)
         assert proc.stderr == ""
@@ -219,6 +228,17 @@ class TestPhibCommand:
     def test_unresolvable_z_exit_3(self, capsys, z):
         assert main(["phib", "--z", z]) == 3
         assert main(["phib", "--check", "duality", "--z", z]) == 3
+
+    def test_tiny_b_prints_only_the_error(self):
+        """At b = 0.001 sinh overflows in the tails: the run exits 3 with
+        its one error line and no numpy warnings on stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "clusterdilog.cli",
+             "phib", "--b", "0.001"],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["error"] == "QuadratureFailure"
 
     def test_asymptotics_csv(self, capsys):
         code, out = run(capsys, "phib", "--check", "asymptotics", "--z", "0.0",

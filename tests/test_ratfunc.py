@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterdilog.ratfunc import (
+    EXACT,
     Poly,
     QCoefficient,
     RationalPointField,
@@ -51,6 +53,15 @@ class TestPoly:
         assert not p.q_divisible()
         assert p.shift(2).unshift(2) == p
 
+    def test_equality_across_widths(self):
+        p = Poly.from_coeffs([3, -2])
+        big = Poly.from_coeffs([2**100])
+        wide = p + (big - big)          # the same polynomial, packed wider
+        assert wide.k > p.k
+        assert wide == p and hash(wide) == hash(p)
+        assert wide.shift(2).q_divisible(2) and wide.shift(2).unshift(2) == p
+        assert wide.coeffs() == (3, -2)
+
     def test_large_coefficient_renormalisation(self):
         # repeated squaring keeps packed values exact well past naive bounds
         p = Poly.from_coeffs([1, 1])
@@ -71,14 +82,15 @@ class TestPoly:
             p = p * p
         assert p.coeffs()[64] == math.comb(128, 64)
 
-    def test_genuinely_oversized_coefficients_are_rejected(self):
-        # coefficients near 2^1000 cannot fit a balanced digit; the guard
-        # must refuse loudly instead of decoding garbage
+    def test_oversized_coefficients_widen_the_digits(self):
+        import math
+
+        # ten squarings give coefficients near 2^1020, far beyond the
+        # narrowest digit; the value must widen and still decode exactly
         p = Poly.from_coeffs([1, 1])
-        with pytest.raises(OverflowError):
-            for _ in range(10):
-                p = p * p
-            p.coeffs()
+        for _ in range(10):
+            p = p * p
+        assert p.coeffs() == tuple(math.comb(1024, k) for k in range(1025))
 
 
 class TestQCoefficient:
@@ -137,6 +149,57 @@ class TestQCoefficient:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             QCoefficient.from_int(0).inverse()
+
+
+@st.composite
+def wide_coefficients(draw):
+    """q^j * P(q) / (q^2; q^2)_n with the coefficients of P up to 2^300,
+    so operands are packed at different digit widths."""
+    bits = draw(st.integers(1, 300))
+    num = draw(st.lists(st.integers(-(1 << bits), 1 << bits),
+                        min_size=1, max_size=5).filter(any))
+    c = QCoefficient.from_poly(num) * \
+        QCoefficient.qpochhammer_inverse(draw(st.integers(0, 3)))
+    return c.mul_q_power(draw(st.integers(-3, 3)))
+
+
+# rational points away from the poles q = 0 and |q| = 1
+points = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                   st.integers(2, 9)).filter(lambda x: abs(x) != 1)
+
+
+class TestFieldAxiomsProperty:
+    """Q(q) arithmetic against exact Fraction evaluation at random points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=wide_coefficients(), b=wide_coefficients(),
+           c=wide_coefficients(), x=points)
+    def test_ring_operations(self, a, b, c, x):
+        def ev(u):
+            return u.evaluate(x)
+
+        assert ev(a + b) == ev(a) + ev(b)
+        assert ev(a - b) == ev(a) - ev(b)
+        assert ev(a * b) == ev(a) * ev(b)
+        assert ev(EXACT.sum([a, b, c])) == ev(a) + ev(b) + ev(c)
+        assert (a + b) * c == a * c + b * c
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a and hash(a + b) == hash(b + a)
+        assert (a - a).is_zero()
+        assert (a == b) == (a.canonical() == b.canonical())
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=wide_coefficients(), b=wide_coefficients(), x=points)
+    def test_inverse(self, a, b, x):
+        inv = a.inverse()
+        assert (a * inv).is_one() and (inv * a).is_one()
+        if a.evaluate(x) != 0:
+            assert inv.evaluate(x) == 1 / a.evaluate(x)
+        # a round trip through a wide value and an extra denominator
+        big = QCoefficient.from_int(3**200)
+        back = a * big / big
+        assert back == a and hash(back) == hash(a)
+        assert EXACT.sum([a, b, inv]) == (a + b) + inv
 
 
 class TestRationalPointField:

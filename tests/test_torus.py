@@ -3,10 +3,12 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clusterdilog import torus
 from clusterdilog.errors import IncompatibleContexts, NonInvertible, NonTruncating
 from clusterdilog.exchange import ExchangeMatrix
+from clusterdilog import ratfunc
 from clusterdilog.ratfunc import QCoefficient, RationalPointField
 from clusterdilog.torus import (
     TorusElement,
@@ -185,6 +187,63 @@ class TestInvert:
             invert(Y((1, 0)) - Y((1, 0)))
         with pytest.raises(NonInvertible):
             invert(TorusElement(A2, N, (0, 0), {(1, 0): QCoefficient.from_int(1)}))
+
+
+@st.composite
+def coefficients(draw):
+    """q^j * P(q) / (q^2; q^2)_n with small random P."""
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    c = QCoefficient.from_poly(num) * \
+        QCoefficient.qpochhammer_inverse(draw(st.integers(0, 2)))
+    return c.mul_q_power(draw(st.integers(-2, 2)))
+
+
+@st.composite
+def sparse_triples(draw):
+    """A random skew-symmetric B of rank <= 4, an order N <= 6 and three
+    sparse elements, each with a nonzero constant-shift coefficient."""
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 6))
+    b = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-2, 2))
+            b[j, i] = -b[i, j]
+    vectors = st.lists(st.integers(0, N), min_size=n, max_size=n)
+    shifts = vectors.filter(lambda d: sum(d) <= N).map(tuple)
+    elems = []
+    for _ in range(3):
+        base = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        terms = draw(st.dictionaries(shifts, coefficients(), max_size=4))
+        terms[(0,) * n] = draw(coefficients())
+        elems.append((base, terms))
+    return ExchangeMatrix(b), N, elems
+
+
+class TestProductProperties:
+    """Associativity and two-sided inverses on random sparse elements; the
+    products sum many terms per output shift through `ring.sum`."""
+
+    @pytest.mark.parametrize("ring", [ratfunc.EXACT,
+                                      RationalPointField(Fraction(3, 8))],
+                             ids=["exact", "q0=3/8"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=sparse_triples())
+    def test_associative_with_two_sided_inverse(self, ring, case):
+        B, order, specs = case
+
+        def coef(c):
+            if ring == ratfunc.EXACT:
+                return c
+            return ratfunc.RationalQ(c.evaluate(ring.q0), ring.q0)
+
+        a, b, c = (TorusElement(B, order, base,
+                                {d: coef(v) for d, v in terms.items()}, ring)
+                   for base, terms in specs)
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+        inv = invert(a)
+        assert multiply(a, inv) == unit(B, order, ring)
+        assert multiply(inv, a) == unit(B, order, ring)
 
 
 class TestPsiSeries:
