@@ -10,6 +10,7 @@ internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,15 @@ class ExchangeMatrix:
         i, j = ij
         return int(self.entries[i - 1, j - 1])
 
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows of B as tuples of Python ints, built on first use
+        for the pure-Python loops of the torus."""
+        return tuple(map(tuple, self.entries.tolist()))
+
     def __eq__(self, other):
-        return isinstance(other, ExchangeMatrix) and np.array_equal(
-            self.entries, other.entries
-        )
+        return other is self or (isinstance(other, ExchangeMatrix) and
+                                 np.array_equal(self.entries, other.entries))
 
     def __hash__(self):
         return hash(self.entries.tobytes())

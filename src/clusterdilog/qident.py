@@ -22,7 +22,8 @@ from .errors import NonTruncating
 from .exchange import (ExchangeMatrix, MutationSchedule, TropicalState,
                        mutate_matrix, mutate_tropical, require_period,
                        sign_sequence, tropical_sign)
-from .torus import TorusElement, invert, monomial, multiply, power, psi_series, unit
+from .torus import (TorusElement, invert, monomial, multiply, power,
+                    psi_inverse_series, psi_series, unit)
 
 
 @dataclass(frozen=True)
@@ -175,11 +176,6 @@ def _mode(ring):
     return ring.name
 
 
-def _psi_factor(arg: TorusElement, eps: int) -> TorusElement:
-    f = psi_series(arg)
-    return invert(f) if eps < 0 else f
-
-
 def _psi_monomial(alpha, eps: int, B: ExchangeMatrix, N: int, ring) -> TorusElement:
     """Psi(Y^alpha)^eps in closed form, with no torus products.
 
@@ -199,24 +195,35 @@ def _psi_monomial(alpha, eps: int, B: ExchangeMatrix, N: int, ring) -> TorusElem
     return TorusElement(B, N, (0,) * B.n, terms, ring)
 
 
+def _product(factors, B, N, ring) -> TorusElement:
+    """The factors multiplied in order; 1 for none."""
+    P = None
+    for f in factors:
+        P = f if P is None else multiply(P, f)
+    return unit(B, N, ring) if P is None else P
+
+
 def _tropical_product(B, ss, N, ring, steps):
     """Product of Psi(Y^(eps_t alpha_t))^(eps_t) over the steps t, in order."""
-    P = unit(B, N, ring)
-    for t in steps:
-        eps = ss.signs[t]
-        alpha = tuple(eps * a for a in ss.cvectors[t])
-        P = multiply(P, _psi_monomial(alpha, eps, B, N, ring))
-    return P
+    return _product((_psi_monomial(tuple(ss.signs[t] * a for a in ss.cvectors[t]),
+                                   ss.signs[t], B, N, ring) for t in steps),
+                    B, N, ring)
 
 
-def _universal_product(actives, signs, B, N, ring):
-    """Reverse-ordered product of Psi(Y_t^eps_t)^(eps_t) at the quantum
-    y-variables Y_t, through the generic series and invert."""
-    P = unit(B, N, ring)
-    for t in range(len(signs) - 1, -1, -1):
-        arg = actives[t] if signs[t] > 0 else invert(actives[t])
-        P = multiply(P, _psi_factor(arg, signs[t]))
-    return P
+def _universal_product(seeds, sequence, signs, B, N, ring):
+    """Reverse-ordered product of Psi(Y_t^eps_t)^(eps_t) at the active
+    quantum y-variables Y_t = Y_{k_t}(t) of the trajectory `seeds`.
+
+    eps_t > 0 takes psi_series of Y_t.  eps_t < 0 takes Euler's series
+    for 1/Psi (psi_inverse_series) of Y_t^-1, which quantum_mutate
+    already stored as Y_{k_t}(t+1); so no factor calls invert."""
+    def factor(t):
+        k = sequence[t] - 1
+        if signs[t] > 0:
+            return psi_series(seeds[t].Y[k])
+        return psi_inverse_series(seeds[t + 1].Y[k])
+
+    return _product(map(factor, reversed(range(len(signs)))), B, N, ring)
 
 
 def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
@@ -236,11 +243,13 @@ def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
                               N: int, q0=None) -> Residual:
     """Reverse-ordered product of Psi at the actual quantum y-variables
     along the period, compared against 1.  The arguments are dense, so
-    the factors go through psi_series and invert."""
+    each factor is a torus series: psi_series where the tropical sign is
+    positive, Euler's series for 1/Psi at the trajectory's own inverse
+    where it is negative (see _universal_product)."""
     require_period(B, sched)
     ring = _ring(q0)
-    _, actives, signs = quantum_trajectory(B, sched.sequence, N, ring)
-    P = _universal_product(actives, signs, B, N, ring)
+    seeds, _, signs = quantum_trajectory(B, sched.sequence, N, ring)
+    P = _universal_product(seeds, sched.sequence, signs, B, N, ring)
     dev = torus.deviation_from(P, unit(B, N, ring))
     return Residual("universal", N, tuple(dev), _mode(ring))
 
@@ -250,15 +259,17 @@ def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
     """Shuffle formula at cut t: the first t tropical factors equal the
     first t universal factors in reverse order.  Holds with or without
     periodicity.  The tropical side uses the closed form for monomial
-    arguments; the universal side uses psi_series and invert."""
+    arguments; the universal side uses psi_series for positive signs and
+    Euler's series for 1/Psi at the trajectory's own inverses for
+    negative ones, as in verify_universal_identity."""
     L = sched.length
     if not 1 <= t <= L:
         raise ValueError(f"cut index t={t} outside 1..{L}")
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
     lhs = _tropical_product(B, ss, N, ring, range(t))
-    _, actives, signs = quantum_trajectory(B, sched.sequence[:t], N, ring)
-    rhs = _universal_product(actives, signs, B, N, ring)
+    seeds, _, signs = quantum_trajectory(B, sched.sequence[:t], N, ring)
+    rhs = _universal_product(seeds, sched.sequence, signs, B, N, ring)
     dev = torus.deviation_from(lhs, rhs)
     return Residual("shuffle", N, tuple(dev), _mode(ring))
 

@@ -135,6 +135,11 @@ class Poly:
         return Poly(self.val >> (self.k * j), max(self.nd - j, 0),
                     self.bound, self.k)
 
+    def q_order(self) -> int:
+        """The largest j with q^j dividing the nonzero polynomial: as its
+        digits are below 2^(k-1), the lowest set bit lies in digit j."""
+        return ((self.val & -self.val).bit_length() - 1) // self.k
+
     def coeffs(self) -> tuple:
         """Decode to a coefficient tuple (constant term first)."""
         return _decode(self.val, self.nd, self.k)
@@ -255,9 +260,9 @@ class QCoefficient:
         if num.is_zero():
             num, dq, dfac, dext = _ZERO_POLY, 0, (), None
         else:
-            while dq > 0 and num.q_divisible():
-                num = num.unshift(1)
-                dq -= 1
+            j = min(dq, num.q_order()) if dq else 0
+            if j:
+                num, dq = num.unshift(j), dq - j
             if dext is not None and dext == _ONE_POLY:
                 dext = None
         self.num = num
@@ -317,6 +322,10 @@ class QCoefficient:
         return self + (-other)
 
     def __mul__(self, other):
+        return self.mul_shifted(other, 0)
+
+    def mul_shifted(self, other, j: int) -> "QCoefficient":
+        """self * other * q^j, built as one coefficient."""
         if self.is_zero() or other.is_zero():
             return _ZERO_COEF
         if self.dext is None:
@@ -325,8 +334,11 @@ class QCoefficient:
             dext = self.dext
         else:
             dext = self.dext * other.dext
-        return QCoefficient(self.num * other.num, self.dq + other.dq,
-                            _add_fac(self.dfac, other.dfac), dext)
+        num = self.num * other.num
+        dq = self.dq + other.dq - j
+        if dq < 0:
+            num, dq = num.shift(-dq), 0
+        return QCoefficient(num, dq, _add_fac(self.dfac, other.dfac), dext)
 
     def mul_q_power(self, j: int) -> "QCoefficient":
         if j == 0 or self.is_zero():
@@ -343,12 +355,9 @@ class QCoefficient:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
         den = _den_product(self.dq, self.dfac, self.dext)
-        num = self.num
         # pull monomial content of the old numerator back into dq
-        j = 0
-        while num.q_divisible() and not num.is_zero():
-            num = num.unshift(1)
-            j += 1
+        j = self.num.q_order()
+        num = self.num.unshift(j)
         c = num.coeffs()
         if len(c) == 1 and c[0] in (1, -1):
             # common fast path: old numerator was +-q^j
@@ -563,6 +572,11 @@ class RationalQ:
 
     def mul_q_power(self, j):
         return RationalQ(self.value * Fraction(self.q0) ** j, self.q0)
+
+    def mul_shifted(self, other, j):
+        """self * other * q0^j."""
+        return RationalQ(self.value * self._lift(other) * Fraction(self.q0) ** j,
+                         self.q0)
 
     def scale_int(self, c):
         return RationalQ(self.value * c, self.q0)

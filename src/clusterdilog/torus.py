@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _plus, itemgetter, mul as _times
 
 from .errors import IncompatibleContexts, NonInvertible, NonTruncating
 from .exchange import ExchangeMatrix
@@ -28,20 +29,13 @@ def pairing(alpha, beta, B: ExchangeMatrix) -> int:
     n = B.n
     if len(alpha) != n or len(beta) != n:
         raise ValueError(f"exponent vectors must have length {n}")
-    b = B.entries
-    total = 0
-    for i, ai in enumerate(alpha):
-        if ai:
-            row = b[i]
-            total += ai * sum(int(row[j]) * bj for j, bj in enumerate(beta) if bj)
-    return total
+    return sum(ai * sum(map(_times, row, beta))
+               for ai, row in zip(alpha, B.rows) if ai)
 
 
 def _row_B(alpha, B: ExchangeMatrix) -> tuple:
-    """The covector alpha^T B, so <alpha, beta> = row . beta."""
-    b = B.entries
-    return tuple(int(sum(ai * b[i, j] for i, ai in enumerate(alpha) if ai))
-                 for j in range(B.n))
+    """The covector alpha^T B = -(B alpha)^T, so <alpha, beta> = row . beta."""
+    return tuple(-sum(map(_times, row, alpha)) for row in B.rows)
 
 
 @dataclass(frozen=True)
@@ -209,28 +203,31 @@ def add(a: TorusElement, b: TorusElement) -> TorusElement:
 def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     """Graded product; exact coefficients, terms above the order dropped.
 
-    The products landing on each output shift are summed in one step
+    Each pair of terms gives one coefficient (`mul_shifted`).  The
+    products landing on each output shift are summed in one step
     (`ring.sum`), so each is lifted to the common denominator once."""
     _check_context(a, b)
     B, N = a.matrix, a.order
     g1, g2 = a.base, b.base
     head = -pairing(g1, g2, B)
     out = {}
-    bterms = [(e, sum(e), ce) for e, ce in b.terms.items() if not ce.is_zero()]
+    bterms = sorted(((sum(e), e, ce) for e, ce in b.terms.items()
+                     if not ce.is_zero()), key=itemgetter(0))
     for d, cd in a.terms.items():
         if cd.is_zero():
             continue
         room = N - sum(d)
         e1 = head + 2 * pairing(g2, d, B)
         row_d = _row_B(d, B)
-        for e, we, ce in bterms:
+        product = cd.mul_shifted
+        for we, e, ce in bterms:
             if we > room:
-                continue
-            key = tuple(x + y for x, y in zip(d, e))
-            qexp = e1 - sum(r * ei for r, ei in zip(row_d, e))
-            out.setdefault(key, []).append((cd * ce).mul_q_power(qexp))
+                break
+            key = tuple(map(_plus, d, e))
+            qexp = e1 - sum(map(_times, row_d, e))
+            out.setdefault(key, []).append(product(ce, qexp))
     total = a.ring.sum
-    return TorusElement(B, N, tuple(x + y for x, y in zip(g1, g2)),
+    return TorusElement(B, N, tuple(map(_plus, g1, g2)),
                         {key: total(vals) for key, vals in out.items()}, a.ring)
 
 
@@ -238,8 +235,10 @@ def power(a: TorusElement, m: int) -> TorusElement:
     """a^m for m >= 0 by repeated multiplication (noncommutative)."""
     if m < 0:
         raise ValueError("negative powers go through invert()")
-    acc = unit(a.matrix, a.order, a.ring)
-    for _ in range(m):
+    if m == 0:
+        return unit(a.matrix, a.order, a.ring)
+    acc = a
+    for _ in range(m - 1):
         acc = multiply(acc, a)
     return acc
 
@@ -281,6 +280,17 @@ def psi_series(x: TorusElement, N: int | None = None) -> TorusElement:
     """
     if N is not None and N != x.order:
         raise IncompatibleContexts("requested order differs from the argument's")
+    return _series(x, x.ring.psi_coefficient)
+
+
+def psi_inverse_series(x: TorusElement) -> TorusElement:
+    """1/Psi(x) by Euler's series sum_n q^(n^2) x^n / (q^2; q^2)_n, with
+    no inversion; the argument is restricted as for psi_series."""
+    return _series(x, x.ring.psi_inverse_coefficient)
+
+
+def _series(x: TorusElement, coefficient) -> TorusElement:
+    """sum_n coefficient(n) x^n with coefficient(0) = 1, up to the order."""
     N = x.order
     base = x.base
     if any(e < 0 for e in base):
@@ -293,15 +303,13 @@ def psi_series(x: TorusElement, N: int | None = None) -> TorusElement:
             raise NonTruncating(
                 "argument has a degree-0 component; the series does not truncate")
         step = x.degree_floor()
-        if step > N:
-            return unit(x.matrix, x.order, x.ring)
     acc = unit(x.matrix, N, x.ring)
-    xp = unit(x.matrix, N, x.ring)
+    xp = None
     for n in range(1, N // step + 1):
-        xp = multiply(xp, x)
+        xp = x if xp is None else multiply(xp, x)
         if xp.is_zero():
             break
-        acc = add(acc, xp.scale(x.ring.psi_coefficient(n)))
+        acc = add(acc, xp.scale(coefficient(n)))
     return acc
 
 

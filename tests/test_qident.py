@@ -27,7 +27,8 @@ from clusterdilog.qident import (
     verify_tropical_identity,
     verify_universal_identity,
 )
-from clusterdilog.torus import invert, monomial, multiply, psi_series, unit
+from clusterdilog.torus import (invert, monomial, multiply, psi_inverse_series,
+                                psi_series, unit)
 
 A1 = ExchangeMatrix(np.zeros((1, 1), dtype=int))
 A2 = ExchangeMatrix(np.array([[0, -1], [1, 0]]))
@@ -208,6 +209,37 @@ class TestPsiMonomial:
         for eps in (1, -1):
             with pytest.raises(NonTruncating):
                 qident._psi_monomial(alpha, eps, A2, 6, ratfunc.EXACT)
+
+
+A3_LINEAR = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
+
+
+class TestEulerFactor:
+    """The universal product reads Y_{k_t}(t)^-1 from the next seed and
+    builds 1/Psi by Euler's series; both must agree with the generic
+    machinery (invert, psi_series) on the dense trajectory arguments."""
+
+    CASES = [
+        (A2, A2_SCHED.sequence, 6),
+        (principal_extension(A2), A2_SCHED.sequence, 5),
+        (A3_LINEAR, (2, 3, 1, 2, 3, 1), 4),   # not a period; two eps < 0
+    ]
+
+    @pytest.mark.parametrize("ring", [ratfunc.EXACT,
+                                      ratfunc.RationalPointField(Fraction(3, 8))],
+                             ids=["exact", "q0=3/8"])
+    @pytest.mark.parametrize("case", CASES, ids=["A2", "A2-principal", "A3-word"])
+    def test_matches_inverted_series_on_trajectory(self, ring, case):
+        B, word, N = case
+        seeds, actives, signs = quantum_trajectory(B, word, N, ring)
+        one = unit(B, N, ring)
+        assert -1 in signs
+        for t, k in enumerate(word):
+            inverse = seeds[t + 1].Y[k - 1]
+            assert multiply(actives[t], inverse) == one
+            assert multiply(inverse, actives[t]) == one
+            arg = actives[t] if signs[t] > 0 else inverse
+            assert psi_inverse_series(arg) == invert(psi_series(arg)), t
 
 
 class TestTropicalIdentity:

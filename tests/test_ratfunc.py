@@ -202,6 +202,50 @@ class TestFieldAxiomsProperty:
         assert EXACT.sum([a, b, inv]) == (a + b) + inv
 
 
+@st.composite
+def q_multiples(draw):
+    """(width, coeffs, j, dq, n): the numerator coeffs * q^j over
+    q^dq (q^2; q^2)_n, with j below, equal to or above dq.  The leading
+    coefficient is large enough that the numerator packs at the drawn
+    width, and the low and leading coefficients take either sign."""
+    width = draw(st.sampled_from([64, 128, 256]))
+    top = (1 << (width - 1)) - 1
+    digit = st.integers(-top, top)
+    low = draw(digit.filter(bool))
+    lead = draw(st.integers(1 if width == 64 else 1 << (width // 2), top))
+    lead *= draw(st.sampled_from([1, -1]))
+    coeffs = [low] + draw(st.lists(digit, max_size=3)) + [lead]
+    dq = draw(st.integers(1, 5))
+    j = draw(st.one_of(st.integers(0, dq - 1), st.just(dq),
+                       st.integers(dq + 1, dq + 4)))
+    return width, coeffs, j, dq, draw(st.integers(0, 2))
+
+
+class TestQStripProperty:
+    """QCoefficient strips the common power of q from numerator and dq
+    in one step, at every packing width and for negative values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=q_multiples(), x=points)
+    def test_one_step_strip(self, case, x):
+        width, coeffs, j, dq, n = case
+        num = Poly.from_coeffs([0] * j + coeffs)
+        assert num.k == width and num.q_order() == j
+        dfac = QCoefficient.qpochhammer_inverse(n).dfac
+        for sign in (1, -1):
+            c = QCoefficient(-num if sign < 0 else num, dq, dfac)
+            assert c.dq == max(dq - j, 0)
+            assert c.num.coeffs() == tuple(sign * v for v in
+                                           [0] * max(j - dq, 0) + coeffs)
+            if c.dq > 0:
+                assert not c.num.q_divisible()
+            den = x ** dq
+            for m in range(1, n + 1):
+                den *= 1 - x ** (2 * m)
+            value = sum(v * x ** i for i, v in enumerate(coeffs)) * x ** j
+            assert c.evaluate(x) == sign * value / den
+
+
 class TestRationalPointField:
     def test_point_field_matches_exact_evaluation(self):
         from clusterdilog.ratfunc import EXACT

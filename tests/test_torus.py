@@ -81,7 +81,8 @@ def reference_multiply(a, b):
         coeff = (c1 * c2).mul_q_power(expo)
         prev = out.get(shift)
         out[shift] = coeff if prev is None else prev + coeff
-    return TorusElement(B, order, tuple(x + y for x, y in zip(a.base, b.base)), out)
+    return TorusElement(B, order, tuple(x + y for x, y in zip(a.base, b.base)),
+                        out, a.ring)
 
 
 class TestPairing:
@@ -244,6 +245,27 @@ class TestProductProperties:
         inv = invert(a)
         assert multiply(a, inv) == unit(B, order, ring)
         assert multiply(inv, a) == unit(B, order, ring)
+
+    @pytest.mark.parametrize("ring", [ratfunc.EXACT,
+                                      RationalPointField(Fraction(3, 8))],
+                             ids=["exact", "q0=3/8"])
+    @settings(max_examples=30, deadline=None)
+    @given(case=sparse_triples())
+    def test_fused_pair_products_match_reference(self, ring, case):
+        """multiply builds each pair's coefficient in one step
+        (mul_shifted); the reference builds (c1 * c2).mul_q_power(e)."""
+        B, order, specs = case
+
+        def coef(c):
+            if ring == ratfunc.EXACT:
+                return c
+            return ratfunc.RationalQ(c.evaluate(ring.q0), ring.q0)
+
+        a, b, c = (TorusElement(B, order, base,
+                                {d: coef(v) for d, v in terms.items()}, ring)
+                   for base, terms in specs)
+        assert multiply(a, b) == reference_multiply(a, b)
+        assert multiply(c, a) == reference_multiply(c, a)
 
 
 class TestPsiSeries:
