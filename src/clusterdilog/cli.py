@@ -375,6 +375,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse (3.11) reads --z=-- as []
+            raise CLIParseError("'--' is not an option value")
     except CLIParseError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -393,7 +395,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ClusterDilogError as exc:
+    except (ClusterDilogError, ArithmeticError) as exc:  # overflow included
         code = EXIT_NUMERICAL
         out = json.dumps({"error": type(exc).__name__, "detail": str(exc)})
     else:

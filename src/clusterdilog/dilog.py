@@ -17,8 +17,8 @@ from fractions import Fraction
 
 
 from .errors import BranchProximity, PoleHit
-from .exchange import (ExchangeMatrix, MutationSchedule, numeric_trajectory,
-                       require_period, sign_sequence)
+from .exchange import (ExchangeMatrix, MutationSchedule, NumericSeed,
+                       _exchange_values, _periodic_walk, numeric_trajectory)
 
 PI2_6 = math.pi**2 / 6
 
@@ -50,8 +50,8 @@ def li2(x):
             return complex(li2(x.real), 0.0)
         return _li2_complex(x)
     x = float(x)
-    if x > 1.0:
-        raise ValueError(f"li2 domain error: real argument {x} > 1")
+    if not x <= 1.0:  # NaN too
+        raise ValueError(f"li2 domain error: real argument {x} is not <= 1")
     if x == 1.0:
         return PI2_6
     if x == 0.0:
@@ -203,18 +203,30 @@ class ClassicalIdentityReport:
 
 def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
                               y0) -> ClassicalIdentityReport:
-    """Run the numeric trajectory at y0 > 0 and evaluate the three Rogers
-    sums attached to the period."""
-    require_period(B, sched)
-    ss = sign_sequence(B, sched)
-    traj = numeric_trajectory(B, sched.sequence, y0)
+    """Follow the y-variables from y0 > 0 along the period and evaluate
+    the three Rogers sums attached to it.
+
+    One integer walk gives B(t) and the tropical signs; the exchange
+    relation then runs on Python floats in the operation order of
+    `mutate_y_numeric`, rejecting y0 and every later y as `NumericSeed`
+    does.
+    """
+    rows, _, signs, _, _ = _periodic_walk(B, sched)
+    seq = sched.sequence
+    ys = [NumericSeed(B, y0).y.tolist()]
+    try:
+        for t, k in enumerate(seq):
+            ys.append(_exchange_values(ys[t], rows[t][k - 1], k - 1))
+            if not all(v > 0.0 for v in ys[-1]):
+                raise ValueError("all y-variables must be strictly positive")
+    except OverflowError:  # numpy's power saturates at inf: take its path
+        ys = [seed.y for seed in numeric_trajectory(B, seq, y0)]
     terms = []
     s_signed = 0.0
     s_di = 0.0
     s_dip = 0.0
-    for t, k in enumerate(sched.sequence):
-        y = float(traj[t].y[k - 1])
-        eps = ss.signs[t]
+    for t, (k, eps) in enumerate(zip(seq, signs)):
+        y = float(ys[t][k - 1])
         ye = y if eps > 0 else 1.0 / y
         arg = ye / (1.0 + ye)
         val = rogers_L(arg)
@@ -223,7 +235,7 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
         s_dip += rogers_L(1.0 / (1.0 + y))
         terms.append((t + 1, k, eps, y, arg, val))
     return ClassicalIdentityReport(tuple(terms), s_signed, s_di, s_dip,
-                                   ss.n_plus, ss.n_minus)
+                                   signs.count(1), signs.count(-1))
 
 
 def psiq_numeric(x, q) -> complex:
@@ -257,8 +269,8 @@ def log_psiq_numeric(x, q) -> complex:
     itself would overflow."""
     q = complex(q)
     x = complex(x)
-    if abs(q) >= 1.0:
-        raise ValueError(f"|q| = {abs(q)} >= 1: the product does not converge")
+    if abs(q) >= 1.0 or not cmath.isfinite(x):
+        raise ValueError(f"|q| = {abs(q)}, x = {x}: the product does not converge")
     total = 0.0 + 0.0j
     qq = q * q
     factor_arg = q * x

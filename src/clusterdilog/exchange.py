@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,14 +124,14 @@ def tropical_sign(c) -> int:
     A zero vector or a mixed-sign vector is rejected; neither occurs for
     c-vectors of genuine seeds.
     """
-    c = np.asarray(c, dtype=np.int64)
-    if not c.any():
-        raise ZeroCVector(f"zero c-vector {c.tolist()}")
-    if np.all(c >= 0):
+    c = [int(a) for a in c]
+    if not any(c):
+        raise ZeroCVector(f"zero c-vector {c}")
+    if min(c) >= 0:
         return 1
-    if np.all(c <= 0):
+    if max(c) <= 0:
         return -1
-    raise MixedSignCVector(f"c-vector {c.tolist()} has entries of both signs")
+    raise MixedSignCVector(f"c-vector {c} has entries of both signs")
 
 
 @dataclass(frozen=True)
@@ -221,18 +222,9 @@ class SignSequence:
 
 def sign_sequence(B: ExchangeMatrix, sched: MutationSchedule) -> SignSequence:
     """Run the tropical dynamics and read off (eps_t, alpha_t) at each step."""
-    if len(sched.nu) != B.n:
-        raise ValueError("schedule rank does not match matrix rank")
-    state = TropicalState.initial(B)
-    signs = []
-    alphas = []
-    for k in sched.sequence:
-        alpha = state.cvector(k)
-        signs.append(tropical_sign(alpha))
-        alphas.append(tuple(int(a) for a in alpha))
-        state = mutate_tropical(state, k)
-    n_plus = sum(1 for s in signs if s > 0)
-    return SignSequence(tuple(signs), tuple(alphas), n_plus, len(signs) - n_plus)
+    walk = _walk(B, sched)
+    return SignSequence(walk.signs, walk.alphas, walk.signs.count(1),
+                        walk.signs.count(-1))
 
 
 @dataclass(frozen=True)
@@ -254,28 +246,81 @@ def check_period(B: ExchangeMatrix, sched: MutationSchedule) -> PeriodReport:
     [y_{nu(i)}(L+1)] = [y_i(1)]; the latter is equivalent to full y-seed
     periodicity, so the verdict is their conjunction.
     """
-    if len(sched.nu) != B.n:
-        raise ValueError("schedule rank does not match matrix rank")
-    state = TropicalState.initial(B)
-    for k in sched.sequence:
-        state = mutate_tropical(state, k)
-    perm = [v - 1 for v in sched.nu]
-    bfin = state.matrix.entries
-    matrix_ok = np.array_equal(bfin[np.ix_(perm, perm)], B.entries)
-    tropical_ok = all(
-        np.array_equal(state.cvectors[:, perm[i]], np.eye(B.n, dtype=np.int64)[:, i])
-        for i in range(B.n)
-    )
-    return PeriodReport(bool(matrix_ok), bool(tropical_ok))
+    return _walk(B, sched).report
 
 
 def require_period(B: ExchangeMatrix, sched: MutationSchedule) -> None:
-    report = check_period(B, sched)
+    _periodic_walk(B, sched)
+
+
+class _Walk(NamedTuple):
+    """B(t) and the tropical y-variables along a schedule, in Python ints."""
+
+    rows: list          # rows[t]: the rows of B(t+1), t = 0..L
+    cvectors: list      # cvectors[i]: the c-vector of y_i(L+1)
+    signs: tuple        # (eps_1, ..., eps_L)
+    alphas: tuple       # (alpha_1, ..., alpha_L), the active c-vectors
+    report: PeriodReport
+
+
+def _walk(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
+    """Mutate B and the tropical y-variables along sched in Python ints.
+
+    A zero or mixed-sign active c-vector raises as in `mutate_tropical`.
+    """
+    n = B.n
+    if len(sched.nu) != n:
+        raise ValueError("schedule rank does not match matrix rank")
+    rows = [B.rows]
+    cols = units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    signs, alphas = [], []
+    for k in sched.sequence:
+        kk = k - 1
+        b, alpha = rows[-1], cols[kk]
+        eps = tropical_sign(alpha)
+        signs.append(eps)
+        alphas.append(alpha)
+        bk = b[kk]
+        # column i picks up [eps b_ki]_+ copies of the active c-vector
+        cols = [tuple(-a for a in alpha) if i == kk else
+                c if eps * bki <= 0 else
+                tuple(x + eps * bki * a for x, a in zip(c, alpha))
+                for i, (c, bki) in enumerate(zip(cols, bk))]
+        # b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, row and column k negated
+        rows.append(tuple(
+            tuple(-x for x in r) if i == kk else
+            tuple(-x if j == kk else x + (abs(r[kk]) * y + r[kk] * abs(y)) // 2
+                  for j, (x, y) in enumerate(zip(r, bk)))
+            for i, r in enumerate(b)))
+    perm = [v - 1 for v in sched.nu]
+    final = rows[-1]
+    report = PeriodReport(
+        all(final[perm[i]][perm[j]] == B.rows[i][j]
+            for i in range(n) for j in range(n)),
+        all(cols[perm[i]] == units[i] for i in range(n)))
+    return _Walk(rows, cols, tuple(signs), tuple(alphas), report)
+
+
+def _periodic_walk(B: ExchangeMatrix, sched: MutationSchedule):
+    """`_walk`, raising NotAPeriod unless sched is a period."""
+    walk = _walk(B, sched)
+    report = walk.report
     if not report.periodic:
         raise NotAPeriod(
             f"sequence {sched.sequence} with nu={sched.nu} is not a period "
             f"(matrix={report.matrix_periodic}, tropical={report.tropical_periodic})"
         )
+    return walk
+
+
+def _exchange_values(y, row, kk):
+    """The exchange relation of `mutate_y_numeric` at 0-based kk on a list
+    of values (float or complex), reading row kk of B(t) as ints."""
+    yk = y[kk]
+    out = [v * yk ** (c if c > 0 else 0) * (1.0 + yk) ** -c
+           for v, c in zip(y, row)]
+    out[kk] = 1.0 / yk
+    return out
 
 
 def principal_extension(B: ExchangeMatrix) -> ExchangeMatrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilog import li2, psiq_numeric
+from .dilog import PI2_6, li2, psiq_numeric
 from .errors import QuadratureFailure
 
 _GL16, _GL32, _GL64 = (np.polynomial.legendre.leggauss(n) for n in (16, 32, 64))
@@ -34,8 +34,8 @@ class PhibParams:
 
     def __post_init__(self):
         b = complex(self.b)
-        if b.real == 0.0:
-            raise ValueError("b must have nonzero real part")
+        if b.real == 0.0 or not cmath.isfinite(b):
+            raise ValueError("b must be finite with nonzero real part")
         object.__setattr__(self, "b", b)
 
     @property
@@ -181,7 +181,9 @@ def check_phib_asymptotics(z: float, b_values) -> list:
     """Rows (b, |2 pi b^2 i log Phi_b(z / 2 pi b) + li2(-e^z)|): the
     defect of the leading small-b behavior, which decays as b -> 0."""
     rows = []
-    target = li2(-math.exp(z))
+    # past z = 700, e^z overflows: invert li2(-e^z) onto li2(-e^-z)
+    target = (li2(-math.exp(z)) if z <= 700 else
+              -PI2_6 - 0.5 * z * z - li2(-math.exp(-z)))
     for b in b_values:
         p = PhibParams(b)
         val = 2j * math.pi * b * b * log_phib(z / (2 * math.pi * b), p) + target

@@ -25,8 +25,8 @@ import numpy as np
 
 from .dilog import li2, rogers_L, rogers_L_complex
 from .errors import BranchProximity
-from .exchange import (ExchangeMatrix, MutationSchedule, mutate_matrix,
-                       require_period, sign_sequence)
+from .exchange import (ExchangeMatrix, MutationSchedule, _exchange_values,
+                       _periodic_walk, _walk, mutate_matrix)
 
 _GUARD = 1e-6
 
@@ -50,21 +50,6 @@ def matrices_along(B: ExchangeMatrix, sequence):
     for k in sequence:
         mats.append(mutate_matrix(mats[-1], k))
     return mats
-
-
-def _mutate_y_values(y, mat: ExchangeMatrix, k: int):
-    """One exchange-relation step on a plain value vector (complex ok)."""
-    kk = k - 1
-    b = mat.entries
-    yk = y[kk]
-    out = list(y)
-    for i in range(len(y)):
-        if i == kk:
-            out[i] = 1.0 / yk
-        else:
-            c = int(b[kk, i])
-            out[i] = y[i] * yk ** _pos(c) * (1.0 + yk) ** (-c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     through the monomial maps.  Every stationarity equation then holds
     identically.
     """
-    require_period(B, sched)
+    mats, _, signs, _, _ = _periodic_walk(B, sched)
     n, L = B.n, sched.length
     seq = sched.sequence
     if mode == "b":
@@ -120,39 +105,36 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    mats = matrices_along(B, seq)
-    ss = sign_sequence(B, sched)
     u1 = [float(x) for x in np.asarray(u1, dtype=float)]
     if len(u1) != n:
         raise ValueError(f"u1 must have length {n}")
 
     # (i) w(1) and the y-trajectory
-    w1 = [sum(int(mats[0].entries[j, i]) * u1[j] for j in range(n))
-          for i in range(n)]
+    w1 = [sum(mats[0][j][i] * u1[j] for j in range(n)) for i in range(n)]
     y = [cmath.exp(2 * lam * w) if mode == "lambda" else math.exp(2 * w)
          for w in w1]
     ys = [list(y)]
     for t in range(L):
-        ys.append(_mutate_y_values(ys[-1], mats[t], seq[t]))
+        ys.append(_exchange_values(ys[-1], mats[t][seq[t] - 1], seq[t] - 1))
     yactive = [ys[t][seq[t] - 1] for t in range(L)]
 
     # (ii) u(t) by the half-logarithmic exchange rule
     us = [list(u1)]
     for t in range(L - 1):
         k = seq[t] - 1
-        b = mats[t].entries
-        eps = ss.signs[t]
+        b = mats[t]
+        eps = signs[t]
         ya = yactive[t] if eps > 0 else 1.0 / yactive[t]
         cur = us[-1]
         nxt = list(cur)
         nxt[k] = (-cur[k]
-                  + sum(_pos(eps * int(b[k, j])) * cur[j]
+                  + sum(_pos(eps * b[k][j]) * cur[j]
                         for j in range(n) if j != k)
                   + _safe_log(1.0 + ya, mode) / (2 * lam))
         us.append(nxt)
 
     # w(t) from u(t)
-    ws = [[sum(int(mats[t].entries[j, i]) * us[t][j] for j in range(n))
+    ws = [[sum(mats[t][j][i] * us[t][j] for j in range(n))
            for i in range(n)] for t in range(L)]
 
     # (iii) momenta: ptilde from half-logs of y, p by pulling back
@@ -167,18 +149,18 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     ps = [None] * L
     for t in range(L - 1):
         k = seq[t] - 1
-        b = mats[t].entries
-        eps = ss.signs[t]
+        b = mats[t]
+        eps = signs[t]
         row = [None] * n
         row[k] = -pts[t + 1][k]
         for i in range(n):
             if i != k:
-                row[i] = pts[t + 1][i] + _pos(eps * int(b[k, i])) * pts[t + 1][k]
+                row[i] = pts[t + 1][i] + _pos(eps * b[k][i]) * pts[t + 1][k]
         ps[t] = row
     # t = L closes through nu onto ptilde(1) = w(1)
     k = seq[L - 1] - 1
-    b = mats[L - 1].entries
-    eps = ss.signs[L - 1]
+    b = mats[L - 1]
+    eps = signs[L - 1]
     nu_inv = [0] * n
     for i, v in enumerate(sched.nu):
         nu_inv[v - 1] = i
@@ -186,12 +168,12 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     row[k] = -w1[nu_inv[k]]
     for j in range(n):
         if j != k:
-            row[j] = w1[nu_inv[j]] + _pos(eps * int(b[k, j])) * w1[nu_inv[k]]
+            row[j] = w1[nu_inv[j]] + _pos(eps * b[k][j]) * w1[nu_inv[k]]
     ps[L - 1] = row
 
     tup = lambda rows: tuple(tuple(r) for r in rows)
     state = SaddleState(mode, lam, tup(us), tup(ps), tup(pts), tup(ws),
-                        tup(ys), tuple(yactive), ss.signs)
+                        tup(ys), tuple(yactive), signs)
     value, _ = _evaluate_action(state)
     return dataclasses.replace(state, action=value)
 
@@ -237,9 +219,9 @@ def _state_wy(state: SaddleState, B: ExchangeMatrix, sched: MutationSchedule):
     """w(t) recomputed from the state's u, and the active y from the
     momentum-position exponential."""
     n, L = B.n, sched.length
-    mats = matrices_along(B, sched.sequence)
+    mats = _walk(B, sched).rows
     lam = state.lam
-    ws = [[sum(int(mats[t].entries[j, i]) * state.u[t][j] for j in range(n))
+    ws = [[sum(mats[t][j][i] * state.u[t][j] for j in range(n))
            for i in range(n)] for t in range(L)]
     yact = []
     for t in range(L):
@@ -261,26 +243,26 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
     max_u = 0.0
     for t in range(L):
         k = seq[t] - 1
-        b = mats[t].entries
+        b = mats[t]
         eps = state.signs[t]
         ya = yact[t] if eps > 0 else 1.0 / yact[t]
         lg = _safe_log(1.0 + ya, state.mode)
         for i in range(n):
             r = (state.p[t][i] - state.ptilde[t][i]
-                 + int(b[k, i]) * lg / (2 * lam))
+                 + b[k][i] * lg / (2 * lam))
             max_u = max(max_u, abs(r))
 
     max_p = 0.0
     for t in range(L - 1):
         k = seq[t] - 1
-        b = mats[t].entries
+        b = mats[t]
         eps = state.signs[t]
         ya = yact[t] if eps > 0 else 1.0 / yact[t]
         lg = _safe_log(1.0 + ya, state.mode)
         for i in range(n):
             if i == k:
                 r = (state.u[t][k] + state.u[t + 1][k]
-                     - sum(_pos(eps * int(b[k, j])) * state.u[t + 1][j]
+                     - sum(_pos(eps * b[k][j]) * state.u[t + 1][j]
                            for j in range(n))
                      - lg / (2 * lam))
             else:
@@ -290,7 +272,7 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
     max_w = 0.0
     for t in range(L - 1):
         k = seq[t] - 1
-        b = mats[t].entries
+        b = mats[t]
         eps = state.signs[t]
         ya = yact[t] if eps > 0 else 1.0 / yact[t]
         for i in range(n):
@@ -298,7 +280,7 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
             if i == k:
                 rhs = cmath.exp(lam * ws[t][k]) ** (-1)
             else:
-                c = int(b[k, i])
+                c = b[k][i]
                 rhs = (cmath.exp(lam * ws[t][i])
                        * cmath.exp(lam * ws[t][k]) ** _pos(eps * c)
                        * (1.0 + ya) ** (-c / 2.0))
@@ -352,74 +334,71 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
 
     The constructed solution must be a stationary point, so the step
     must be negligible; this confirms stationarity independently of the
-    construction.
+    construction.  The central-difference Jacobian comes from one batched
+    residual: every scalar of the system is a row holding its value at x0
+    and at x0 +- h e_j, with exp and log taken element by element by
+    `math`, so each entry equals its unbatched value.
     """
     if state.mode != "b":
         raise ValueError("refinement is defined for the real mode")
     n, L = B.n, sched.length
     seq = sched.sequence
-    mats = matrices_along(B, sched.sequence)
+    mats = _walk(B, sched).rows
     signs = state.signs
     u1 = state.u[0]
     w1 = state.w[0]
     nu_inv = [0] * n
     for i, v in enumerate(sched.nu):
         nu_inv[v - 1] = i
+    # p(L) is fixed by the closing constraint ptilde(1) = w(1)
+    k = seq[L - 1] - 1
+    b = mats[L - 1]
+    pl = [w1[nu_inv[j]] + _pos(signs[L - 1] * b[k][j]) * w1[nu_inv[k]]
+          for j in range(n)]
+    pl[k] = -w1[nu_inv[k]]
 
-    def unpack(x):
-        ps = [list(x[t * n:(t + 1) * n]) for t in range(L - 1)]
+    def emap(f, row):
+        return np.array(list(map(f, row.tolist())))
+
+    def residual_rows(x):
+        ps = [list(x[t * n:(t + 1) * n]) for t in range(L - 1)] + [pl]
         us = [list(u1)] + [list(x[(L - 1 + t) * n:(L + t) * n])
                            for t in range(L - 1)]
-        # p(L) is fixed by the closing constraint ptilde(1) = w(1)
-        k = seq[L - 1] - 1
-        b = mats[L - 1].entries
-        eps = signs[L - 1]
-        pl = [0.0] * n
-        pl[k] = -w1[nu_inv[k]]
-        for j in range(n):
-            if j != k:
-                pl[j] = w1[nu_inv[j]] + _pos(eps * int(b[k, j])) * w1[nu_inv[k]]
-        return ps + [pl], us
-
-    def residual_vec(x):
-        ps, us = unpack(x)
-        ws = [[sum(int(mats[t].entries[j, i]) * us[t][j] for j in range(n))
+        ws = [[sum(mats[t][j][i] * us[t][j] for j in range(n))
                for i in range(n)] for t in range(L)]
         # ptilde(t) for t >= 2 from the monomial map of p(t-1)
         pts = [list(w1)]
         for t in range(L - 1):
             k = seq[t] - 1
-            b = mats[t].entries
+            b = mats[t]
             eps = signs[t]
             row = [0.0] * n
             row[k] = -ps[t][k]
             for i in range(n):
                 if i != k:
-                    row[i] = ps[t][i] + _pos(eps * int(b[k, i])) * ps[t][k]
+                    row[i] = ps[t][i] + _pos(eps * b[k][i]) * ps[t][k]
             pts.append(row)
-        yact = [math.exp(ps[t][seq[t] - 1] + ws[t][seq[t] - 1])
+        yact = [emap(math.exp, ps[t][seq[t] - 1] + ws[t][seq[t] - 1])
                 for t in range(L)]
+        lgs = [emap(math.log, 1.0 + (yact[t] if signs[t] > 0
+                                     else 1.0 / yact[t]))
+               for t in range(L)]
         out = []
         for t in range(1, L):
             k = seq[t] - 1
-            b = mats[t].entries
-            eps = signs[t]
-            ya = yact[t] if eps > 0 else 1.0 / yact[t]
-            lg = math.log(1.0 + ya)
+            b = mats[t]
             for i in range(n):
-                out.append(ps[t][i] - pts[t][i] + int(b[k, i]) * lg / 2.0)
+                out.append(ps[t][i] - pts[t][i] + b[k][i] * lgs[t] / 2.0)
         for t in range(L - 1):
             k = seq[t] - 1
-            b = mats[t].entries
+            b = mats[t]
             eps = signs[t]
-            ya = yact[t] if eps > 0 else 1.0 / yact[t]
-            lg = math.log(1.0 + ya)
             for i in range(n):
                 if i == k:
                     out.append(us[t][k] + us[t + 1][k]
-                               - sum(_pos(eps * int(b[k, j])) * us[t + 1][j]
+                               - sum(_pos(eps * b[k][j]) * us[t + 1][j]
                                      for j in range(n))
-                               - lg / 2.0)
+                               - lgs[t] / 2.0)
                 else:
                     out.append(us[t][i] - us[t + 1][i])
         return np.array(out)
@@ -427,14 +406,12 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     x0 = np.array([state.p[t][i] for t in range(L - 1) for i in range(n)]
                   + [state.u[t][i] for t in range(1, L) for i in range(n)],
                   dtype=float)
-    r0 = residual_vec(x0)
     m = len(x0)
-    jac = np.zeros((m, m))
-    for j in range(m):
-        dx = np.zeros(m)
-        dx[j] = h
-        jac[:, j] = (residual_vec(x0 + dx) - residual_vec(x0 - dx)) / (2 * h)
-    step = np.linalg.solve(jac, -r0)
+    col = x0[:, None]
+    dx = h * np.eye(m)
+    res = residual_rows(np.hstack([col, col + dx, col - dx]))
+    jac = (res[:, 1:m + 1] - res[:, m + 1:]) / (2 * h)
+    step = np.linalg.solve(jac, -res[:, 0])
     return float(np.max(np.abs(step)))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import clusterdilog
 from clusterdilog.cli import main
@@ -240,6 +243,18 @@ class TestPhibCommand:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["error"] == "QuadratureFailure"
 
+    @pytest.mark.parametrize("z", ["710", "1000", "1e300", "-1000"])
+    def test_asymptotics_beyond_exp_overflow(self, capsys, z):
+        assert main(["phib", "--check", "asymptotics", "--z", z]) in (0, 3)
+
+    @pytest.mark.parametrize("args", [("--b", "inf"), ("--b", "nan"),
+                                      ("--check", "asymptotics", "--z", "nan"),
+                                      ("--check", "psi-asymptotics", "--z", "nan"),
+                                      ("--check", "psi-asymptotics", "--z", "inf")])
+    def test_non_finite_input_exit_4(self, capsys, args):
+        assert main(["phib", *args]) == 4
+        assert "error:" in capsys.readouterr().err
+
     def test_asymptotics_csv(self, capsys):
         code, out = run(capsys, "phib", "--check", "asymptotics", "--z", "0.0",
                         "--format", "csv")
@@ -286,3 +301,42 @@ class TestSeedRoundtrip:
             seed_from_dict({"n": 2, "B": [[0, -1], [1, 0]]})
         with pytest.raises(ValueError):
             seed_from_dict({"n": 3, "B": [[0, -1], [1, 0]], "sequence": []})
+
+
+# Numbers as the command line receives them: finite, huge, tiny, negative,
+# nan and inf floats, plus text that is not a number.
+REALS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 5e-324, -1e-300, 709.8, 1e3, -1e3, -0.0]),
+).map(repr)
+NOT_NUMBERS = st.sampled_from(["", "x", "1e", "--", "0x1p3", "1,,2", " ", "j"])
+COMPLEX_ARGS = st.one_of(REALS, st.tuples(REALS, REALS).map(",".join),
+                         NOT_NUMBERS)
+PHIB_CHECKS = ("value", "unitarity", "recurrence", "duality", "phipsi",
+               "asymptotics", "psi-asymptotics")
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            np.errstate(all="ignore"):
+        return main(argv)
+
+
+class TestNumericArgumentFuzz:
+    """Every drawn argument ends in a documented exit code, and no
+    exception escapes main."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(check=st.sampled_from(PHIB_CHECKS), b=COMPLEX_ARGS, z=COMPLEX_ARGS)
+    def test_phib(self, check, b, z):
+        assert quiet_main(["phib", "--check", check, f"--b={b}",
+                           f"--z={z}"]) in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(builtin=st.sampled_from(["A1", "A2", "A2-principal"]),
+           y=st.one_of(st.lists(REALS, min_size=1, max_size=4).map(",".join),
+                       NOT_NUMBERS))
+    def test_mutate(self, builtin, y):
+        assert quiet_main(["mutate", "--builtin", builtin,
+                           f"--y={y}"]) in (0, 2, 3, 4)

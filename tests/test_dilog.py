@@ -16,7 +16,8 @@ from clusterdilog.dilog import (
     verify_classical_identity,
 )
 from clusterdilog.errors import BranchProximity, NotAPeriod
-from clusterdilog.exchange import MutationSchedule
+from clusterdilog.exchange import (ExchangeMatrix, MutationSchedule,
+                                   numeric_trajectory)
 from clusterdilog.fixtures import builtin_seed
 
 A1, A1_SCHED = builtin_seed("A1")
@@ -50,6 +51,8 @@ class TestLi2:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             li2(1.0000001)
+        with pytest.raises(ValueError):
+            li2(math.nan)
 
     def test_complex_against_mpmath(self):
         rng = np.random.default_rng(1)
@@ -164,6 +167,61 @@ class TestClassicalIdentity:
         # nine mutation steps split six positive and three negative signs
         assert (rep.n_plus, rep.n_minus) == (3, 6)
 
+    @pytest.mark.parametrize("name", ["A2", "A2-principal", "A3"])
+    def test_active_values_equal_numeric_trajectory(self, name):
+        """The float exchange relation repeats numeric_trajectory bit for
+        bit on the built-in periods (their exchange exponents are 0 and 1)."""
+        if name == "A3":
+            B = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
+            sched = MutationSchedule((1, 2, 1, 3, 2, 1, 3, 2, 1), (3, 2, 1))
+        else:
+            B, sched = builtin_seed(name)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            y0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=B.n))
+            traj = numeric_trajectory(B, sched.sequence, y0)
+            rep = verify_classical_identity(B, sched, y0)
+            assert [t[3] for t in rep.terms] == [
+                float(traj[t].y[k - 1]) for t, k in enumerate(sched.sequence)]
+
+    def test_active_values_with_negative_exponents(self):
+        """Where (1 + y_k)^(-1) enters, Python's pow and numpy's vectorised
+        power may differ in the last bit."""
+        B = ExchangeMatrix(np.array([[0, 1], [-1, 0]]))
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            y0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=2))
+            traj = numeric_trajectory(B, A2_SCHED.sequence, y0)
+            rep = verify_classical_identity(B, A2_SCHED, y0)
+            for t, k in enumerate(A2_SCHED.sequence):
+                assert rep.terms[t][3] == pytest.approx(traj[t].y[k - 1],
+                                                        rel=1e-15)
+            assert rep.passed(1e-10)
+
+    @pytest.mark.parametrize("y0", [[1.0], [1.0, 2.0, 3.0], [0.0, 1.0],
+                                    [-1.0, 1.0], [math.nan, 1.0],
+                                    [1.0, math.inf], [1e300, 1e300],
+                                    [1e-300, 1e300]])
+    def test_rejects_what_numeric_seed_rejects(self, y0):
+        """Wrong length, a y that is not strictly positive (NaN included)
+        at the start or after an overflow along the path."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            numeric_trajectory(A2, A2_SCHED.sequence, y0)
+        with pytest.raises(ValueError):
+            verify_classical_identity(A2, A2_SCHED, y0)
+
+    def test_overflowing_power_saturates_like_numpy(self):
+        """y_1^2 overflows: Python's pow raises, numpy's gives inf, and the
+        check follows numpy's path."""
+        B = ExchangeMatrix(np.array([[0, 2], [-2, 0]]))
+        sched = MutationSchedule((1, 1), (1, 2))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError):
+                verify_classical_identity(B, sched, [1e200, 1.0])
+            rep = verify_classical_identity(B, sched, [1e160, 1e160])
+        assert [t[3] for t in rep.terms] == [1e160, 1 / 1e160]
+        assert rep.passed()
+
     def test_json_report(self):
         j = verify_classical_identity(A2, A2_SCHED, [1.0, 1.0]).to_json()
         assert j["n_minus"] == 3
@@ -187,6 +245,10 @@ class TestPsiqNumeric:
             psiq_numeric(0.5, 1.0)
         with pytest.raises(ValueError):
             log_psiq_numeric(0.5, 1.2)
+
+    def test_log_form_rejects_infinite_argument(self):
+        with pytest.raises(ValueError):
+            log_psiq_numeric(math.inf, 0.9)
 
     def test_log_form_matches_product(self):
         for q, x in ((0.6, 0.7), (0.4, complex(0.2, 0.1))):

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from clusterdilog.errors import MixedSignCVector, NotAPeriod, ZeroCVector
 from clusterdilog.exchange import (
     ExchangeMatrix,
     MutationSchedule,
     NumericSeed,
+    PeriodReport,
     TropicalState,
+    _walk,
     check_period,
     extend_schedule,
     mutate_matrix,
@@ -272,3 +277,83 @@ class TestMutationSchedule:
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             MutationSchedule((3,), (1, 2))
+
+
+@st.composite
+def walk_cases(draw):
+    """A random skew-symmetric B of rank <= 4 and a word of length <= 10
+    with no immediate repeats."""
+    n = draw(st.integers(1, 4))
+    b = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = draw(st.integers(-3, 3))
+            b[j, i] = -b[i, j]
+    word = []
+    for _ in range(draw(st.integers(0, 10 if n > 1 else 1))):
+        word.append(draw(st.sampled_from(
+            [k for k in range(1, n + 1) if not word or k != word[-1]])))
+    return ExchangeMatrix(b), tuple(word)
+
+
+def int_rows(B):
+    return tuple(tuple(r) for r in B.entries.tolist())
+
+
+def int_columns(state):
+    return [tuple(c) for c in state.cvectors.T.tolist()]
+
+
+def reference_period(B, state, nu):
+    """The period verdict read off a numpy TropicalState reached from B."""
+    perm = [v - 1 for v in nu]
+    return PeriodReport(
+        bool(np.array_equal(state.matrix.entries[np.ix_(perm, perm)], B.entries)),
+        bool(np.array_equal(state.cvectors[:, perm], np.eye(B.n, dtype=np.int64))))
+
+
+class TestIntegerWalk:
+    """The Python-int walk behind check_period and sign_sequence against
+    step-by-step mutate_matrix / mutate_tropical."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=walk_cases())
+    def test_matches_numpy_mutation_at_every_step(self, case):
+        B, word = case
+        n = B.n
+        walk = _walk(B, MutationSchedule.identity_nu(word, n))
+        # the numpy reference wraps around in int64; Python ints do not
+        assume(all(abs(x) < 2**31 for rows in walk.rows for r in rows for x in r))
+        assume(all(abs(x) < 2**31 for c in walk.alphas + tuple(walk.cvectors)
+                   for x in c))
+        ss = sign_sequence(B, MutationSchedule.identity_nu(word, n))
+        assert (ss.signs, ss.cvectors) == (walk.signs, walk.alphas)
+        state = TropicalState.initial(B)
+        for t, k in enumerate(word):
+            assert walk.rows[t] == int_rows(state.matrix)
+            alpha = state.cvector(k)
+            assert walk.alphas[t] == tuple(alpha.tolist())
+            assert walk.signs[t] == tropical_sign(alpha)
+            state = mutate_tropical(state, k)
+            prefix = _walk(B, MutationSchedule.identity_nu(word[:t + 1], n))
+            assert prefix.rows == walk.rows[:t + 2]
+            assert prefix.cvectors == int_columns(state)
+            for c in prefix.cvectors:  # sign-coherence of every c-vector
+                tropical_sign(c)
+            for nu in itertools.permutations(range(1, n + 1)):
+                sched = MutationSchedule(word[:t + 1], nu)
+                assert check_period(B, sched) == reference_period(B, state, nu)
+        assert walk.rows[-1] == int_rows(state.matrix)
+        assert walk.cvectors == int_columns(state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=walk_cases(), data=st.data())
+    def test_mutation_is_an_involution(self, case, data):
+        B, word = case
+        k = data.draw(st.integers(1, B.n))
+        once = _walk(B, MutationSchedule.identity_nu(word, B.n))
+        twice = _walk(B, MutationSchedule.identity_nu(word + (k, k), B.n))
+        assert twice.rows[-1] == once.rows[-1]
+        assert twice.cvectors == once.cvectors
+        assert twice.signs[-1] == -twice.signs[-2]
+        assert twice.alphas[-1] == tuple(-a for a in twice.alphas[-2])

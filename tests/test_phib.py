@@ -39,6 +39,11 @@ class TestParams:
         with pytest.raises(ValueError):
             PhibParams(1j)
 
+    @pytest.mark.parametrize("b", [math.inf, math.nan, complex(1, math.inf)])
+    def test_rejects_non_finite_b(self, b):
+        with pytest.raises(ValueError):
+            PhibParams(b)
+
     def test_im_b_squared_positive_means_contracting_q(self):
         for b in COMPLEX_BS:
             p = PhibParams(b)
@@ -136,6 +141,15 @@ class TestAsymptotics:
         rows = check_phib_asymptotics(z, [0.5, 0.4, 0.3, 0.2])
         vals = [v for _, v in rows]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_inversion_past_exp_overflow(self):
+        """Past z = 700 li2(-e^z) is taken by inversion, because e^z
+        overflows at z = 709.78; the defect is continuous across."""
+        below = check_phib_asymptotics(699.9999, [0.5])[0][1]
+        above = check_phib_asymptotics(700.0001, [0.5])[0][1]
+        assert above == pytest.approx(below, rel=1e-6)
+        assert check_phib_asymptotics(710.0, [0.5])[0][1] == pytest.approx(
+            below, rel=1e-6)
 
     def test_limit_value_is_li2(self):
         z = 0.5

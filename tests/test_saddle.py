@@ -138,6 +138,99 @@ class TestNewton:
         assert newton_refine(pert, A2, A2_SCHED) > 1e-6
 
 
+def reference_newton_step(state, B, sched, h=1e-6):
+    """Newton step on the stationarity system with the Jacobian built one
+    central-difference column at a time, each residual a scalar loop with
+    B(t) read from matrices_along."""
+    n, L, seq, signs = B.n, sched.length, sched.sequence, state.signs
+    b = [m.entries for m in matrices_along(B, seq)]
+    u1, w1 = state.u[0], state.w[0]
+    nu_inv = [sched.nu.index(v) for v in range(1, n + 1)]
+    pos = lambda a: max(int(a), 0)
+
+    def residual(x):
+        ps = [list(x[t * n:(t + 1) * n]) for t in range(L - 1)]
+        us = [list(u1)] + [list(x[(L - 1 + t) * n:(L + t) * n])
+                           for t in range(L - 1)]
+        k = seq[L - 1] - 1
+        pl = [w1[nu_inv[j]] + pos(signs[L - 1] * b[L - 1][k, j]) * w1[nu_inv[k]]
+              for j in range(n)]
+        pl[k] = -w1[nu_inv[k]]
+        ps.append(pl)
+        ws = [[sum(int(b[t][j, i]) * us[t][j] for j in range(n))
+               for i in range(n)] for t in range(L)]
+        pts = [list(w1)]
+        for t in range(L - 1):
+            k = seq[t] - 1
+            row = [ps[t][i] + pos(signs[t] * b[t][k, i]) * ps[t][k]
+                   for i in range(n)]
+            row[k] = -ps[t][k]
+            pts.append(row)
+        lg = []
+        for t in range(L):
+            k = seq[t] - 1
+            y = math.exp(ps[t][k] + ws[t][k])
+            lg.append(math.log(1.0 + (y if signs[t] > 0 else 1.0 / y)))
+        out = []
+        for t in range(1, L):
+            k = seq[t] - 1
+            out += [ps[t][i] - pts[t][i] + int(b[t][k, i]) * lg[t] / 2.0
+                    for i in range(n)]
+        for t in range(L - 1):
+            k = seq[t] - 1
+            for i in range(n):
+                if i == k:
+                    out.append(us[t][k] + us[t + 1][k]
+                               - sum(pos(signs[t] * b[t][k, j]) * us[t + 1][j]
+                                     for j in range(n))
+                               - lg[t] / 2.0)
+                else:
+                    out.append(us[t][i] - us[t + 1][i])
+        return np.array(out)
+
+    x0 = np.array([state.p[t][i] for t in range(L - 1) for i in range(n)]
+                  + [state.u[t][i] for t in range(1, L) for i in range(n)])
+    m = len(x0)
+    jac = np.zeros((m, m))
+    for j in range(m):
+        dx = np.zeros(m)
+        dx[j] = h
+        jac[:, j] = (residual(x0 + dx) - residual(x0 - dx)) / (2 * h)
+    return float(np.max(np.abs(np.linalg.solve(jac, -residual(x0)))))
+
+
+A3 = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
+A3_SCHED = MutationSchedule((1, 2, 1, 3, 2, 1, 3, 2, 1), (3, 2, 1))
+
+
+class TestBatchedJacobian:
+    """newton_refine's one batched residual against a column-by-column
+    central-difference reference."""
+
+    @pytest.mark.parametrize("B, sched", [(A2, A2_SCHED), (A3, A3_SCHED)],
+                             ids=["A2", "A3"])
+    def test_step_equals_per_column_reference(self, B, sched):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            st = build_solution(B, sched, rng.uniform(-2, 2, size=B.n))
+            assert newton_refine(st, B, sched) == reference_newton_step(st, B, sched)
+
+    @pytest.mark.parametrize("B, sched", [(A2, A2_SCHED), (A3, A3_SCHED)],
+                             ids=["A2", "A3"])
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_perturbed_momentum_gives_a_step_of_its_size(self, B, sched, i):
+        """p(2) moved by delta: a degenerate Jacobian could not return a
+        step of order delta."""
+        delta = 1e-4
+        st = build_solution(B, sched, [0.3, -0.7, 0.2][:B.n])
+        p = [list(r) for r in st.p]
+        p[1][i] += delta
+        pert = dataclasses.replace(st, p=tuple(tuple(r) for r in p))
+        step = newton_refine(pert, B, sched)
+        assert 0.1 * delta < step < 10 * delta
+        assert step == reference_newton_step(pert, B, sched)
+
+
 class TestLambdaMode:
     def test_requires_contracting_parameter(self):
         with pytest.raises(ValueError):
