@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BranchProximity, PoleHit
 from .exchange import (ExchangeMatrix, MutationSchedule, NumericSeed,
-                       _exchange_values, _periodic_walk, numeric_trajectory)
+                       _exchange_values, _periodic_walk)
 
 PI2_6 = math.pi**2 / 6
 
@@ -207,26 +207,22 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
     the three Rogers sums attached to it.
 
     One integer walk gives B(t) and the tropical signs; the exchange
-    relation then runs on Python floats in the operation order of
-    `mutate_y_numeric`, rejecting y0 and every later y as `NumericSeed`
-    does.
+    relation of `mutate_y_numeric` then runs on Python floats, rejecting
+    y0 and every later y as `NumericSeed` does.
     """
     rows, _, signs, _, _ = _periodic_walk(B, sched)
     seq = sched.sequence
     ys = [NumericSeed(B, y0).y.tolist()]
-    try:
-        for t, k in enumerate(seq):
-            ys.append(_exchange_values(ys[t], rows[t][k - 1], k - 1))
-            if not all(v > 0.0 for v in ys[-1]):
-                raise ValueError("all y-variables must be strictly positive")
-    except OverflowError:  # numpy's power saturates at inf: take its path
-        ys = [seed.y for seed in numeric_trajectory(B, seq, y0)]
+    for t, k in enumerate(seq):
+        ys.append(_exchange_values(ys[t], rows[t][k - 1], k - 1))
+        if not all(v > 0.0 for v in ys[-1]):
+            raise ValueError("all y-variables must be strictly positive")
     terms = []
     s_signed = 0.0
     s_di = 0.0
     s_dip = 0.0
     for t, (k, eps) in enumerate(zip(seq, signs)):
-        y = float(ys[t][k - 1])
+        y = ys[t][k - 1]
         ye = y if eps > 0 else 1.0 / y
         arg = ye / (1.0 + ye)
         val = rogers_L(arg)

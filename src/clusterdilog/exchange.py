@@ -5,10 +5,20 @@ relation for positive y-variables, tropical c-vector dynamics with their
 sign-coherence, and nu-period detection.  Indices are 1-based at the API
 boundary (matching the usual cluster-algebra notation) and 0-based
 internally.
+
+Each rule is written once.  `_step` mutates the rows of B(t) and the
+c-vectors in Python ints, so entries never wrap around; `_walk` runs it
+along a schedule, and `mutate_matrix` and `mutate_tropical` are one
+step each.  `ExchangeMatrix` and `TropicalState` hold int64 arrays, or
+exact Python ints once an entry outgrows int64.  `_exchange_values` is
+the exchange relation on Python floats (or complex numbers), saturating
+an overflowing power at inf; `mutate_y_numeric` and `numeric_trajectory`
+wrap it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -18,9 +28,15 @@ import numpy as np
 from .errors import MixedSignCVector, NotAPeriod, ZeroCVector
 
 
-def _pos(a):
-    """[a]_+ = max(a, 0), elementwise for arrays."""
-    return np.maximum(a, 0)
+def _int_array(a) -> np.ndarray:
+    """a as a read-only int64 array, or as an array of exact Python ints
+    (object dtype) if some entry does not fit in int64; never wrapped."""
+    try:
+        out = np.asarray(a, dtype=np.int64)
+    except OverflowError:
+        out = np.array(a, dtype=object)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -30,12 +46,11 @@ class ExchangeMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.entries, dtype=np.int64)
+        b = _int_array(self.entries)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("exchange matrix must be square")
         if not np.array_equal(b, -b.T):
             raise ValueError("exchange matrix must be skew-symmetric")
-        b.setflags(write=False)
         object.__setattr__(self, "entries", b)
 
     @property
@@ -58,7 +73,7 @@ class ExchangeMatrix:
                                  np.array_equal(self.entries, other.entries))
 
     def __hash__(self):
-        return hash(self.entries.tobytes())
+        return hash(self.rows)
 
     def check_index(self, k: int) -> int:
         """Validate a 1-based index and return its 0-based form."""
@@ -75,13 +90,7 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     same k twice is the identity.
     """
     kk = B.check_index(k)
-    b = B.entries
-    col = b[:, kk][:, None]
-    row = b[kk, :][None, :]
-    out = b + _pos(-col) * row + col * _pos(row)
-    out[kk, :] = -b[kk, :]
-    out[:, kk] = -b[:, kk]
-    return ExchangeMatrix(out)
+    return ExchangeMatrix(_step(B.rows, _units(B.n), kk)[0])
 
 
 @dataclass(frozen=True)
@@ -109,13 +118,8 @@ def mutate_y_numeric(seed: NumericSeed, k: int) -> NumericSeed:
     Positivity of the y-variables is preserved.
     """
     kk = seed.matrix.check_index(k)
-    b = seed.matrix.entries
-    y = seed.y
-    yk = y[kk]
-    bk = b[kk, :].astype(float)
-    out = y * yk ** _pos(bk) * (1.0 + yk) ** (-bk)
-    out[kk] = 1.0 / yk
-    return NumericSeed(mutate_matrix(seed.matrix, k), out)
+    y = _exchange_values(seed.y.tolist(), seed.matrix.rows[kk], kk)
+    return NumericSeed(mutate_matrix(seed.matrix, k), y)
 
 
 def tropical_sign(c) -> int:
@@ -143,10 +147,9 @@ class TropicalState:
     cvectors: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.cvectors, dtype=np.int64)
+        c = _int_array(self.cvectors)
         if c.shape != (self.matrix.n, self.matrix.n):
             raise ValueError("cvectors must be an n x n integer matrix")
-        c.setflags(write=False)
         object.__setattr__(self, "cvectors", c)
 
     @classmethod
@@ -166,13 +169,9 @@ def mutate_tropical(state: TropicalState, k: int) -> TropicalState:
     active column.
     """
     kk = state.matrix.check_index(k)
-    b = state.matrix.entries
-    c = state.cvectors
-    eps = tropical_sign(c[:, kk])
-    coef = _pos(eps * b[kk, :])
-    out = c + np.outer(c[:, kk], coef)
-    out[:, kk] = -c[:, kk]
-    return TropicalState(mutate_matrix(state.matrix, k), out)
+    cols = tuple(map(tuple, state.cvectors.T.tolist()))
+    rows, cols, _ = _step(state.matrix.rows, cols, kk)
+    return TropicalState(ExchangeMatrix(rows), _int_array(cols).T)
 
 
 @dataclass(frozen=True)
@@ -257,10 +256,38 @@ class _Walk(NamedTuple):
     """B(t) and the tropical y-variables along a schedule, in Python ints."""
 
     rows: list          # rows[t]: the rows of B(t+1), t = 0..L
-    cvectors: list      # cvectors[i]: the c-vector of y_i(L+1)
+    cvectors: tuple     # cvectors[i]: the c-vector of y_i(L+1)
     signs: tuple        # (eps_1, ..., eps_L)
     alphas: tuple       # (alpha_1, ..., alpha_L), the active c-vectors
     report: PeriodReport
+
+
+def _units(n: int) -> tuple:
+    """The c-vectors of the initial seed: the unit vectors of Z^n."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _step(rows, cols, kk: int):
+    """One mutation at 0-based kk in Python ints.
+
+    rows are the rows of B(t) and cols[i] the c-vector of y_i(t), both
+    tuples of tuples; returns those at t+1 and the tropical sign of the
+    active c-vector cols[kk], which raises if it is zero or mixed.
+    """
+    alpha, bk = cols[kk], rows[kk]
+    eps = tropical_sign(alpha)
+    # column i picks up [eps b_ki]_+ copies of the active c-vector
+    cols = tuple(tuple(-a for a in alpha) if i == kk else
+                 c if eps * bki <= 0 else
+                 tuple(x + eps * bki * a for x, a in zip(c, alpha))
+                 for i, (c, bki) in enumerate(zip(cols, bk)))
+    # b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, row and column k negated
+    rows = tuple(
+        tuple(-x for x in r) if i == kk else
+        tuple(-x if j == kk else x + (abs(r[kk]) * y + r[kk] * abs(y)) // 2
+              for j, (x, y) in enumerate(zip(r, bk)))
+        for i, r in enumerate(rows))
+    return rows, cols, eps
 
 
 def _walk(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
@@ -272,26 +299,13 @@ def _walk(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
     if len(sched.nu) != n:
         raise ValueError("schedule rank does not match matrix rank")
     rows = [B.rows]
-    cols = units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cols = units = _units(n)
     signs, alphas = [], []
     for k in sched.sequence:
-        kk = k - 1
-        b, alpha = rows[-1], cols[kk]
-        eps = tropical_sign(alpha)
+        alphas.append(cols[k - 1])
+        b, cols, eps = _step(rows[-1], cols, k - 1)
+        rows.append(b)
         signs.append(eps)
-        alphas.append(alpha)
-        bk = b[kk]
-        # column i picks up [eps b_ki]_+ copies of the active c-vector
-        cols = [tuple(-a for a in alpha) if i == kk else
-                c if eps * bki <= 0 else
-                tuple(x + eps * bki * a for x, a in zip(c, alpha))
-                for i, (c, bki) in enumerate(zip(cols, bk))]
-        # b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, row and column k negated
-        rows.append(tuple(
-            tuple(-x for x in r) if i == kk else
-            tuple(-x if j == kk else x + (abs(r[kk]) * y + r[kk] * abs(y)) // 2
-                  for j, (x, y) in enumerate(zip(r, bk)))
-            for i, r in enumerate(b)))
     perm = [v - 1 for v in sched.nu]
     final = rows[-1]
     report = PeriodReport(
@@ -317,10 +331,20 @@ def _exchange_values(y, row, kk):
     """The exchange relation of `mutate_y_numeric` at 0-based kk on a list
     of values (float or complex), reading row kk of B(t) as ints."""
     yk = y[kk]
-    out = [v * yk ** (c if c > 0 else 0) * (1.0 + yk) ** -c
+    out = [v * _power(yk, c if c > 0 else 0) * _power(1.0 + yk, -c)
            for v, c in zip(y, row)]
     out[kk] = 1.0 / yk
     return out
+
+
+def _power(x, c: int):
+    """x ** c, saturating at inf where Python's power raises OverflowError
+    (numpy's power gives inf too); the positivity check downstream then
+    sees the inf or the NaN it leads to."""
+    try:
+        return x ** c
+    except OverflowError:
+        return math.inf
 
 
 def principal_extension(B: ExchangeMatrix) -> ExchangeMatrix:
@@ -342,7 +366,7 @@ def extend_schedule(sched: MutationSchedule, n: int) -> MutationSchedule:
 
 def numeric_trajectory(B: ExchangeMatrix, sequence, y0) -> list:
     """Seeds (B(t), y(t)) for t = 1..L+1 along a mutation sequence."""
-    seed = NumericSeed(B, np.asarray(y0, dtype=float))
+    seed = NumericSeed(B, y0)
     out = [seed]
     for k in sequence:
         seed = mutate_y_numeric(seed, k)

@@ -15,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import ratfunc, torus
 from .errors import NonTruncating
-from .exchange import (ExchangeMatrix, MutationSchedule, TropicalState,
-                       mutate_matrix, mutate_tropical, require_period,
-                       sign_sequence, tropical_sign)
+from .exchange import (ExchangeMatrix, MutationSchedule, _walk, mutate_matrix,
+                       require_period, sign_sequence)
 from .torus import (TorusElement, invert, monomial, multiply, power,
                     psi_inverse_series, psi_series, unit)
 
@@ -62,7 +59,7 @@ def quantum_mutate(s: QuantumSeedSeries, k: int, epsilon: int = 1) -> QuantumSee
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     kk = s.matrix.check_index(k)
-    b = s.matrix.entries
+    b = s.matrix.rows
     Yk = s.Y[kk]
     Yk_inv = invert(Yk)
     Yk_eps = Yk if epsilon > 0 else Yk_inv
@@ -71,7 +68,7 @@ def quantum_mutate(s: QuantumSeedSeries, k: int, epsilon: int = 1) -> QuantumSee
         if i == kk:
             new.append(Yk_inv)
             continue
-        c = int(b[kk, i])
+        c = b[kk][i]
         if c == 0:
             new.append(s.Y[i])
             continue
@@ -80,7 +77,7 @@ def quantum_mutate(s: QuantumSeedSeries, k: int, epsilon: int = 1) -> QuantumSee
         elem = s.Y[i]
         if a:
             elem = multiply(elem, power(Yk, a))
-            elem = elem.scale_q_power(int(b[i, kk]) * a)
+            elem = elem.scale_q_power(b[i][kk] * a)
         one = unit(elem.matrix, elem.order, elem.ring)
         for m in range(1, abs(c) + 1):
             f = torus.add(one, Yk_eps.scale_q_power(-epsilon * sgn * (2 * m - 1)))
@@ -98,30 +95,26 @@ def quantum_trajectory(B: ExchangeMatrix, sequence, N: int, ring=ratfunc.EXACT):
     Returns (seeds, actives, signs): the L+1 seeds, the active variable
     Y_{k_t}(t) at each step, and the tropical sign-sequence.
     """
+    signs = sign_sequence(B, MutationSchedule.identity_nu(sequence, B.n)).signs
     seed = initial_quantum_seed(B, N, ring)
-    trop = TropicalState.initial(B)
     seeds = [seed]
     actives = []
-    signs = []
-    for k in sequence:
-        eps = tropical_sign(trop.cvector(k))
+    for k, eps in zip(sequence, signs):
         actives.append(seed.Y[k - 1])
-        signs.append(eps)
         seed = quantum_mutate(seed, k, eps)
-        trop = mutate_tropical(trop, k)
         seeds.append(seed)
-    return seeds, actives, signs
+    return seeds, actives, list(signs)
 
 
 def seed_commutation_residual(s: QuantumSeedSeries) -> list:
     """Deviation of Y_i Y_j from q^(2 b'_ji) Y_j Y_i for all pairs, with
     b' the current matrix.  Empty if the seed relations hold."""
     bad = []
-    b = s.matrix.entries
+    b = s.matrix.rows
     for i in range(s.n):
         for j in range(i + 1, s.n):
             lhs = multiply(s.Y[i], s.Y[j])
-            rhs = multiply(s.Y[j], s.Y[i]).scale_q_power(2 * int(b[j, i]))
+            rhs = multiply(s.Y[j], s.Y[i]).scale_q_power(2 * b[j][i])
             dev = torus.deviation_from(lhs, rhs)
             if dev:
                 bad.append(((i + 1, j + 1), dev))
@@ -314,31 +307,31 @@ def classical_series_trajectory(B: ExchangeMatrix, sequence, N: int):
     """Truncated commutative expansion of the classical y-trajectory.
 
     Runs the classical exchange relation inside a commutative truncated
-    series ring (the torus of the zero matrix), tracking the true
-    exchange matrix separately.  Serves as the independent series-level
-    oracle for the q = 1 degeneration of quantum trajectories.
+    series ring (the torus of the zero matrix), reading the true
+    exchange matrices B(t) off the integer walk.  Serves as the
+    independent series-level oracle for the q = 1 degeneration of
+    quantum trajectories.
     """
     n = B.n
-    Z = ExchangeMatrix(np.zeros((n, n), dtype=np.int64))
+    Z = ExchangeMatrix([[0] * n] * n)
     gens = []
     for i in range(n):
         e = [0] * n
         e[i] = 1
         gens.append(monomial(tuple(e), Z, N))
     ys = tuple(gens)
-    mat = B
-    out = [(mat, ys)]
+    rows = _walk(B, MutationSchedule.identity_nu(sequence, n)).rows
+    out = [(B, ys)]
     one = unit(Z, N)
-    for k in sequence:
-        kk = mat.check_index(k)
-        b = mat.entries
+    for t, k in enumerate(sequence):
+        kk = k - 1
         yk = ys[kk]
         new = []
         for i in range(n):
             if i == kk:
                 new.append(invert(yk))
                 continue
-            c = int(b[kk, i])
+            c = rows[t][kk][i]
             elem = ys[i]
             if c > 0:
                 elem = multiply(elem, power(yk, c))
@@ -349,8 +342,7 @@ def classical_series_trajectory(B: ExchangeMatrix, sequence, N: int):
                 elem = multiply(elem, power(factor, -c))
             new.append(elem)
         ys = tuple(new)
-        mat = mutate_matrix(mat, k)
-        out.append((mat, ys))
+        out.append((ExchangeMatrix(rows[t + 1]), ys))
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .dilog import li2, rogers_L, rogers_L_complex
 from .errors import BranchProximity
 from .exchange import (ExchangeMatrix, MutationSchedule, _exchange_values,
-                       _periodic_walk, _walk, mutate_matrix)
+                       _periodic_walk, _walk)
 
 _GUARD = 1e-6
 
@@ -41,15 +41,10 @@ def _safe_log(z, mode):
     return cmath.log(z)
 
 
-def _pos(a):
-    return a if a > 0 else 0
-
-
 def matrices_along(B: ExchangeMatrix, sequence):
-    mats = [B]
-    for k in sequence:
-        mats.append(mutate_matrix(mats[-1], k))
-    return mats
+    """B(t) for t = 1..L+1 along a mutation sequence."""
+    walk = _walk(B, MutationSchedule.identity_nu(sequence, B.n))
+    return [ExchangeMatrix(rows) for rows in walk.rows]
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
         cur = us[-1]
         nxt = list(cur)
         nxt[k] = (-cur[k]
-                  + sum(_pos(eps * b[k][j]) * cur[j]
+                  + sum(max(eps * b[k][j], 0) * cur[j]
                         for j in range(n) if j != k)
                   + _safe_log(1.0 + ya, mode) / (2 * lam))
         us.append(nxt)
@@ -155,7 +150,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
         row[k] = -pts[t + 1][k]
         for i in range(n):
             if i != k:
-                row[i] = pts[t + 1][i] + _pos(eps * b[k][i]) * pts[t + 1][k]
+                row[i] = pts[t + 1][i] + max(eps * b[k][i], 0) * pts[t + 1][k]
         ps[t] = row
     # t = L closes through nu onto ptilde(1) = w(1)
     k = seq[L - 1] - 1
@@ -168,7 +163,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     row[k] = -w1[nu_inv[k]]
     for j in range(n):
         if j != k:
-            row[j] = w1[nu_inv[j]] + _pos(eps * b[k][j]) * w1[nu_inv[k]]
+            row[j] = w1[nu_inv[j]] + max(eps * b[k][j], 0) * w1[nu_inv[k]]
     ps[L - 1] = row
 
     tup = lambda rows: tuple(tuple(r) for r in rows)
@@ -262,7 +257,7 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
         for i in range(n):
             if i == k:
                 r = (state.u[t][k] + state.u[t + 1][k]
-                     - sum(_pos(eps * b[k][j]) * state.u[t + 1][j]
+                     - sum(max(eps * b[k][j], 0) * state.u[t + 1][j]
                            for j in range(n))
                      - lg / (2 * lam))
             else:
@@ -282,7 +277,7 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
             else:
                 c = b[k][i]
                 rhs = (cmath.exp(lam * ws[t][i])
-                       * cmath.exp(lam * ws[t][k]) ** _pos(eps * c)
+                       * cmath.exp(lam * ws[t][k]) ** max(eps * c, 0)
                        * (1.0 + ya) ** (-c / 2.0))
             max_w = max(max_w, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
@@ -353,7 +348,7 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     # p(L) is fixed by the closing constraint ptilde(1) = w(1)
     k = seq[L - 1] - 1
     b = mats[L - 1]
-    pl = [w1[nu_inv[j]] + _pos(signs[L - 1] * b[k][j]) * w1[nu_inv[k]]
+    pl = [w1[nu_inv[j]] + max(signs[L - 1] * b[k][j], 0) * w1[nu_inv[k]]
           for j in range(n)]
     pl[k] = -w1[nu_inv[k]]
 
@@ -376,7 +371,7 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
             row[k] = -ps[t][k]
             for i in range(n):
                 if i != k:
-                    row[i] = ps[t][i] + _pos(eps * b[k][i]) * ps[t][k]
+                    row[i] = ps[t][i] + max(eps * b[k][i], 0) * ps[t][k]
             pts.append(row)
         yact = [emap(math.exp, ps[t][seq[t] - 1] + ws[t][seq[t] - 1])
                 for t in range(L)]
@@ -396,7 +391,7 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
             for i in range(n):
                 if i == k:
                     out.append(us[t][k] + us[t + 1][k]
-                               - sum(_pos(eps * b[k][j]) * us[t + 1][j]
+                               - sum(max(eps * b[k][j], 0) * us[t + 1][j]
                                      for j in range(n))
                                - lgs[t] / 2.0)
                 else:
@@ -441,10 +436,10 @@ def coordinate_maps(Bp: ExchangeMatrix, k: int, epsilon: int) -> TransformSpec:
     u_map[kk, kk] = -1
     for j in range(n):
         if j != kk:
-            u_map[kk, j] = _pos(-epsilon * int(b[j, kk]))
+            u_map[kk, j] = max(-epsilon * int(b[j, kk]), 0)
     cov = np.eye(n, dtype=np.int64)
     cov[kk, kk] = -1
     for i in range(n):
         if i != kk:
-            cov[i, kk] = _pos(epsilon * int(b[kk, i]))
+            cov[i, kk] = max(epsilon * int(b[kk, i]), 0)
     return TransformSpec(u_map, cov.copy(), cov.copy(), cov.copy())

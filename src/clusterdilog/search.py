@@ -1,35 +1,19 @@
 """Best-effort breadth-first search for short mutation periods.
 
-Explores tropical states (matrix plus c-vector matrix) up to a depth
-bound, deduplicating revisited states, and reads the relabeling
-permutation off the c-vector matrix whenever it is a permutation
-matrix.  Resource-guarded to small ranks and depths.
+Explores tropical states (the rows of the matrix plus the c-vectors, in
+Python ints) up to a depth bound, deduplicating revisited states, and
+reads the relabeling permutation off the c-vectors whenever they are
+the unit vectors in some order.  Resource-guarded to small ranks and
+depths.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .exchange import (ExchangeMatrix, MutationSchedule, TropicalState,
-                       check_period, mutate_tropical)
+from .exchange import (ExchangeMatrix, MutationSchedule, _step, _units,
+                       check_period)
 
 MAX_RANK = 4
 MAX_DEPTH = 12
-
-
-def _permutation_from_cvectors(c: np.ndarray):
-    """If the c-vector matrix is a permutation matrix, return nu as an
-    image tuple (1-based) with c[:, nu(i)-1] = e_i; else None."""
-    n = c.shape[0]
-    if not np.array_equal(np.sort(np.abs(c).sum(axis=0)), np.ones(n)):
-        return None
-    nu = [0] * n
-    for i in range(n):
-        cols = np.nonzero(c[i, :] == 1)[0]
-        if len(cols) != 1 or c[:, cols[0]].sum() != 1:
-            return None
-        nu[i] = int(cols[0]) + 1
-    return tuple(nu)
 
 
 def search_periods(B: ExchangeMatrix, max_depth: int):
@@ -44,24 +28,25 @@ def search_periods(B: ExchangeMatrix, max_depth: int):
         raise ValueError(f"search depth must be at least 1, got {max_depth}")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"search is limited to depth <= {MAX_DEPTH}")
-    initial = TropicalState.initial(B)
-    seen = {(initial.matrix.entries.tobytes(), initial.cvectors.tobytes())}
+    units = _units(B.n)
+    initial = (B.rows, units)
+    seen = {initial}
     frontier = [(initial, ())]
     found = []
     for _ in range(max_depth):
         nxt = []
-        for state, seq in frontier:
-            for k in range(1, B.n + 1):
-                new = mutate_tropical(state, k)
-                nseq = seq + (k,)
-                nu = _permutation_from_cvectors(new.cvectors)
-                if nu is not None:
-                    sched = MutationSchedule(nseq, nu)
+        for (rows, cols), seq in frontier:
+            for kk in range(B.n):
+                new = _step(rows, cols, kk)[:2]
+                nseq = seq + (kk + 1,)
+                # nu with c_{nu(i)} = e_i, if the c-vectors permute the units
+                where = {c: j + 1 for j, c in enumerate(new[1])}
+                if all(e in where for e in units):
+                    sched = MutationSchedule(nseq, tuple(where[e] for e in units))
                     if check_period(B, sched).periodic:
                         found.append(sched)
-                key = (new.matrix.entries.tobytes(), new.cvectors.tobytes())
-                if key not in seen:
-                    seen.add(key)
+                if new not in seen:
+                    seen.add(new)
                     nxt.append((new, nseq))
         frontier = nxt
     return found

@@ -60,6 +60,16 @@ class TestMutate:
         code, out = run(capsys, "mutate", "--builtin", "A1", "--format", "md")
         assert code == 0 and "**command**: mutate" in out
 
+    def test_overflowing_y_prints_only_the_error(self):
+        """y = 1e300 overflows to inf and then NaN along the period: the
+        run exits 4 with its one error line and no numpy warnings."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "clusterdilog.cli",
+             "mutate", "--builtin", "A2", "--y", "1e300,1e300"],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 4
+        assert proc.stderr == "error: all y-variables must be strictly positive\n"
+
 
 class TestVerify:
     def test_classical_pass(self, capsys):
@@ -316,6 +326,28 @@ PHIB_CHECKS = ("value", "unitarity", "recurrence", "duality", "phipsi",
                "asymptotics", "psi-asymptotics")
 
 
+@st.composite
+def seed_docs(draw):
+    """A seed document: skew-symmetric B of rank <= 4 with entries in
+    -3..3 and now and then +-10^6, a word of length <= 10, and nu."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([10**6, -10**6]))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = draw(entry)
+            b[j][i] = -b[i][j]
+    word = draw(st.lists(st.integers(1, n), max_size=10))
+    nu = draw(st.permutations(range(1, n + 1)))
+    return {"n": n, "B": b, "sequence": word, "nu": nu}
+
+
+def write_seed(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("seed") / "seed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()), \
@@ -340,3 +372,21 @@ class TestNumericArgumentFuzz:
     def test_mutate(self, builtin, y):
         assert quiet_main(["mutate", "--builtin", builtin,
                            f"--y={y}"]) in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=seed_docs(), depth=st.integers(1, 6))
+    def test_search_seed_file(self, tmp_path_factory, doc, depth):
+        path = write_seed(tmp_path_factory, doc)
+        assert quiet_main(["search", "--seed-file", path,
+                           "--depth", str(depth)]) in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(doc=seed_docs(),
+           y=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+    def test_mutate_and_classical_seed_file(self, tmp_path_factory, doc, y):
+        path = write_seed(tmp_path_factory, doc)
+        y = ",".join(map(repr, y))
+        assert quiet_main(["mutate", "--seed-file", path,
+                           f"--y={y}"]) in (0, 2, 3, 4)
+        assert quiet_main(["verify", "classical", "--seed-file", path,
+                           "--trials", "3"]) in (0, 2, 3, 4)

@@ -167,13 +167,16 @@ class TestClassicalIdentity:
         # nine mutation steps split six positive and three negative signs
         assert (rep.n_plus, rep.n_minus) == (3, 6)
 
-    @pytest.mark.parametrize("name", ["A2", "A2-principal", "A3"])
+    @pytest.mark.parametrize("name", ["A2", "A2-principal", "A3",
+                                      "A2-opposite"])
     def test_active_values_equal_numeric_trajectory(self, name):
         """The float exchange relation repeats numeric_trajectory bit for
-        bit on the built-in periods (their exchange exponents are 0 and 1)."""
+        bit, also where an exchange exponent is -1 (A2-opposite)."""
         if name == "A3":
             B = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
             sched = MutationSchedule((1, 2, 1, 3, 2, 1, 3, 2, 1), (3, 2, 1))
+        elif name == "A2-opposite":
+            B, sched = ExchangeMatrix(np.array([[0, 1], [-1, 0]])), A2_SCHED
         else:
             B, sched = builtin_seed(name)
         rng = np.random.default_rng(9)

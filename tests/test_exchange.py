@@ -1,9 +1,12 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from clusterdilog import qident
 from clusterdilog.errors import MixedSignCVector, NotAPeriod, ZeroCVector
 from clusterdilog.exchange import (
     ExchangeMatrix,
@@ -24,6 +27,7 @@ from clusterdilog.exchange import (
     sign_sequence,
     tropical_sign,
 )
+from clusterdilog.search import search_periods
 
 A1 = ExchangeMatrix(np.zeros((1, 1), dtype=int))
 A2 = ExchangeMatrix(np.array([[0, -1], [1, 0]]))
@@ -128,6 +132,13 @@ class TestMutateYNumeric:
             alt = y * y[kk] ** np.maximum(-bk, 0) * (1 + 1 / y[kk]) ** (-bk)
             alt[kk] = 1 / y[kk]
             assert got == pytest.approx(alt, rel=1e-14)
+
+    def test_overflowing_power_saturates_at_inf(self):
+        """y_1^2 overflows: the power is inf, as numpy's is, not a large
+        finite number that the tiny y_2 would bring back into range."""
+        B = ExchangeMatrix(np.array([[0, 2], [-2, 0]]))
+        out = mutate_y_numeric(NumericSeed(B, [1e160, 1e-200]), 1)
+        assert out.y.tolist() == [1e-160, math.inf]
 
     def test_rejects_nonpositive_y(self):
         with pytest.raises(ValueError):
@@ -301,50 +312,89 @@ def int_rows(B):
 
 
 def int_columns(state):
-    return [tuple(c) for c in state.cvectors.T.tolist()]
+    return tuple(tuple(c) for c in state.cvectors.T.tolist())
 
 
-def reference_period(B, state, nu):
-    """The period verdict read off a numpy TropicalState reached from B."""
+def as_tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+def textbook_step(b, cols, kk):
+    """Independent reference on lists of Python ints, with no tropical
+    sign: b'_ij = b_ij + [b_ik]_+ b_kj + b_ik [-b_kj]_+ and, entrywise,
+    c'_i = c_i + [b_ki]_+ c_k + b_ki [-c_k]_+ (the tropical form of
+    y_i y_k^[b_ki]_+ (1 + y_k)^-b_ki); row, column and c-vector k are
+    negated."""
+    n = len(b)
+    new_b = [[-b[i][j] if kk in (i, j) else
+              b[i][j] + max(b[i][kk], 0) * b[kk][j]
+              + b[i][kk] * max(-b[kk][j], 0)
+              for j in range(n)] for i in range(n)]
+    ck = cols[kk]
+    new_cols = [[-a for a in ck] if i == kk else
+                [x + max(b[kk][i], 0) * a + b[kk][i] * max(-a, 0)
+                 for x, a in zip(cols[i], ck)]
+                for i in range(n)]
+    return new_b, new_cols
+
+
+def textbook_walk(B, word):
+    """(B(t), c-vectors of y(t)) for t = 1..L+1 by textbook_step."""
+    n = B.n
+    b = B.entries.tolist()
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = [(b, cols)]
+    for k in word:
+        b, cols = textbook_step(b, cols, k - 1)
+        out.append((b, cols))
+    return out
+
+
+def reference_period(B, b, cols, nu):
+    """The period verdict for the state (b, cols) reached from B."""
     perm = [v - 1 for v in nu]
+    n = B.n
     return PeriodReport(
-        bool(np.array_equal(state.matrix.entries[np.ix_(perm, perm)], B.entries)),
-        bool(np.array_equal(state.cvectors[:, perm], np.eye(B.n, dtype=np.int64))))
+        all(b[perm[i]][perm[j]] == B[i + 1, j + 1]
+            for i in range(n) for j in range(n)),
+        all(cols[perm[i]] == [int(i == j) for j in range(n)]
+            for i in range(n)))
 
 
 class TestIntegerWalk:
-    """The Python-int walk behind check_period and sign_sequence against
-    step-by-step mutate_matrix / mutate_tropical."""
+    """The Python-int walk behind check_period and sign_sequence, and the
+    mutate_matrix / mutate_tropical wrappers over its step, against the
+    textbook formulas at entries of any size."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=walk_cases())
-    def test_matches_numpy_mutation_at_every_step(self, case):
+    def test_matches_textbook_mutation_at_every_step(self, case):
         B, word = case
         n = B.n
         walk = _walk(B, MutationSchedule.identity_nu(word, n))
-        # the numpy reference wraps around in int64; Python ints do not
-        assume(all(abs(x) < 2**31 for rows in walk.rows for r in rows for x in r))
-        assume(all(abs(x) < 2**31 for c in walk.alphas + tuple(walk.cvectors)
-                   for x in c))
         ss = sign_sequence(B, MutationSchedule.identity_nu(word, n))
         assert (ss.signs, ss.cvectors) == (walk.signs, walk.alphas)
+        ref = textbook_walk(B, word)
         state = TropicalState.initial(B)
         for t, k in enumerate(word):
-            assert walk.rows[t] == int_rows(state.matrix)
-            alpha = state.cvector(k)
-            assert walk.alphas[t] == tuple(alpha.tolist())
-            assert walk.signs[t] == tropical_sign(alpha)
+            b, cols = ref[t]
+            assert walk.rows[t] == as_tuples(b)
+            alpha = cols[k - 1]
+            assert walk.alphas[t] == tuple(alpha)
+            # sign-coherence: the textbook c-vector has entries of one sign
+            assert any(alpha) and (min(alpha) >= 0 or max(alpha) <= 0)
+            assert walk.signs[t] == (1 if min(alpha) >= 0 else -1)
             state = mutate_tropical(state, k)
-            prefix = _walk(B, MutationSchedule.identity_nu(word[:t + 1], n))
-            assert prefix.rows == walk.rows[:t + 2]
-            assert prefix.cvectors == int_columns(state)
-            for c in prefix.cvectors:  # sign-coherence of every c-vector
-                tropical_sign(c)
+            b, cols = ref[t + 1]
+            assert int_rows(state.matrix) == as_tuples(b)
+            assert int_rows(mutate_matrix(ExchangeMatrix(ref[t][0]), k)) \
+                == as_tuples(b)
+            assert int_columns(state) == as_tuples(cols)
             for nu in itertools.permutations(range(1, n + 1)):
                 sched = MutationSchedule(word[:t + 1], nu)
-                assert check_period(B, sched) == reference_period(B, state, nu)
-        assert walk.rows[-1] == int_rows(state.matrix)
-        assert walk.cvectors == int_columns(state)
+                assert check_period(B, sched) == reference_period(B, b, cols, nu)
+        assert walk.rows[-1] == as_tuples(ref[-1][0])
+        assert walk.cvectors == as_tuples(ref[-1][1])
 
     @settings(max_examples=60, deadline=None)
     @given(case=walk_cases(), data=st.data())
@@ -357,3 +407,45 @@ class TestIntegerWalk:
         assert twice.cvectors == once.cvectors
         assert twice.signs[-1] == -twice.signs[-2]
         assert twice.alphas[-1] == tuple(-a for a in twice.alphas[-2])
+
+
+# b_23(11) along WIDE_WORD is -18661827586588155640, beyond int64, where
+# int64 arithmetic wraps it to -215083512878604024.
+WIDE = ExchangeMatrix(np.array([[0, -3, 0], [3, 0, 1], [0, -1, 0]]))
+WIDE_WORD = (1, 2, 1, 2, 1, 3, 1, 2, 3, 1)
+WRAPPED = -215083512878604024
+
+
+class TestWideEntries:
+    def test_walk_sign_sequence_and_quantum_signs_agree(self, monkeypatch):
+        sched = MutationSchedule.identity_nu(WIDE_WORD, 3)
+        walk = _walk(WIDE, sched)
+        assert walk.rows[10][1][2] == -18661827586588155640
+        assert walk.rows == [as_tuples(b)
+                             for b, _ in textbook_walk(WIDE, WIDE_WORD)]
+        ss = sign_sequence(WIDE, sched)
+        assert (ss.signs, ss.cvectors) == (walk.signs, walk.alphas)
+        # exchange exponents reach 10^7 here, too many torus factors to
+        # build: keep the quantum exchange relation out, the signs remain
+        monkeypatch.setattr(qident, "quantum_mutate", lambda s, k, eps: s)
+        _, _, signs = qident.quantum_trajectory(WIDE, WIDE_WORD, 1)
+        assert tuple(signs) == walk.signs
+
+    def test_mutate_matrix_is_exact_or_raises(self):
+        rows = _walk(WIDE, MutationSchedule.identity_nu(WIDE_WORD, 3)).rows
+        M = WIDE
+        for t, k in enumerate(WIDE_WORD):
+            try:
+                M = mutate_matrix(M, k)
+            except OverflowError:
+                break
+            assert int_rows(M) == rows[t + 1]
+            assert WRAPPED not in itertools.chain(*int_rows(M))
+
+    def test_search_reports_only_periods(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = search_periods(WIDE, 10)
+        assert found
+        for sched in found:
+            assert check_period(WIDE, sched).periodic
