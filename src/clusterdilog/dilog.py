@@ -236,28 +236,8 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
 
 def psiq_numeric(x, q) -> complex:
     """Quantum dilogarithm as the infinite product 1 / (-qx; q^2)_oo,
-    truncated once the logarithmic tail drops below 1e-15."""
-    q = complex(q)
-    x = complex(x)
-    if abs(q) >= 1.0:
-        raise ValueError(f"|q| = {abs(q)} >= 1: the product does not converge")
-    prod = 1.0 + 0.0j
-    qq = q * q
-    factor_arg = q * x
-    absq = abs(q)
-    abstail = abs(q) * abs(x)
-    k = 0
-    while abstail / (1.0 - absq * absq) > 1e-15:
-        f = 1.0 + factor_arg
-        if f == 0:
-            raise PoleHit(f"product factor vanished at k={k}")
-        prod *= f
-        factor_arg *= qq
-        abstail *= absq * absq
-        k += 1
-        if k > 10**6:
-            raise ArithmeticError("q-product failed to converge")
-    return 1.0 / prod
+    the exponential of `log_psiq_numeric`."""
+    return cmath.exp(log_psiq_numeric(x, q))
 
 
 def log_psiq_numeric(x, q) -> complex:

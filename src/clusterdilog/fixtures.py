@@ -9,19 +9,17 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .exchange import (ExchangeMatrix, MutationSchedule, extend_schedule,
                        principal_extension)
 
 
 def _a1():
-    B = ExchangeMatrix(np.zeros((1, 1), dtype=np.int64))
+    B = ExchangeMatrix([[0]])
     return B, MutationSchedule((1, 1), (1,))
 
 
 def _a2():
-    B = ExchangeMatrix(np.array([[0, -1], [1, 0]], dtype=np.int64))
+    B = ExchangeMatrix([[0, -1], [1, 0]])
     return B, MutationSchedule((1, 2, 1, 2, 1), (2, 1))
 
 
@@ -45,14 +43,23 @@ def builtin_seed(name: str):
             f"unknown builtin {name!r}; available: {sorted(BUILTINS)}") from None
 
 
+def _integers(values, name):
+    """values as a tuple of JSON integers (bool and float rejected)."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name}: {v!r} is not an integer")
+    return values
+
+
 def seed_from_dict(doc: dict):
     try:
-        n = int(doc["n"])
-        B = ExchangeMatrix(np.array(doc["B"], dtype=np.int64))
+        (n,) = _integers([doc["n"]], "n")
+        B = ExchangeMatrix([_integers(row, "B") for row in doc["B"]])
         if B.n != n:
             raise ValueError(f"matrix is {B.n}x{B.n} but n = {n}")
-        sequence = tuple(int(k) for k in doc["sequence"])
-        nu = tuple(int(v) for v in doc.get("nu", range(1, n + 1)))
+        sequence = _integers(doc["sequence"], "sequence")
+        nu = _integers(doc.get("nu", range(1, n + 1)), "nu")
         sched = MutationSchedule(sequence, nu)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed seed document: {exc}") from exc

@@ -2,13 +2,12 @@
 
 Defined inside the strip |Im z| < |Im c_b| by a contour integral over
 the real line that circles the origin from above; continued outside by
-the recurrence in steps of i*b.  For Im b^2 > 0 it factors as a ratio
-of two compact quantum dilogarithm products, which serves as an
-independent cross-check; for real b that product is invalid and the
-integral is the primary evaluation path.
-
-The integral uses fixed Gauss-Legendre rules; along the tails a 16-point
-rule beside the 32-point one, on the same panels, gives the error estimate.
+the recurrence in steps of i*b.  The pole at the origin is integrated in
+closed form, so for real b and z the integral is imaginary and Phi_b is
+unimodular by construction.  The rest is a Taylor series on [0, r] and
+Gauss-Legendre panels on the tails, where a 16-point rule beside the
+32-point one gives the error estimate.  For Im b^2 > 0, Phi_b is also a
+ratio of two compact quantum dilogarithm products: an independent check.
 """
 
 from __future__ import annotations
@@ -19,11 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilog import PI2_6, li2, psiq_numeric
+from .dilog import PI2_6, _bernoulli, li2, psiq_numeric
 from .errors import QuadratureFailure
 
-_GL16, _GL32, _GL64 = (np.polynomial.legendre.leggauss(n) for n in (16, 32, 64))
+_GL16, _GL32 = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
 _MAX_PANELS = 4096
+# series coefficients in t^2 of t/sinh(t) and of sin(t)/t, through t^16
+_T = np.array([float((2 - 4**n) * _bernoulli(2 * n) / math.factorial(2 * n))
+               for n in range(9)])
+_SINC = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(9)])
+_ODD = 1.0 / np.arange(1, 17, 2)
 
 
 @dataclass(frozen=True)
@@ -67,30 +71,44 @@ def _panel_sum(f, edges, rule) -> complex:
     return complex(np.sum(half * weights * f(left + half * (nodes + 1.0))))
 
 
+def _head(z, b, r) -> complex:
+    """Integral over [0, r] of sym(x) + 4iz/x^2 = -(4iz/x^2) (sinc(2zx)
+    T(bx) T(x/b) - 1), T(t) = t/sinh(t), term by term in (x/r)^2."""
+    n = np.arange(len(_T))
+    series = np.convolve(_T * (b * r) ** (2 * n), _T * (r / b) ** (2 * n))
+    series = np.convolve(series[:len(_T)], _SINC * (2 * z * r) ** (2 * n))
+    return -4j * z / r * (series[1:len(_T)] @ _ODD)
+
+
 def _log_phib_strip(z, p: PhibParams, tol: float):
-    """-1/4 of the contour integral, for z strictly inside the strip."""
+    """-1/4 of the contour integral, for z strictly inside the strip.
+
+    The pole at 0 contributes -i pi z^2 / 2 - i pi s / 24, s = b^2 + b^-2,
+    in closed form; the regular rest is the series head on [0, r], the
+    tails on [r, oo) and 4iz/r, the integral of the subtracted 4iz/x^2."""
     b = p.b if p.b.real > 0 else -p.b  # the integrand is even under b -> -b
-    # keep the semicircle well below the first zeros of the sinh factors
-    # on the imaginary axis (at pi*b*i*k and pi*i*k/b)
-    r = min(1e-2 * (abs(b) + 1.0 / abs(b)),
-            0.45 * math.pi * min(abs(b), 1.0 / abs(b)))
-    rate = (b + 1.0 / b).real - 2.0 * abs(complex(z).imag)
-    if not rate > 0:
+    rate = (b + 1.0 / b).real - 2.0 * abs(z.imag)
+    if not (rate > 0 and cmath.isfinite(z)):
         raise QuadratureFailure(
-            f"z={z} outside the integrable strip for b={b}")
+            f"z={z} is not a finite point of the integrable strip for b={b}")
+    m = min(abs(b), 1.0 / abs(b))
+    floor = math.pi / 24 * (m * m + 1.0 / m / m) * 2.0**-53
+    if not floor <= 100 * tol:  # the rounding of s alone misses the budget
+        raise QuadratureFailure(
+            f"b={b}: pi s / 24 rounds off by {floor:.2e}", floor)
+    # a tenth of the series' radius, and short against the period of sin(2zx)
+    r = 0.1 * min(math.pi * m, 1.0 / max(abs(z), 1e-300))
     upper = max(60.0 / rate, r + 1.0)
 
-    def g(x):
-        return np.exp(-2j * z * x) / (x * np.sinh(x * b) * np.sinh(x / b))
-
-    def sym(x):  # the symmetrised tails g(x) + g(-x), without cancellation
-        return -2j * np.sin(2 * z * x) / (x * np.sinh(x * b) * np.sinh(x / b))
+    def sym(x):  # the contour integrand at x plus at -x, without overflow
+        return (-8j * np.sin(2 * z * x) * np.exp(-x * (b + 1.0 / b))
+                / (x * np.expm1(-2.0 * b * x) * np.expm1(-2.0 * x / b)))
 
     # panels double in width from r, where sym falls off like 1/x^2, but stay
     # below 4/omega, omega the frequency sym oscillates with at large x
     omega = abs((b + 1.0 / b).imag) + 2.0 * abs(z.real)
     panels = math.log2(upper / r) + 0.25 * omega * upper + 2
-    if not panels <= _MAX_PANELS:  # counted before building; NaN fails too
+    if not panels <= _MAX_PANELS:  # counted before building
         raise QuadratureFailure(
             f"tails need {panels:.3g} panels at z={z}, over {_MAX_PANELS}")
     widest = 4.0 / omega if omega else math.inf
@@ -98,17 +116,14 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     while edges[-1] < upper:
         edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
     edges = np.array(edges)
-    # sinh overflows at tiny b; the NaN it leaves fails the budget check
-    with np.errstate(over="ignore", invalid="ignore"):
-        tails = _panel_sum(sym, edges, _GL32)
-        achieved = abs(tails - _panel_sum(sym, edges, _GL16))
+    tails = _panel_sum(sym, edges, _GL32)
+    achieved = abs(tails - _panel_sum(sym, edges, _GL16))
     if not achieved <= 100 * tol:
         raise QuadratureFailure(
             f"tail quadrature error {achieved:.2e} above budget", achieved)
-    # upper semicircle x = r e^(i theta) from -r to r, passing above the origin
-    arc = _panel_sum(lambda t: 1j * r * np.exp(1j * t) * g(r * np.exp(1j * t)),
-                     np.array([math.pi, 0.0]), _GL64)
-    return -0.25 * (tails + arc)
+    s = b * b + 1.0 / (b * b)
+    return (-0.5j * math.pi * z * z - 1j * math.pi * s / 24
+            - 0.25 * (_head(z, b, r) + tails + 4j * z / r))
 
 
 def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:

@@ -326,8 +326,6 @@ class QCoefficient:
 
     def mul_shifted(self, other, j: int) -> "QCoefficient":
         """self * other * q^j, built as one coefficient."""
-        if self.is_zero() or other.is_zero():
-            return _ZERO_COEF
         if self.dext is None:
             dext = other.dext
         elif other.dext is None:
@@ -507,7 +505,6 @@ class ExactField:
     @staticmethod
     def sum(coefs):
         """Sum of coefficients over one common denominator."""
-        coefs = [c for c in coefs if not c.is_zero()]
         if len(coefs) < 2:
             return coefs[0] if coefs else _ZERO_COEF
         if any(c.dext is not None for c in coefs):

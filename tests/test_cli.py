@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -14,6 +15,7 @@ from clusterdilog.cli import main
 from clusterdilog.exchange import ExchangeMatrix
 from clusterdilog.fixtures import builtin_seed, seed_from_dict, seed_to_dict
 from clusterdilog.search import search_periods
+from test_phib import log_phib_mpmath
 
 
 def cli_env():
@@ -242,16 +244,23 @@ class TestPhibCommand:
         assert main(["phib", "--z", z]) == 3
         assert main(["phib", "--check", "duality", "--z", z]) == 3
 
-    def test_tiny_b_prints_only_the_error(self):
-        """At b = 0.001 sinh overflows in the tails: the run exits 3 with
-        its one error line and no numpy warnings on stderr."""
+    @pytest.mark.parametrize("check", ["value", "unitarity"])
+    def test_tiny_b_prints_a_unimodular_value(self, check):
+        """At b = 0.001 sinh(x / b) would overflow on the tails, which
+        never form it: the run passes with no numpy warnings on stderr."""
         proc = subprocess.run(
             [sys.executable, "-W", "default", "-m", "clusterdilog.cli",
-             "phib", "--b", "0.001"],
+             "phib", "--b", "0.001", "--check", check],
             capture_output=True, text=True, timeout=60, env=cli_env())
-        assert proc.returncode == 3
+        assert proc.returncode == 0
         assert proc.stderr == ""
-        assert json.loads(proc.stdout)["error"] == "QuadratureFailure"
+        rep = json.loads(proc.stdout)
+        if check == "value":
+            val = complex(rep["value"]["re"], rep["value"]["im"])
+            assert abs(abs(val) - 1.0) < 1e-12
+            assert abs(val - cmath.exp(log_phib_mpmath(0.0, 0.001))) < 1e-12
+        else:
+            assert all(row["residual"] < 1e-12 for row in rep["rows"])
 
     @pytest.mark.parametrize("z", ["710", "1000", "1e300", "-1000"])
     def test_asymptotics_beyond_exp_overflow(self, capsys, z):
@@ -311,6 +320,33 @@ class TestSeedRoundtrip:
             seed_from_dict({"n": 2, "B": [[0, -1], [1, 0]]})
         with pytest.raises(ValueError):
             seed_from_dict({"n": 3, "B": [[0, -1], [1, 0]], "sequence": []})
+
+    def test_fractional_entry_exit_4(self, capsys, tmp_path):
+        """B = [[0, 1.5], [-1.5, 0]] is refused, not truncated to 1."""
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"n": 2, "B": [[0, 1.5], [-1.5, 0]],
+                                    "sequence": [1, 2, 1, 2, 1], "nu": [2, 1]}))
+        assert main(["verify", "classical", "--seed-file", str(path)]) == 4
+        assert "1.5 is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"n": True, "B": [[0]], "sequence": []},
+                                     {"n": 1, "B": [[0]], "sequence": [1.0]},
+                                     {"n": 1, "B": [[0]], "sequence": "1"},
+                                     {"n": 1, "B": [[0]], "sequence": [],
+                                      "nu": [True]}])
+    def test_non_integer_fields(self, doc):
+        with pytest.raises(ValueError, match="is not an integer"):
+            seed_from_dict(doc)
+
+    def test_wide_entry_is_kept_exactly(self, capsys, tmp_path):
+        big = 10**20
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"n": 2, "B": [[0, big], [-big, 0]],
+                                    "sequence": [1]}))
+        code, rep = run_json(capsys, "search", "--seed-file", str(path),
+                             "--depth", "2")
+        assert code == 0
+        assert rep["B"] == [[0, big], [-big, 0]]
 
 
 # Numbers as the command line receives them: finite, huge, tiny, negative,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import mpmath
 import numpy as np
@@ -73,7 +74,33 @@ class TestValues:
     def test_against_mpmath_contour(self, b):
         p = PhibParams(b)
         for z in (-0.3, 0.0, 0.15 + 0.1j):
-            assert abs(phib(z, p) - cmath.exp(log_phib_mpmath(z, b))) < 1e-10
+            assert abs(phib(z, p) - cmath.exp(log_phib_mpmath(z, b))) < 1e-13
+
+    # Pairs where the 30-digit oracle itself converges: at (0.7, 60),
+    # (0.7, 100) and (0.3, 300) its arc factor e^(2zr) or its oscillating
+    # tails need more digits than it carries.
+    @pytest.mark.parametrize("b,z", [(0.7, 5), (0.7, 20), (0.3, 60), (0.05, 60),
+                                     (0.3, 100), (0.1, 300), (0.05, 300)])
+    def test_large_real_z(self, b, z):
+        p = PhibParams(b)
+        val = log_phib(z, p)
+        ref = log_phib_mpmath(z, b)
+        assert abs(val - ref) < 1e-12 * abs(ref)
+        assert abs(abs(phib(z, p)) - 1.0) < 1e-12
+
+
+class TestInversion:
+    """Phi_b(z) Phi_b(-z) = exp(-i pi s / 12 - i pi z^2), s = b^2 + b^-2
+    (Faddeev-Kashaev-Volkov); the last two z lie past half the strip
+    height, where phib first reduces z by the recurrence."""
+
+    @pytest.mark.parametrize("b", (1.3, 0.7, COMPLEX_BS[0]))
+    def test_product_with_reflection(self, b):
+        p = PhibParams(b)
+        s = b * b + 1 / (b * b)
+        for z in (0.0, 0.3, -0.2 + 0.1j, 2.0, 0.1 + 1.5j, -0.4 + 0.9j):
+            rhs = cmath.exp(-1j * math.pi * s / 12 - 1j * math.pi * z * z)
+            assert abs(phib(z, p) * phib(-z, p) - rhs) < 1e-13
 
 
 class TestUnitarity:
@@ -181,10 +208,23 @@ class TestStripHandling:
         with pytest.raises(QuadratureFailure):
             phib(z, PhibParams(1.0))
 
+    @pytest.mark.parametrize("b", [1e-6, 1e-160, 1e200])
+    def test_b_past_double_precision_is_guarded(self, b):
+        """Far from 1, rounding s = b^2 + b^-2 alone moves the phase of
+        Phi_b(0) = exp(-i pi s / 24) past the budget: refused up front."""
+        with pytest.raises(QuadratureFailure) as info:
+            log_phib(0.1, PhibParams(b))
+        assert info.value.achieved_error > 1e-6
+
     def test_overflowing_integrand_is_guarded(self):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(QuadratureFailure):
-            phib(0.1, PhibParams(0.001))
+        """At b = 0.001 sinh(x / b) overflows; the tails never form it, so
+        the value comes without a warning, unimodular and as mpmath's."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = log_phib(0.1, PhibParams(0.001))
+        assert val.real == 0.0
+        ref = log_phib_mpmath(0.1, 0.001)
+        assert abs(val - ref) < 1e-12 * abs(ref)
 
 
 def test_depends_only_on_numpy():
