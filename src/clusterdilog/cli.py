@@ -44,10 +44,6 @@ EXIT_NOT_A_PERIOD = 2
 EXIT_NUMERICAL = 3
 EXIT_PARSE = 4
 
-VERIFY_MODES = ("classical", "quantum-tropical", "quantum-universal",
-                "shuffle", "dual", "saddle", "saddle-lambda")
-
-
 class CLIParseError(Exception):
     pass
 
@@ -89,6 +85,7 @@ def _build_parser():
     p = sub.add_parser("mutate", help="dump a numeric trajectory")
     add_seed_opts(p)
     p.add_argument("--y", help="comma-separated positive initial y (default all ones)")
+    p.set_defaults(run=cmd_mutate)
 
     p = sub.add_parser("verify", help="verify identities for a period")
     p.add_argument("modes", nargs="+", choices=VERIFY_MODES)
@@ -104,10 +101,12 @@ def _build_parser():
     p.add_argument("--lambda", dest="lam", default=None,
                    help="deformation parameter as 're,im'")
     p.add_argument("--rng-seed", type=int, default=20111101)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("search", help="BFS for short periods")
     add_seed_opts(p)
     p.add_argument("--depth", type=_positive_int, default=6)
+    p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("phib", help="noncompact quantum dilogarithm")
     p.add_argument("--b", default="1.0", help="parameter b, 're' or 're,im'")
@@ -118,6 +117,7 @@ def _build_parser():
                    default="value")
     p.add_argument("--grid", default="default")
     p.add_argument("--format", choices=("json", "md", "csv"), default="json")
+    p.set_defaults(run=cmd_phib)
     return top
 
 
@@ -159,11 +159,8 @@ def _render_md(report, indent=0):
 
 
 def _find_rows(report):
-    rows = report.get("rows") or report.get("points")
-    if rows:
-        return rows
-    for res in report.get("results", []):
-        rows = res.get("rows") or res.get("points")
+    for rep in [report, *report.get("results", [])]:
+        rows = rep.get("rows") or rep.get("points")
         if rows:
             return rows
     return None
@@ -206,104 +203,113 @@ def cmd_mutate(args):
     return EXIT_PASS, report
 
 
-def _verify_one(mode, B, sched, args, rng):
-    n = B.n
-    tol = args.tol if args.tol is not None else (
-        1e-6 if mode == "saddle-lambda" else 1e-10)
-    if mode == "classical":
-        trials = args.trials or 100
-        worst = {"signed": 0.0, "di": 0.0, "di_prime": 0.0}
-        for _ in range(trials):
-            y0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=n))
-            rep = verify_classical_identity(B, sched, y0)
-            worst["signed"] = max(worst["signed"], abs(rep.sum_signed))
-            worst["di"] = max(worst["di"], rep.di_residual)
-            worst["di_prime"] = max(worst["di_prime"], rep.di_prime_residual)
-        passed = max(worst.values()) < tol
-        return passed, {"identity": "classical", "trials": trials,
-                        "n_plus": rep.n_plus, "n_minus": rep.n_minus,
-                        "max_residuals": worst, "tolerance": tol,
-                        "verdict": "PASS" if passed else "FAIL"}
+def _verify_classical(B, sched, args, rng):
+    tol = args.tol if args.tol is not None else 1e-10
+    trials = args.trials or 100
+    worst = {"signed": 0.0, "di": 0.0, "di_prime": 0.0}
+    for _ in range(trials):
+        y0 = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=B.n))
+        rep = verify_classical_identity(B, sched, y0)
+        worst["signed"] = max(worst["signed"], abs(rep.sum_signed))
+        worst["di"] = max(worst["di"], rep.di_residual)
+        worst["di_prime"] = max(worst["di_prime"], rep.di_prime_residual)
+    passed = max(worst.values()) < tol
+    return passed, {"identity": "classical", "trials": trials,
+                    "n_plus": rep.n_plus, "n_minus": rep.n_minus,
+                    "max_residuals": worst, "tolerance": tol}
 
-    N = args.N or (8 if n <= 2 else 6)
-    if mode == "quantum-tropical":
-        rep = verify_tropical_identity(B, sched, N, q0=args.q0)
-        return rep.passed, rep.to_json()
-    if mode == "quantum-universal":
-        rep = verify_universal_identity(B, sched, N, q0=args.q0)
-        return rep.passed, rep.to_json()
-    if mode == "shuffle":
-        cuts = [args.cut] if args.cut else list(range(1, sched.length + 1))
-        reports = [verify_shuffle(B, sched, t, N, q0=args.q0) for t in cuts]
-        passed = all(r.passed for r in reports)
-        return passed, {"identity": "shuffle", "order": N, "cuts": cuts,
-                        "residual_terms": [r.to_json()["residual_terms"]
-                                           for r in reports],
-                        "verdict": "PASS" if passed else "FAIL"}
-    if mode == "dual":
-        r1, r2 = verify_dual_pair(B, sched, N, q0=args.q0)
-        passed = r1.passed and r2.passed
-        return passed, {"identity": "dual", "order": N,
-                        "direct": r1.to_json(), "reversed": r2.to_json(),
-                        "verdict": "PASS" if passed else "FAIL"}
 
-    if mode == "saddle":
-        trials = args.trials or 50
-        worst = {"stationarity": 0.0, "action": 0.0, "cross_gap": 0.0,
-                 "newton_step": 0.0}
-        for _ in range(trials):
-            u1 = rng.uniform(-2.0, 2.0, size=n)
-            st = build_solution(B, sched, u1)
-            rep = residuals(st, B, sched)
-            worst["stationarity"] = max(worst["stationarity"], rep.max_residual)
-            worst["action"] = max(worst["action"], abs(rep.action_value))
-            worst["cross_gap"] = max(worst["cross_gap"],
-                                     abs(rep.action_value - rep.cross_check_value))
-            worst["newton_step"] = max(worst["newton_step"],
-                                       newton_refine(st, B, sched))
-        passed = (worst["stationarity"] < tol
-                  and worst["action"] < tol
-                  and worst["cross_gap"] < 1e-12
-                  and worst["newton_step"] < 1e-12)
-        return passed, {"identity": "saddle", "trials": trials,
-                        "max_residuals": worst, "tolerance": tol,
-                        "verdict": "PASS" if passed else "FAIL"}
+def _exact(verify, B, sched, args, rng):
+    rep = verify(B, sched, args.N, q0=args.q0)
+    return rep.passed, rep.to_json()
 
-    if mode == "saddle-lambda":
-        if args.lam:
-            lams = [_parse_complex(args.lam)]
-        else:
-            ray = cmath.exp(1j * math.pi / 4)
-            lams = [1 + d * ray for d in (0.1, 0.05, 0.01)]
-        rows = []
-        passed = True
-        for lam in lams:
-            u1 = rng.uniform(-0.5, 0.5, size=n)
-            st = build_solution(B, sched, u1, mode="lambda", lam=lam)
-            val, cross = action(st, B, sched)
-            ok = abs(val) < tol and residuals(st, B, sched).max_residual < 1e-9
-            passed = passed and ok
-            rows.append({"lambda": str(lam), "abs_action": abs(val),
-                         "abs_action_minus_cross": abs(val - cross)})
-        return passed, {"identity": "saddle-lambda", "points": rows,
-                        "tolerance": tol, "verdict": "PASS" if passed else "FAIL"}
-    raise ValueError(f"unknown verification mode {mode!r}")
+
+def _verify_shuffle(B, sched, args, rng):
+    cuts = [args.cut] if args.cut else list(range(1, sched.length + 1))
+    reports = [verify_shuffle(B, sched, t, args.N, q0=args.q0) for t in cuts]
+    passed = all(r.passed for r in reports)
+    return passed, {"identity": "shuffle", "order": args.N, "cuts": cuts,
+                    "residual_terms": [r.to_json()["residual_terms"]
+                                       for r in reports]}
+
+
+def _verify_dual(B, sched, args, rng):
+    r1, r2 = verify_dual_pair(B, sched, args.N, q0=args.q0)
+    passed = r1.passed and r2.passed
+    return passed, {"identity": "dual", "order": args.N,
+                    "direct": r1.to_json(), "reversed": r2.to_json()}
+
+
+def _verify_saddle(B, sched, args, rng):
+    tol = args.tol if args.tol is not None else 1e-10
+    trials = args.trials or 50
+    worst = {"stationarity": 0.0, "action": 0.0, "cross_gap": 0.0,
+             "newton_step": 0.0}
+    for _ in range(trials):
+        u1 = rng.uniform(-2.0, 2.0, size=B.n)
+        st = build_solution(B, sched, u1)
+        rep = residuals(st, B, sched)
+        worst["stationarity"] = max(worst["stationarity"], rep.max_residual)
+        worst["action"] = max(worst["action"], abs(rep.action_value))
+        worst["cross_gap"] = max(worst["cross_gap"],
+                                 abs(rep.action_value - rep.cross_check_value))
+        worst["newton_step"] = max(worst["newton_step"],
+                                   newton_refine(st, B, sched))
+    passed = (worst["stationarity"] < tol
+              and worst["action"] < tol
+              and worst["cross_gap"] < 1e-12
+              and worst["newton_step"] < 1e-12)
+    return passed, {"identity": "saddle", "trials": trials,
+                    "max_residuals": worst, "tolerance": tol}
+
+
+def _verify_saddle_lambda(B, sched, args, rng):
+    tol = args.tol if args.tol is not None else 1e-6
+    if args.lam:
+        lams = [_parse_complex(args.lam)]
+    else:
+        ray = cmath.exp(1j * math.pi / 4)
+        lams = [1 + d * ray for d in (0.1, 0.05, 0.01)]
+    rows = []
+    passed = True
+    for lam in lams:
+        u1 = rng.uniform(-0.5, 0.5, size=B.n)
+        st = build_solution(B, sched, u1, mode="lambda", lam=lam)
+        val, cross = action(st, B, sched)
+        ok = abs(val) < tol and residuals(st, B, sched).max_residual < 1e-9
+        passed = passed and ok
+        rows.append({"lambda": str(lam), "abs_action": abs(val),
+                     "abs_action_minus_cross": abs(val - cross)})
+    return passed, {"identity": "saddle-lambda", "points": rows,
+                    "tolerance": tol}
+
+
+# the lambdas look the library function up per call, as a tracer may rebind it
+VERIFIERS = {
+    "classical": _verify_classical,
+    "quantum-tropical": lambda *a: _exact(verify_tropical_identity, *a),
+    "quantum-universal": lambda *a: _exact(verify_universal_identity, *a),
+    "shuffle": _verify_shuffle,
+    "dual": _verify_dual,
+    "saddle": _verify_saddle,
+    "saddle-lambda": _verify_saddle_lambda,
+}
+VERIFY_MODES = tuple(VERIFIERS)
 
 
 def cmd_verify(args):
     B, sched = _load_seed(args)
+    args.N = args.N or (8 if B.n <= 2 else 6)   # default truncation order
     rng = np.random.default_rng(args.rng_seed)
-    results = []
-    all_pass = True
-    for mode in args.modes:
-        passed, rep = _verify_one(mode, B, sched, args, rng)
-        all_pass = all_pass and passed
-        results.append(rep)
+    outcomes = [VERIFIERS[mode](B, sched, args, rng) for mode in args.modes]
+    for passed, rep in outcomes:    # the verdict is set here, once
+        rep["verdict"] = "PASS" if passed else "FAIL"
+    all_pass = all(passed for passed, _ in outcomes)
     report = {
         "command": "verify",
         "seed": seed_to_dict(B, sched),
         "rng_seed": args.rng_seed,
-        "results": results,
+        "results": [rep for _, rep in outcomes],
         "verdict": "PASS" if all_pass else "FAIL",
     }
     return EXIT_PASS if all_pass else EXIT_NUMERICAL, report
@@ -381,14 +387,7 @@ def main(argv=None) -> int:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if args.command == "mutate":
-            code, report = cmd_mutate(args)
-        elif args.command == "verify":
-            code, report = cmd_verify(args)
-        elif args.command == "search":
-            code, report = cmd_search(args)
-        else:
-            code, report = cmd_phib(args)
+        code, report = args.run(args)
     except NotAPeriod as exc:
         code = EXIT_NOT_A_PERIOD
         out = json.dumps({"error": "not a period", "detail": str(exc)})

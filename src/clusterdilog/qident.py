@@ -19,6 +19,7 @@ from . import ratfunc, torus
 from .errors import NonTruncating
 from .exchange import (ExchangeMatrix, MutationSchedule, _walk, mutate_matrix,
                        require_period, sign_sequence)
+from .search import MAX_EXPONENT
 from .torus import (TorusElement, invert, monomial, multiply, power,
                     psi_inverse_series, psi_series, unit)
 
@@ -60,6 +61,10 @@ def quantum_mutate(s: QuantumSeedSeries, k: int, epsilon: int = 1) -> QuantumSee
         raise ValueError("epsilon must be +1 or -1")
     kk = s.matrix.check_index(k)
     b = s.matrix.rows
+    c = max(b[kk], key=abs)
+    if abs(c) > MAX_EXPONENT:
+        raise ValueError(f"exchange exponent {c} in row {k} exceeds "
+                         f"{MAX_EXPONENT} in absolute value")
     Yk = s.Y[kk]
     Yk_inv = invert(Yk)
     Yk_eps = Yk if epsilon > 0 else Yk_inv

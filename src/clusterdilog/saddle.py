@@ -4,9 +4,16 @@ The phase attached to a mutation period is a function of position
 variables u(t) and momentum variables p(t) along the sequence; its
 stationary points reproduce the classical y-trajectory, and the phase
 value at the constructed stationary point is the signed Rogers sum of
-the period, hence zero.  This module builds that solution explicitly,
-checks every stationarity equation, evaluates the phase two ways, and
-exposes the induced integer coordinate maps of a single mutation.
+the period, hence zero.
+
+The stationarity system is written once, as four private rules: w(t) =
+B(t)^T u(t) (`_w`); the momentum map between p(t) and ptilde(t+1), an
+involution (`_momentum_map`); the closing row p(L) (`_closing_row`);
+and the equations from varying u(t) and p(t) (`_equations`, which takes
+exp and log as arguments).  `build_solution` solves the system in
+closed form, `residuals` evaluates it on scalars, `newton_refine` on
+batched numpy rows, and `coordinate_maps` is the momentum map and its
+transpose as integer matrices.
 
 Two modes: "b" works with real u(1) and the positive real trajectory;
 "lambda" deforms the exponent by a complex unit-like parameter with
@@ -26,7 +33,7 @@ import numpy as np
 from .dilog import li2, rogers_L, rogers_L_complex
 from .errors import BranchProximity
 from .exchange import (ExchangeMatrix, MutationSchedule, _exchange_values,
-                       _periodic_walk, _walk)
+                       _periodic_walk, _units, _walk)
 
 _GUARD = 1e-6
 
@@ -45,6 +52,60 @@ def matrices_along(B: ExchangeMatrix, sequence):
     """B(t) for t = 1..L+1 along a mutation sequence."""
     walk = _walk(B, MutationSchedule.identity_nu(sequence, B.n))
     return [ExchangeMatrix(rows) for rows in walk.rows]
+
+
+def _w(b, u):
+    """w = B^T u for the rows b of B."""
+    return [sum(b[j][i] * u[j] for j in range(len(u))) for i in range(len(u))]
+
+
+def _momentum_map(b, k, eps, v):
+    """v_k -> -v_k, v_i -> v_i + [eps b_ki]_+ v_k: the involution taking
+    ptilde(t+1) to p(t) and back."""
+    return [v[i] + max(eps * b[k][i], 0) * v[k] if i != k else -v[k]
+            for i in range(len(v))]
+
+
+def _closing_row(mats, sched: MutationSchedule, signs, w1):
+    """p(L), fixed by the closing constraint: ptilde(L+1) relabelled
+    through nu is ptilde(1) = w(1)."""
+    v = [None] * len(w1)
+    for i, j in enumerate(sched.nu):
+        v[j - 1] = w1[i]
+    L = sched.length
+    return _momentum_map(mats[L - 1], sched.sequence[L - 1] - 1,
+                         signs[L - 1], v)
+
+
+def _equations(mats, seq, signs, lam, us, ps, pts, exp, log, first=1):
+    """The stationarity system at (u, p, ptilde), with exp and log given;
+    exp takes p_k + w_k to the active y, e^(lam (p_k + w_k)).
+
+    Returns w(t), the active y^eps(t) and the residual rows per t: from
+    varying u(t) (t = first..L) and from varying p(t) (t = 1..L-1).
+    """
+    n, L = len(us[0]), len(us)
+    ws = [_w(mats[t], us[t]) for t in range(L)]
+    ya = []
+    for t in range(L):
+        y = exp(ps[t][seq[t] - 1] + ws[t][seq[t] - 1])
+        ya.append(y if signs[t] > 0 else 1.0 / y)
+    lgs = [log(1.0 + a) for a in ya]
+    u_eqs = []
+    for t in range(first - 1, L):
+        b, k = mats[t], seq[t] - 1
+        u_eqs.append([ps[t][i] - pts[t][i] + b[k][i] * lgs[t] / (2 * lam)
+                      for i in range(n)])
+    p_eqs = []
+    for t in range(L - 1):
+        b, k = mats[t], seq[t] - 1
+        rk = (us[t][k] + us[t + 1][k]
+              - sum(max(signs[t] * b[k][j], 0) * us[t + 1][j]
+                    for j in range(n))
+              - lgs[t] / (2 * lam))
+        p_eqs.append([us[t][i] - us[t + 1][i] if i != k else rk
+                      for i in range(n)])
+    return ws, ya, u_eqs, p_eqs
 
 
 @dataclass(frozen=True)
@@ -85,6 +146,8 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     mats, _, signs, _, _ = _periodic_walk(B, sched)
     n, L = B.n, sched.length
     seq = sched.sequence
+    if L == 0:
+        raise ValueError("the empty period has no phase to make stationary")
     if mode == "b":
         lam = 1.0
     elif mode == "lambda":
@@ -105,7 +168,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
         raise ValueError(f"u1 must have length {n}")
 
     # (i) w(1) and the y-trajectory
-    w1 = [sum(mats[0][j][i] * u1[j] for j in range(n)) for i in range(n)]
+    w1 = _w(mats[0], u1)
     y = [cmath.exp(2 * lam * w) if mode == "lambda" else math.exp(2 * w)
          for w in w1]
     ys = [list(y)]
@@ -128,9 +191,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
                   + _safe_log(1.0 + ya, mode) / (2 * lam))
         us.append(nxt)
 
-    # w(t) from u(t)
-    ws = [[sum(mats[t][j][i] * us[t][j] for j in range(n))
-           for i in range(n)] for t in range(L)]
+    ws = [w1] + [_w(mats[t], us[t]) for t in range(1, L)]
 
     # (iii) momenta: ptilde from half-logs of y, p by pulling back
     pts = [[_safe_log(ys[t][i], mode) / (2 * lam) for i in range(n)]
@@ -141,30 +202,8 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
             raise BranchProximity(
                 "half-logarithm of y(1) wrapped a branch; reduce |u1| or "
                 "Im lambda")
-    ps = [None] * L
-    for t in range(L - 1):
-        k = seq[t] - 1
-        b = mats[t]
-        eps = signs[t]
-        row = [None] * n
-        row[k] = -pts[t + 1][k]
-        for i in range(n):
-            if i != k:
-                row[i] = pts[t + 1][i] + max(eps * b[k][i], 0) * pts[t + 1][k]
-        ps[t] = row
-    # t = L closes through nu onto ptilde(1) = w(1)
-    k = seq[L - 1] - 1
-    b = mats[L - 1]
-    eps = signs[L - 1]
-    nu_inv = [0] * n
-    for i, v in enumerate(sched.nu):
-        nu_inv[v - 1] = i
-    row = [None] * n
-    row[k] = -w1[nu_inv[k]]
-    for j in range(n):
-        if j != k:
-            row[j] = w1[nu_inv[j]] + max(eps * b[k][j], 0) * w1[nu_inv[k]]
-    ps[L - 1] = row
+    ps = [_momentum_map(mats[t], seq[t] - 1, signs[t], pts[t + 1])
+          for t in range(L - 1)] + [_closing_row(mats, sched, signs, w1)]
 
     tup = lambda rows: tuple(tuple(r) for r in rows)
     state = SaddleState(mode, lam, tup(us), tup(ps), tup(pts), tup(ws),
@@ -210,21 +249,8 @@ def _c2j(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _state_wy(state: SaddleState, B: ExchangeMatrix, sched: MutationSchedule):
-    """w(t) recomputed from the state's u, and the active y from the
-    momentum-position exponential."""
-    n, L = B.n, sched.length
-    mats = _walk(B, sched).rows
-    lam = state.lam
-    ws = [[sum(mats[t][j][i] * state.u[t][j] for j in range(n))
-           for i in range(n)] for t in range(L)]
-    yact = []
-    for t in range(L):
-        k = sched.sequence[t] - 1
-        e = lam * (state.p[t][k] + ws[t][k])
-        yact.append(cmath.exp(e) if state.mode == "lambda" else math.exp(e.real
-                    if isinstance(e, complex) else e))
-    return mats, ws, yact
+def _max_abs(rows):
+    return max([0.0] + [abs(r) for row in rows for r in row])
 
 
 def residuals(state: SaddleState, B: ExchangeMatrix,
@@ -233,43 +259,19 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
     n, L = B.n, sched.length
     seq = sched.sequence
     lam = state.lam
-    mats, ws, yact = _state_wy(state, B, sched)
-
-    max_u = 0.0
-    for t in range(L):
-        k = seq[t] - 1
-        b = mats[t]
-        eps = state.signs[t]
-        ya = yact[t] if eps > 0 else 1.0 / yact[t]
-        lg = _safe_log(1.0 + ya, state.mode)
-        for i in range(n):
-            r = (state.p[t][i] - state.ptilde[t][i]
-                 + b[k][i] * lg / (2 * lam))
-            max_u = max(max_u, abs(r))
-
-    max_p = 0.0
-    for t in range(L - 1):
-        k = seq[t] - 1
-        b = mats[t]
-        eps = state.signs[t]
-        ya = yact[t] if eps > 0 else 1.0 / yact[t]
-        lg = _safe_log(1.0 + ya, state.mode)
-        for i in range(n):
-            if i == k:
-                r = (state.u[t][k] + state.u[t + 1][k]
-                     - sum(max(eps * b[k][j], 0) * state.u[t + 1][j]
-                           for j in range(n))
-                     - lg / (2 * lam))
-            else:
-                r = state.u[t][i] - state.u[t + 1][i]
-            max_p = max(max_p, abs(r))
+    mats = _walk(B, sched).rows
+    exp = cmath.exp if state.mode == "lambda" else math.exp
+    ws, yas, u_eqs, p_eqs = _equations(
+        mats, seq, state.signs, lam, state.u, state.p, state.ptilde,
+        lambda x: exp(lam * x), lambda z: _safe_log(z, state.mode))
+    max_u = _max_abs(u_eqs)
+    max_p = _max_abs(p_eqs)
 
     max_w = 0.0
     for t in range(L - 1):
         k = seq[t] - 1
         b = mats[t]
         eps = state.signs[t]
-        ya = yact[t] if eps > 0 else 1.0 / yact[t]
         for i in range(n):
             lhs = cmath.exp(lam * ws[t + 1][i])
             if i == k:
@@ -278,7 +280,7 @@ def residuals(state: SaddleState, B: ExchangeMatrix,
                 c = b[k][i]
                 rhs = (cmath.exp(lam * ws[t][i])
                        * cmath.exp(lam * ws[t][k]) ** max(eps * c, 0)
-                       * (1.0 + ya) ** (-c / 2.0))
+                       * (1.0 + yas[t]) ** (-c / 2.0))
             max_w = max(max_w, abs(lhs - rhs) / max(1.0, abs(rhs)))
 
     value, cross = action(state, B, sched)
@@ -342,61 +344,23 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     signs = state.signs
     u1 = state.u[0]
     w1 = state.w[0]
-    nu_inv = [0] * n
-    for i, v in enumerate(sched.nu):
-        nu_inv[v - 1] = i
-    # p(L) is fixed by the closing constraint ptilde(1) = w(1)
-    k = seq[L - 1] - 1
-    b = mats[L - 1]
-    pl = [w1[nu_inv[j]] + max(signs[L - 1] * b[k][j], 0) * w1[nu_inv[k]]
-          for j in range(n)]
-    pl[k] = -w1[nu_inv[k]]
+    pl = _closing_row(mats, sched, signs, w1)
 
-    def emap(f, row):
-        return np.array(list(map(f, row.tolist())))
+    def emap(f):
+        return lambda row: np.array(list(map(f, row.tolist())))
 
     def residual_rows(x):
         ps = [list(x[t * n:(t + 1) * n]) for t in range(L - 1)] + [pl]
         us = [list(u1)] + [list(x[(L - 1 + t) * n:(L + t) * n])
                            for t in range(L - 1)]
-        ws = [[sum(mats[t][j][i] * us[t][j] for j in range(n))
-               for i in range(n)] for t in range(L)]
-        # ptilde(t) for t >= 2 from the monomial map of p(t-1)
-        pts = [list(w1)]
-        for t in range(L - 1):
-            k = seq[t] - 1
-            b = mats[t]
-            eps = signs[t]
-            row = [0.0] * n
-            row[k] = -ps[t][k]
-            for i in range(n):
-                if i != k:
-                    row[i] = ps[t][i] + max(eps * b[k][i], 0) * ps[t][k]
-            pts.append(row)
-        yact = [emap(math.exp, ps[t][seq[t] - 1] + ws[t][seq[t] - 1])
-                for t in range(L)]
-        lgs = [emap(math.log, 1.0 + (yact[t] if signs[t] > 0
-                                     else 1.0 / yact[t]))
-               for t in range(L)]
-        out = []
-        for t in range(1, L):
-            k = seq[t] - 1
-            b = mats[t]
-            for i in range(n):
-                out.append(ps[t][i] - pts[t][i] + b[k][i] * lgs[t] / 2.0)
-        for t in range(L - 1):
-            k = seq[t] - 1
-            b = mats[t]
-            eps = signs[t]
-            for i in range(n):
-                if i == k:
-                    out.append(us[t][k] + us[t + 1][k]
-                               - sum(max(eps * b[k][j], 0) * us[t + 1][j]
-                                     for j in range(n))
-                               - lgs[t] / 2.0)
-                else:
-                    out.append(us[t][i] - us[t + 1][i])
-        return np.array(out)
+        # ptilde(t) for t >= 2 from the momentum map of p(t-1)
+        pts = [list(w1)] + [_momentum_map(mats[t], seq[t] - 1, signs[t], ps[t])
+                            for t in range(L - 1)]
+        # u(1) is not free, so the equations of varying it drop out
+        _, _, u_eqs, p_eqs = _equations(mats, seq, signs, 1.0, us, ps, pts,
+                                        emap(math.exp), emap(math.log),
+                                        first=2)
+        return np.array([r for rows in u_eqs + p_eqs for r in rows])
 
     x0 = np.array([state.p[t][i] for t in range(L - 1) for i in range(n)]
                   + [state.u[t][i] for t in range(1, L) for i in range(n)],
@@ -413,33 +377,32 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
 @dataclass(frozen=True)
 class TransformSpec:
     """Integer matrices of the coordinate maps induced by one mutation:
-    new = M @ old for each of u, p, w, D."""
+    new = M @ old for u and w.  The momenta p and the D-coordinates
+    transform as w does, so `p_map` and `d_map` are `w_map`."""
 
     u_map: np.ndarray
-    p_map: np.ndarray
     w_map: np.ndarray
-    d_map: np.ndarray
+
+    @property
+    def p_map(self) -> np.ndarray:
+        return self.w_map
+
+    @property
+    def d_map(self) -> np.ndarray:
+        return self.w_map
 
 
 def coordinate_maps(Bp: ExchangeMatrix, k: int, epsilon: int) -> TransformSpec:
     """The affine-integer transformations of the u, p, w, D coordinates
     under mutation at k with decomposition sign epsilon.
 
-    The u-map and the w-map are dual: u'^T M_u^T M_w w' = u'^T w'.
+    The w-map is the momentum map, an involution, and the u-map is its
+    transpose, so the two are dual: u'^T M_u^T M_w w' = u'^T w'.
     """
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     kk = Bp.check_index(k)
-    n = Bp.n
-    b = Bp.entries
-    u_map = np.eye(n, dtype=np.int64)
-    u_map[kk, kk] = -1
-    for j in range(n):
-        if j != kk:
-            u_map[kk, j] = max(-epsilon * int(b[j, kk]), 0)
-    cov = np.eye(n, dtype=np.int64)
-    cov[kk, kk] = -1
-    for i in range(n):
-        if i != kk:
-            cov[i, kk] = max(epsilon * int(b[kk, i]), 0)
-    return TransformSpec(u_map, cov.copy(), cov.copy(), cov.copy())
+    # row j of the u-map is the momentum map's image of e_j
+    u_map = np.array([_momentum_map(Bp.rows, kk, epsilon, e)
+                      for e in _units(Bp.n)], dtype=np.int64)
+    return TransformSpec(u_map, u_map.T.copy())

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert "_positive_int" not in err
+
+    @pytest.mark.parametrize("mode", ["quantum-universal", "shuffle"])
+    def test_wide_exponent_exit_4_at_once(self, tmp_path, mode):
+        """A quantum step builds |b_ki| torus factors: an exponent of 10^6
+        is refused at once instead of running on."""
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"n": 2, "B": [[0, 10**6], [-10**6, 0]],
+                                    "sequence": [1, 1], "nu": [1, 2]}))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "clusterdilog.cli", "verify", mode,
+             "--seed-file", str(path), "-N", "2"],
+            env=cli_env(), capture_output=True, text=True, timeout=2)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 4
+        assert "exceeds 64" in proc.stderr
 
     def test_numerical_failure_exit_3(self, capsys):
         code, rep = run_json(capsys, "verify", "classical", "--builtin", "A2",
@@ -426,3 +443,19 @@ class TestNumericArgumentFuzz:
                            f"--y={y}"]) in (0, 2, 3, 4)
         assert quiet_main(["verify", "classical", "--seed-file", path,
                            "--trials", "3"]) in (0, 2, 3, 4)
+        assert quiet_main(["verify", "saddle", "--seed-file", path,
+                           "--trials", "2"]) in (0, 2, 3, 4)
+        assert quiet_main(["verify", "saddle-lambda", "--seed-file",
+                           path]) in (0, 2, 3, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(doc=seed_docs())
+    def test_quantum_verify_seed_file(self, tmp_path_factory, doc):
+        path = write_seed(tmp_path_factory, doc)
+        assert quiet_main(["verify", "quantum-tropical", "quantum-universal",
+                           "shuffle", "dual", "--seed-file", path,
+                           "-N", "2"]) in (0, 2, 3, 4)
+        # the shuffle formula needs no period, so it also runs on the
+        # words that the period check above turns away
+        assert quiet_main(["verify", "shuffle", "--seed-file", path,
+                           "-N", "2"]) in (0, 2, 3, 4)

@@ -27,6 +27,7 @@ from clusterdilog.qident import (
     verify_tropical_identity,
     verify_universal_identity,
 )
+from clusterdilog.search import MAX_EXPONENT
 from clusterdilog.torus import (invert, monomial, multiply, psi_inverse_series,
                                 psi_series, unit)
 
@@ -55,6 +56,18 @@ def a2_elements(N):
 
 
 class TestQuantumMutate:
+    def test_exponent_bound(self):
+        """A step multiplies in |b_ki| torus factors one by one, so an
+        exponent beyond MAX_EXPONENT is refused before any work."""
+        c = MAX_EXPONENT
+        s = quantum_mutate(initial_quantum_seed(
+            ExchangeMatrix(np.array([[0, c], [-c, 0]])), 1), 1, +1)
+        assert s.matrix[1, 2] == -c
+        wide = ExchangeMatrix(np.array([[0, c + 1], [-c - 1, 0]]))
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="exceeds"):
+                quantum_mutate(initial_quantum_seed(wide, 1), k, -1)
+
     def test_a2_first_step(self):
         N = 6
         one, Y1, Y2 = a2_elements(N)

@@ -20,6 +20,7 @@ from clusterdilog.saddle import (
 
 A1, A1_SCHED = builtin_seed("A1")
 A2, A2_SCHED = builtin_seed("A2")
+A2P, A2P_SCHED = builtin_seed("A2-principal")
 
 LAMBDA_RAY = cmath.exp(1j * math.pi / 4)
 
@@ -52,6 +53,10 @@ class TestBuildSolution:
                 for i in range(2):
                     assert math.exp(2 * st.w[t][i]) == pytest.approx(
                         st.ys[t][i], rel=1e-10)
+
+    def test_rejects_empty_period(self):
+        with pytest.raises(ValueError, match="empty period"):
+            build_solution(A2, MutationSchedule.identity_nu((), 2), [0, 0])
 
     def test_rejects_non_period(self):
         with pytest.raises(NotAPeriod):
@@ -330,3 +335,48 @@ class TestCoordinateMaps:
         for i, v in enumerate(A2_SCHED.nu):
             perm[v - 1, i] = 1
         assert np.array_equal(total, perm)
+
+
+class TestMapsAreTheConstruction:
+    """The integer maps of coordinate_maps are the maps build_solution
+    applies: w_map(t) takes p(t) to ptilde(t+1), and u_map(t) takes u(t)
+    to u(t+1) up to the half-logarithm at k_t."""
+
+    @pytest.mark.parametrize("B, sched", [(A2P, A2P_SCHED), (A3, A3_SCHED)],
+                             ids=["A2-principal", "A3"])
+    def test_every_step(self, B, sched):
+        rng = np.random.default_rng(11)
+        mats = matrices_along(B, sched.sequence)
+        L = sched.length
+        for _ in range(5):
+            st = build_solution(B, sched, rng.uniform(-1.5, 1.5, size=B.n))
+            # ptilde(L+1) is w(1) relabelled through nu
+            closing = np.zeros(B.n)
+            closing[np.array(sched.nu) - 1] = st.w[0]
+            for t in range(L):
+                k = sched.sequence[t] - 1
+                spec = coordinate_maps(mats[t], k + 1, st.signs[t])
+                target = st.ptilde[t + 1] if t + 1 < L else closing
+                assert np.allclose(spec.w_map @ np.array(st.p[t]), target,
+                                   rtol=0, atol=1e-12), t
+                if t + 1 == L:
+                    continue
+                ya = st.yactive[t] if st.signs[t] > 0 else 1 / st.yactive[t]
+                half_log = np.zeros(B.n)
+                half_log[k] = math.log(1 + ya) / 2
+                assert np.allclose(np.array(st.u[t + 1])
+                                   - spec.u_map @ np.array(st.u[t]),
+                                   half_log, rtol=0, atol=1e-12), t
+
+    @pytest.mark.parametrize("B, sched", [(A2P, A2P_SCHED), (A3, A3_SCHED)],
+                             ids=["A2-principal", "A3"])
+    def test_lambda_mode_residuals(self, B, sched):
+        rng = np.random.default_rng(12)
+        u1 = rng.uniform(-0.5, 0.5, size=B.n)
+        for d in (0.1, 0.05, 0.01):
+            st = build_solution(B, sched, u1, mode="lambda", lam=lam_at(d))
+            rep = residuals(st, B, sched)
+            assert rep.max_residual < 1e-9
+            assert abs(rep.action_value) < 1e-6
+            assert abs(rep.action_value - rep.cross_check_value) < 1e-12
+
