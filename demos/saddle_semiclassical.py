@@ -64,6 +64,7 @@ print("\ninteger coordinate maps of the five mutation steps (u and w):")
 mats = matrices_along(B, sched.sequence)
 for t in range(5):
     spec = coordinate_maps(mats[t], sched.sequence[t], st.signs[t])
-    print(f"  t={t + 1}: u-map {spec.u_map.tolist()}, w-map {spec.w_map.tolist()},"
+    u_map, w_map = np.array(spec.u_map), np.array(spec.w_map)
+    print(f"  t={t + 1}: u-map {u_map.tolist()}, w-map {w_map.tolist()},"
           f" duality u^T w = I: "
-          f"{np.array_equal(spec.u_map.T @ spec.w_map, np.eye(2, dtype=int))}")
+          f"{np.array_equal(u_map.T @ w_map, np.eye(2, dtype=int))}")

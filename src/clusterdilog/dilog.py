@@ -212,7 +212,7 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
     """
     rows, _, signs, _, _ = _periodic_walk(B, sched)
     seq = sched.sequence
-    ys = [NumericSeed(B, y0).y.tolist()]
+    ys = [NumericSeed(B, y0).values]
     for t, k in enumerate(seq):
         ys.append(_exchange_values(ys[t], rows[t][k - 1], k - 1))
         if not all(v > 0.0 for v in ys[-1]):

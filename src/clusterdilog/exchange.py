@@ -8,72 +8,69 @@ internally.
 
 Each rule is written once.  `_step` mutates the rows of B(t) and the
 c-vectors in Python ints, so entries never wrap around; `_walk` runs it
-along a schedule, and `mutate_matrix` and `mutate_tropical` are one
-step each.  `ExchangeMatrix` and `TropicalState` hold int64 arrays, or
-exact Python ints once an entry outgrows int64.  `_exchange_values` is
-the exchange relation on Python floats (or complex numbers), saturating
-an overflowing power at inf; `mutate_y_numeric` and `numeric_trajectory`
-wrap it.
+along a schedule, and `mutate_matrix` and `mutate_tropical` are one step
+each.  `ExchangeMatrix`, `TropicalState` and `NumericSeed` hold Python
+ints or floats; their array views import numpy when read.
+`_exchange_values` is the exchange relation on Python floats (or complex
+numbers), saturating an overflowing power at inf; `mutate_y_numeric` and
+`numeric_trajectory` wrap it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import MixedSignCVector, NotAPeriod, ZeroCVector
 
 
-def _int_array(a) -> np.ndarray:
-    """a as a read-only int64 array, or as an array of exact Python ints
-    (object dtype) if some entry does not fit in int64; never wrapped."""
+def _int_rows(a, what: str, n=None) -> tuple:
+    """The square matrix a (nested sequence or array), of size n if given,
+    as rows of Python ints; raises ValueError(what) for any other shape."""
+    rows = tuple(tuple(map(int, r)) for r in a)
+    if not rows or {len(rows), *map(len, rows)} != {n or len(rows)}:
+        raise ValueError(what)
+    return rows
+
+
+def _frozen_array(values, dtype):
+    """values as a read-only numpy array, numpy imported here on first use;
+    ints beyond int64 stay exact Python ints (object dtype)."""
+    import numpy as np
     try:
-        out = np.asarray(a, dtype=np.int64)
+        out = np.array(values, dtype=dtype)
     except OverflowError:
-        out = np.array(a, dtype=object)
+        out = np.array(values, dtype=object)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """A skew-symmetric integer matrix B indexed by 1..n."""
+    """A skew-symmetric integer matrix B indexed by 1..n, as `rows` of ints."""
 
-    entries: np.ndarray
+    rows: tuple
 
     def __post_init__(self):
-        b = _int_array(self.entries)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError("exchange matrix must be square")
-        if not np.array_equal(b, -b.T):
+        rows = _int_rows(self.rows, "exchange matrix must be square")
+        if rows != tuple(tuple(-x for x in c) for c in zip(*rows)):
             raise ValueError("exchange matrix must be skew-symmetric")
-        object.__setattr__(self, "entries", b)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.rows)
+
+    @property
+    def entries(self):
+        """B as a read-only numpy array."""
+        return _frozen_array(self.rows, "int64")
 
     def __getitem__(self, ij):
         """1-based entry access: B[i, j] = b_{ij}."""
         i, j = ij
-        return int(self.entries[i - 1, j - 1])
-
-    @cached_property
-    def rows(self) -> tuple:
-        """The rows of B as tuples of Python ints, built on first use
-        for the pure-Python loops of the torus."""
-        return tuple(map(tuple, self.entries.tolist()))
-
-    def __eq__(self, other):
-        return other is self or (isinstance(other, ExchangeMatrix) and
-                                 np.array_equal(self.entries, other.entries))
-
-    def __hash__(self):
-        return hash(self.rows)
+        return self.rows[i - 1][j - 1]
 
     def check_index(self, k: int) -> int:
         """Validate a 1-based index and return its 0-based form."""
@@ -93,21 +90,26 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(_step(B.rows, _units(B.n), kk)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NumericSeed:
-    """A y-seed with strictly positive real y-variables."""
+    """A y-seed with strictly positive real y-variables `values`."""
 
     matrix: ExchangeMatrix
-    y: np.ndarray
+    values: tuple
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (self.matrix.n,):
+    def __init__(self, matrix: ExchangeMatrix, y):
+        values = tuple(map(float, y))
+        if len(values) != matrix.n:
             raise ValueError("y must have one entry per index")
-        if not np.all(y > 0.0):
+        if not all(v > 0.0 for v in values):
             raise ValueError("all y-variables must be strictly positive")
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def y(self):
+        """The y-variables as a read-only numpy array."""
+        return _frozen_array(self.values, float)
 
 
 def mutate_y_numeric(seed: NumericSeed, k: int) -> NumericSeed:
@@ -118,7 +120,7 @@ def mutate_y_numeric(seed: NumericSeed, k: int) -> NumericSeed:
     Positivity of the y-variables is preserved.
     """
     kk = seed.matrix.check_index(k)
-    y = _exchange_values(seed.y.tolist(), seed.matrix.rows[kk], kk)
+    y = _exchange_values(seed.values, seed.matrix.rows[kk], kk)
     return NumericSeed(mutate_matrix(seed.matrix, k), y)
 
 
@@ -138,25 +140,30 @@ def tropical_sign(c) -> int:
     raise MixedSignCVector(f"c-vector {c} has entries of both signs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TropicalState:
-    """Tropical y-variables: column t of `cvectors` is the exponent
-    vector of [y_t] in the initial y-variables."""
+    """Tropical y-variables: `columns[t]`, column t of the matrix
+    `cvectors`, is the exponent vector of [y_t] in the initial ones."""
 
     matrix: ExchangeMatrix
-    cvectors: np.ndarray
+    columns: tuple
 
-    def __post_init__(self):
-        c = _int_array(self.cvectors)
-        if c.shape != (self.matrix.n, self.matrix.n):
-            raise ValueError("cvectors must be an n x n integer matrix")
-        object.__setattr__(self, "cvectors", c)
+    def __init__(self, matrix: ExchangeMatrix, cvectors):
+        rows = _int_rows(cvectors, "cvectors must be an n x n integer matrix",
+                         matrix.n)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", tuple(zip(*rows)))
 
     @classmethod
     def initial(cls, B: ExchangeMatrix) -> "TropicalState":
-        return cls(B, np.eye(B.n, dtype=np.int64))
+        return cls(B, _units(B.n))
 
-    def cvector(self, i: int) -> np.ndarray:
+    @property
+    def cvectors(self):
+        """The c-vectors as the columns of a read-only numpy array."""
+        return _frozen_array(self.columns, "int64").T
+
+    def cvector(self, i: int):
         """The c-vector of y_i (1-based)."""
         return self.cvectors[:, self.matrix.check_index(i)].copy()
 
@@ -169,9 +176,8 @@ def mutate_tropical(state: TropicalState, k: int) -> TropicalState:
     active column.
     """
     kk = state.matrix.check_index(k)
-    cols = tuple(map(tuple, state.cvectors.T.tolist()))
-    rows, cols, _ = _step(state.matrix.rows, cols, kk)
-    return TropicalState(ExchangeMatrix(rows), _int_array(cols).T)
+    rows, cols, _ = _step(state.matrix.rows, state.columns, kk)
+    return TropicalState(ExchangeMatrix(rows), tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -350,11 +356,9 @@ def _power(x, c: int):
 def principal_extension(B: ExchangeMatrix) -> ExchangeMatrix:
     """The 2n x 2n principal extension: original block B, a -1 from each
     index to its primed copy, +1 back.  Always nondegenerate."""
-    n = B.n
-    eye = np.eye(n, dtype=np.int64)
-    top = np.hstack([B.entries, -eye])
-    bot = np.hstack([eye, np.zeros((n, n), dtype=np.int64)])
-    return ExchangeMatrix(np.vstack([top, bot]))
+    units = _units(B.n)
+    top = [r + tuple(-x for x in e) for r, e in zip(B.rows, units)]
+    return ExchangeMatrix(top + [e + (0,) * B.n for e in units])
 
 
 def extend_schedule(sched: MutationSchedule, n: int) -> MutationSchedule:
@@ -377,7 +381,5 @@ def numeric_trajectory(B: ExchangeMatrix, sequence, y0) -> list:
 def numeric_period_residual(B: ExchangeMatrix, sched: MutationSchedule, y0) -> float:
     """Max relative deviation of y_{nu(i)}(L+1) from y_i(1) at a given y0."""
     traj = numeric_trajectory(B, sched.sequence, y0)
-    y_end = traj[-1].y
-    y_start = traj[0].y
-    perm = [v - 1 for v in sched.nu]
-    return float(np.max(np.abs(y_end[perm] - y_start) / np.abs(y_start)))
+    start, end = traj[0].values, traj[-1].values
+    return max(abs(end[v - 1] - y) / abs(y) for v, y in zip(sched.nu, start))

@@ -78,7 +78,7 @@ def load_seed_file(path: str):
 def seed_to_dict(B: ExchangeMatrix, sched: MutationSchedule) -> dict:
     return {
         "n": B.n,
-        "B": B.entries.tolist(),
+        "B": [list(r) for r in B.rows],
         "sequence": list(sched.sequence),
         "nu": list(sched.nu),
     }

@@ -13,21 +13,27 @@ ratio of two compact quantum dilogarithm products: an independent check.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dilog import PI2_6, _bernoulli, li2, psiq_numeric
 from .errors import QuadratureFailure
 
-_GL16, _GL32 = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
 _MAX_PANELS = 4096
-# series coefficients in t^2 of t/sinh(t) and of sin(t)/t, through t^16
-_T = np.array([float((2 - 4**n) * _bernoulli(2 * n) / math.factorial(2 * n))
-               for n in range(9)])
-_SINC = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(9)])
-_ODD = 1.0 / np.arange(1, 17, 2)
+
+
+@functools.cache
+def _tables():
+    """numpy, the 16- and 32-point Gauss-Legendre rules and, for `_head`, the
+    coefficients in t^2 of t/sinh(t) and of sin(t)/t through t^16 with the
+    odd reciprocals; loaded on the first quadrature rather than at import."""
+    import numpy as np
+    t = np.array([float((2 - 4**n) * _bernoulli(2 * n) / math.factorial(2 * n))
+                  for n in range(9)])
+    sinc = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(9)])
+    gl16, gl32 = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
+    return np, gl16, gl32, t, sinc, 1.0 / np.arange(1, 17, 2)
 
 
 @dataclass(frozen=True)
@@ -68,16 +74,17 @@ def _panel_sum(f, edges, rule) -> complex:
     nodes, weights = rule
     left = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - left)
-    return complex(np.sum(half * weights * f(left + half * (nodes + 1.0))))
+    return complex((half * weights * f(left + half * (nodes + 1.0))).sum())
 
 
 def _head(z, b, r) -> complex:
     """Integral over [0, r] of sym(x) + 4iz/x^2 = -(4iz/x^2) (sinc(2zx)
     T(bx) T(x/b) - 1), T(t) = t/sinh(t), term by term in (x/r)^2."""
-    n = np.arange(len(_T))
-    series = np.convolve(_T * (b * r) ** (2 * n), _T * (r / b) ** (2 * n))
-    series = np.convolve(series[:len(_T)], _SINC * (2 * z * r) ** (2 * n))
-    return -4j * z / r * (series[1:len(_T)] @ _ODD)
+    np, _, _, t, sinc, odd = _tables()
+    n = np.arange(len(t))
+    series = np.convolve(t * (b * r) ** (2 * n), t * (r / b) ** (2 * n))
+    series = np.convolve(series[:len(t)], sinc * (2 * z * r) ** (2 * n))
+    return -4j * z / r * (series[1:len(t)] @ odd)
 
 
 def _log_phib_strip(z, p: PhibParams, tol: float):
@@ -115,9 +122,10 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     edges = [r]
     while edges[-1] < upper:
         edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
+    np, gl16, gl32 = _tables()[:3]
     edges = np.array(edges)
-    tails = _panel_sum(sym, edges, _GL32)
-    achieved = abs(tails - _panel_sum(sym, edges, _GL16))
+    tails = _panel_sum(sym, edges, gl32)
+    achieved = abs(tails - _panel_sum(sym, edges, gl16))
     if not achieved <= 100 * tol:
         raise QuadratureFailure(
             f"tail quadrature error {achieved:.2e} above budget", achieved)

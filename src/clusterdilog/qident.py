@@ -288,7 +288,7 @@ def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
     ss = sign_sequence(B, sched)
     P1 = _tropical_product(B, ss, N, ring, range(sched.length))
     dev1 = torus.deviation_from(P1, unit(B, N, ring))
-    Bop = ExchangeMatrix(-B.entries)
+    Bop = ExchangeMatrix([[-x for x in r] for r in B.rows])
     P2 = _tropical_product(Bop, ss, N, ring, reversed(range(sched.length)))
     dev2 = torus.deviation_from(P2, unit(Bop, N, ring))
     return (Residual("dual-q", N, tuple(dev1), _mode(ring)),

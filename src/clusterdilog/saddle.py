@@ -12,8 +12,8 @@ involution (`_momentum_map`); the closing row p(L) (`_closing_row`);
 and the equations from varying u(t) and p(t) (`_equations`, which takes
 exp and log as arguments).  `build_solution` solves the system in
 closed form, `residuals` evaluates it on scalars, `newton_refine` on
-batched numpy rows, and `coordinate_maps` is the momentum map and its
-transpose as integer matrices.
+batched numpy rows (numpy imported there only), and `coordinate_maps`
+is the momentum map and its transpose as integer matrices.
 
 Two modes: "b" works with real u(1) and the positive real trajectory;
 "lambda" deforms the exponent by a complex unit-like parameter with
@@ -27,8 +27,6 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dilog import li2, rogers_L, rogers_L_complex
 from .errors import BranchProximity
@@ -163,7 +161,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    u1 = [float(x) for x in np.asarray(u1, dtype=float)]
+    u1 = [float(x) for x in u1]
     if len(u1) != n:
         raise ValueError(f"u1 must have length {n}")
 
@@ -338,6 +336,7 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     """
     if state.mode != "b":
         raise ValueError("refinement is defined for the real mode")
+    import numpy as np
     n, L = B.n, sched.length
     seq = sched.sequence
     mats = _walk(B, sched).rows
@@ -376,19 +375,19 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Integer matrices of the coordinate maps induced by one mutation:
-    new = M @ old for u and w.  The momenta p and the D-coordinates
-    transform as w does, so `p_map` and `d_map` are `w_map`."""
+    """Integer matrices of the coordinate maps induced by one mutation, as
+    rows of Python ints: new = M @ old for u and w.  The momenta p and the
+    D-coordinates transform as w does, so `p_map` and `d_map` are `w_map`."""
 
-    u_map: np.ndarray
-    w_map: np.ndarray
+    u_map: tuple
+    w_map: tuple
 
     @property
-    def p_map(self) -> np.ndarray:
+    def p_map(self) -> tuple:
         return self.w_map
 
     @property
-    def d_map(self) -> np.ndarray:
+    def d_map(self) -> tuple:
         return self.w_map
 
 
@@ -403,6 +402,6 @@ def coordinate_maps(Bp: ExchangeMatrix, k: int, epsilon: int) -> TransformSpec:
         raise ValueError("epsilon must be +1 or -1")
     kk = Bp.check_index(k)
     # row j of the u-map is the momentum map's image of e_j
-    u_map = np.array([_momentum_map(Bp.rows, kk, epsilon, e)
-                      for e in _units(Bp.n)], dtype=np.int64)
-    return TransformSpec(u_map, u_map.T.copy())
+    u_map = tuple(tuple(_momentum_map(Bp.rows, kk, epsilon, e))
+                  for e in _units(Bp.n))
+    return TransformSpec(u_map, tuple(zip(*u_map)))

@@ -239,6 +239,44 @@ class TestClosedStdout:
         assert proc.returncode in (0, 2, 3, 4)
 
 
+NON_PERIOD = {"n": 3, "B": [[0, -1, 0], [1, 0, -1], [0, 1, 0]],
+              "sequence": [1, 2, 3, 1], "nu": [1, 2, 3]}
+
+
+class TestColdStart:
+    """A launch imports numpy only for Phi_b quadrature, the Newton check
+    and the seeded trial points; exact and combinatorial commands, and the
+    early exits, never load it."""
+
+    @pytest.mark.parametrize("argv, code, numpy", [
+        (["mutate", "--builtin", "A2"], 0, False),
+        (["search", "--builtin", "A2", "--depth", "5"], 0, False),
+        (["verify", "quantum-tropical", "dual", "--builtin", "A2", "-N", "4"],
+         0, False),
+        (["verify", "quantum-universal", "shuffle", "--builtin",
+          "A2-principal", "-N", "3"], 0, False),
+        (["verify", "quantum-universal", "--builtin", "A2", "-N", "12",
+          "--q0", "3/8"], 0, False),
+        (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False),
+        (["mutate", "--builtin", "A7"], 4, False),
+        (["phib", "--check", "value"], 0, True),
+        (["verify", "saddle", "--builtin", "A2"], 0, True),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_numpy_is_imported_only_when_needed(self, tmp_path, argv, code,
+                                                numpy):
+        seed = tmp_path / "non-period.json"
+        seed.write_text(json.dumps(NON_PERIOD))
+        argv = [str(seed) if a == "NON_PERIOD" else a for a in argv]
+        script = ("import sys\n"
+                  "from clusterdilog.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=cli_env())
+        assert proc.stderr.splitlines()[-1] == f"{code} {numpy}"
+
+
 class TestPhibCommand:
     def test_value_modulus_one(self, capsys):
         code, rep = run_json(capsys, "phib", "--b", "1.0", "--z", "0.3")

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clusterdilog import qident, ratfunc, torus
 from clusterdilog.errors import NonTruncating, NotAPeriod
 from clusterdilog.exchange import (
     ExchangeMatrix,
     MutationSchedule,
+    _walk,
     extend_schedule,
     mutate_y_numeric,
     numeric_trajectory,
@@ -146,7 +147,40 @@ class TestQuantumMutate:
             assert seed_commutation_residual(s) == []
 
 
+@st.composite
+def word_cases(draw):
+    """A random skew-symmetric B of rank <= 4 with entries in [-2, 2], a
+    word of length 1..6 with no immediate repeats, mostly not a period,
+    and a truncation order N <= 4.  Words whose B(t) outgrows the
+    exchange-exponent bound of quantum_mutate are discarded."""
+    n = draw(st.integers(1, 4))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i][j] = draw(st.integers(-2, 2))
+            b[j][i] = -b[i][j]
+    word = []
+    for _ in range(draw(st.integers(1, 6 if n > 1 else 1))):
+        word.append(draw(st.sampled_from(
+            [k for k in range(1, n + 1) if not word or k != word[-1]])))
+    B, sched = ExchangeMatrix(b), MutationSchedule.identity_nu(word, n)
+    assume(all(abs(x) <= MAX_EXPONENT
+               for rows in _walk(B, sched).rows for r in rows for x in r))
+    return B, sched, draw(st.integers(1, 4))
+
+
 class TestQ1Degeneration:
+    @settings(max_examples=100, deadline=None)
+    @given(case=word_cases())
+    def test_generated_words_match_commutative_shadow(self, case):
+        B, sched, N = case
+        seeds, _, _ = quantum_trajectory(B, sched.sequence, N)
+        shadow = classical_series_trajectory(B, sched.sequence, N)
+        for t in range(len(seeds)):
+            assert seeds[t].matrix == shadow[t][0]
+            for i in range(B.n):
+                assert degenerate_q1(seeds[t].Y[i]) == degenerate_q1(shadow[t][1][i])
+
     def test_exact_series_match_with_commutative_shadow(self):
         N = 8
         seeds, _, _ = quantum_trajectory(A2, A2_SCHED.sequence, N)
@@ -357,6 +391,13 @@ class TestShuffle:
     def test_cut_out_of_range(self):
         with pytest.raises(ValueError):
             verify_shuffle(A2, A2_SCHED, 6, 6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=word_cases())
+    def test_generated_words_every_cut(self, case):
+        B, sched, N = case
+        for t in range(1, sched.length + 1):
+            assert verify_shuffle(B, sched, t, N).passed, t
 
     def test_random_nonperiodic_rank3(self):
         B3 = ExchangeMatrix(np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]]))

@@ -307,6 +307,12 @@ class TestCoordinateMaps:
         assert np.array_equal(spec.u_map, expect)
         assert np.array_equal(spec.w_map, expect)
 
+    def test_entries_beyond_int64(self):
+        B = ExchangeMatrix([[0, 10**20], [-10**20, 0]])
+        spec = coordinate_maps(B, 1, 1)
+        assert spec.u_map == ((-1, 10**20), (0, 1))
+        assert spec.w_map == ((-1, 0), (10**20, 1))
+
     def test_duality_invariant(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -316,7 +322,7 @@ class TestCoordinateMaps:
             k = int(rng.integers(1, n + 1))
             for eps in (1, -1):
                 spec = coordinate_maps(B, k, eps)
-                assert np.array_equal(spec.u_map.T @ spec.w_map,
+                assert np.array_equal(np.array(spec.u_map).T @ spec.w_map,
                                       np.eye(n, dtype=int))
                 u = rng.uniform(-3, 3, size=n)
                 w = rng.uniform(-3, 3, size=n)
