@@ -26,17 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .dilog import psiq_asymptotics, verify_classical_identity
 from .errors import ClusterDilogError, NotAPeriod
-from .exchange import numeric_trajectory, require_period
-from .fixtures import builtin_seed, load_seed_file, seed_to_dict
-from .phib import (PhibParams, check_duality, check_phib_asymptotics, phib,
-                   phipsi_residual, recurrence_residual, unitarity_residual)
-from .qident import (verify_dual_pair, verify_shuffle,
-                     verify_tropical_identity, verify_universal_identity)
-from .ratfunc import RationalPointField
-from .saddle import action, build_solution, newton_refine, residuals
-from .search import search_periods
 
 EXIT_PASS = 0
 EXIT_NOT_A_PERIOD = 2
@@ -63,6 +53,7 @@ def _positive_int(text):
 
 
 def _rational_point(text):
+    from .ratfunc import RationalPointField
     try:
         return RationalPointField(text).q0
     except ZeroDivisionError as exc:
@@ -128,6 +119,7 @@ def _parse_complex(text):
 
 
 def _load_seed(args):
+    from .fixtures import builtin_seed, load_seed_file
     if getattr(args, "builtin", None):
         return builtin_seed(args.builtin)
     if getattr(args, "seed_file", None):
@@ -180,6 +172,8 @@ def _render_csv(report):
 
 
 def cmd_mutate(args):
+    from .exchange import numeric_trajectory
+    from .fixtures import seed_to_dict
     B, sched = _load_seed(args)
     y0 = [float(v) for v in args.y.split(",")] if args.y else [1.0] * B.n
     if len(y0) != B.n:
@@ -206,8 +200,10 @@ def _verify_classical(B, sched, args, rng):
     tol = args.tol if args.tol is not None else 1e-10
     trials = args.trials or 100
     worst = {"signed": 0.0, "di": 0.0, "di_prime": 0.0}
-    require_period(B, sched)    # a non-period exits 2 before numpy loads
+    from .exchange import require_period
+    require_period(B, sched)    # a non-period exits 2 before these load
     import numpy as np
+    from .dilog import verify_classical_identity
     for _ in range(trials):
         y0 = np.exp(rng().uniform(np.log(1e-3), np.log(1e3), size=B.n))
         rep = verify_classical_identity(B, sched, y0)
@@ -220,12 +216,14 @@ def _verify_classical(B, sched, args, rng):
                     "max_residuals": worst, "tolerance": tol}
 
 
-def _exact(verify, B, sched, args, rng):
-    rep = verify(B, sched, args.N, q0=args.q0)
+def _exact(name, B, sched, args, rng):
+    from . import qident
+    rep = getattr(qident, name)(B, sched, args.N, q0=args.q0)
     return rep.passed, rep.to_json()
 
 
 def _verify_shuffle(B, sched, args, rng):
+    from .qident import verify_shuffle
     cuts = [args.cut] if args.cut else list(range(1, sched.length + 1))
     reports = [verify_shuffle(B, sched, t, args.N, q0=args.q0) for t in cuts]
     passed = all(r.passed for r in reports)
@@ -235,6 +233,7 @@ def _verify_shuffle(B, sched, args, rng):
 
 
 def _verify_dual(B, sched, args, rng):
+    from .qident import verify_dual_pair
     r1, r2 = verify_dual_pair(B, sched, args.N, q0=args.q0)
     passed = r1.passed and r2.passed
     return passed, {"identity": "dual", "order": args.N,
@@ -242,6 +241,7 @@ def _verify_dual(B, sched, args, rng):
 
 
 def _verify_saddle(B, sched, args, rng):
+    from .saddle import build_solution, newton_refine, residuals
     tol = args.tol if args.tol is not None else 1e-10
     trials = args.trials or 50
     worst = {"stationarity": 0.0, "action": 0.0, "cross_gap": 0.0,
@@ -265,6 +265,7 @@ def _verify_saddle(B, sched, args, rng):
 
 
 def _verify_saddle_lambda(B, sched, args, rng):
+    from .saddle import action, build_solution, residuals
     tol = args.tol if args.tol is not None else 1e-6
     if args.lam:
         lams = [_parse_complex(args.lam)]
@@ -285,11 +286,10 @@ def _verify_saddle_lambda(B, sched, args, rng):
                     "tolerance": tol}
 
 
-# the lambdas look the library function up per call, as a tracer may rebind it
 VERIFIERS = {
     "classical": _verify_classical,
-    "quantum-tropical": lambda *a: _exact(verify_tropical_identity, *a),
-    "quantum-universal": lambda *a: _exact(verify_universal_identity, *a),
+    "quantum-tropical": lambda *a: _exact("verify_tropical_identity", *a),
+    "quantum-universal": lambda *a: _exact("verify_universal_identity", *a),
     "shuffle": _verify_shuffle,
     "dual": _verify_dual,
     "saddle": _verify_saddle,
@@ -299,6 +299,7 @@ VERIFY_MODES = tuple(VERIFIERS)
 
 
 def cmd_verify(args):
+    from .fixtures import seed_to_dict
     B, sched = _load_seed(args)
     args.N = args.N or (8 if B.n <= 2 else 6)   # default truncation order
     @functools.cache
@@ -320,6 +321,7 @@ def cmd_verify(args):
 
 
 def cmd_search(args):
+    from .search import search_periods
     B, _ = _load_seed(args)
     found = search_periods(B, args.depth)
     report = {
@@ -334,6 +336,9 @@ def cmd_search(args):
 
 
 def cmd_phib(args):
+    from . import (PhibParams, check_duality, check_phib_asymptotics, phib,
+                   phipsi_residual, psiq_asymptotics, recurrence_residual,
+                   unitarity_residual)
     points = [-0.4 + 0.2 * i for i in range(5)]  # linspace's, bit for bit
     b = _parse_complex(args.b)
     z = _parse_complex(args.z)
@@ -396,12 +401,12 @@ def main(argv=None) -> int:
     except NotAPeriod as exc:
         code = EXIT_NOT_A_PERIOD
         out = json.dumps({"error": "not a period", "detail": str(exc)})
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ClusterDilogError, ArithmeticError) as exc:  # overflow included
         code = EXIT_NUMERICAL
         out = json.dumps({"error": type(exc).__name__, "detail": str(exc)})
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     else:
         out = _render(report, getattr(args, "format", "json"))
     try:

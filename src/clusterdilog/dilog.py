@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import BranchProximity, PoleHit
 from .exchange import (ExchangeMatrix, MutationSchedule, NumericSeed,
-                       _exchange_values, _periodic_walk)
+                       _exchange_values, _periodic_walk, _positive)
 
 PI2_6 = math.pi**2 / 6
 
@@ -208,15 +208,15 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
 
     One integer walk gives B(t) and the tropical signs; the exchange
     relation of `mutate_y_numeric` then runs on Python floats, rejecting
-    y0 and every later y as `NumericSeed` does.
+    y0 as `NumericSeed` does and every later y as `numeric_trajectory`
+    does (OutOfRange).
     """
     rows, _, signs, _, _ = _periodic_walk(B, sched)
     seq = sched.sequence
     ys = [NumericSeed(B, y0).values]
     for t, k in enumerate(seq):
-        ys.append(_exchange_values(ys[t], rows[t][k - 1], k - 1))
-        if not all(v > 0.0 for v in ys[-1]):
-            raise ValueError("all y-variables must be strictly positive")
+        ys.append(_positive(_exchange_values(ys[t], rows[t][k - 1], k - 1),
+                            t + 2))
     terms = []
     s_signed = 0.0
     s_di = 0.0

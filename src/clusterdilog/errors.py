@@ -22,6 +22,13 @@ class NotAPeriod(ClusterDilogError):
     """The mutation schedule is not a nu-period of the given matrix."""
 
 
+class OutOfRange(ClusterDilogError, ValueError):
+    """A y-variable along a trajectory is no longer strictly positive, or
+    exp overflowed building y(1): floats under- or overflowed.  Unlike a
+    bad initial y this is a numerical failure; it is a ValueError too, so
+    callers catching one for a non-positive y still do."""
+
+
 class IncompatibleContexts(ClusterDilogError):
     """Operands belong to quantum tori with different matrices or
     truncation orders."""

@@ -12,8 +12,8 @@ along a schedule, and `mutate_matrix` and `mutate_tropical` are one step
 each.  `ExchangeMatrix`, `TropicalState` and `NumericSeed` hold Python
 ints or floats; their array views import numpy when read.
 `_exchange_values` is the exchange relation on Python floats (or complex
-numbers), saturating an overflowing power at inf; `mutate_y_numeric` and
-`numeric_trajectory` wrap it.
+numbers), saturating an overflowing power at inf; `numeric_trajectory`
+wraps it, and `mutate_y_numeric` is its one-step case.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MixedSignCVector, NotAPeriod, ZeroCVector
+from .errors import MixedSignCVector, NotAPeriod, OutOfRange, ZeroCVector
 
 
 def _int_rows(a, what: str, n=None) -> tuple:
@@ -117,11 +117,10 @@ def mutate_y_numeric(seed: NumericSeed, k: int) -> NumericSeed:
 
     y''_k = 1/y'_k and, for i != k,
     y''_i = y'_i * y'_k^{[b_ki]_+} * (1 + y'_k)^{-b_ki}.
-    Positivity of the y-variables is preserved.
+    Positivity of the y-variables is preserved, up to float under- and
+    overflow (`OutOfRange`).
     """
-    kk = seed.matrix.check_index(k)
-    y = _exchange_values(seed.values, seed.matrix.rows[kk], kk)
-    return NumericSeed(mutate_matrix(seed.matrix, k), y)
+    return numeric_trajectory(seed.matrix, (k,), seed.values)[-1]
 
 
 def tropical_sign(c) -> int:
@@ -343,6 +342,16 @@ def _exchange_values(y, row, kk):
     return out
 
 
+def _positive(y, t):
+    """y = y(t), unless one of its values is not strictly positive: a
+    float under- or overflow on the way, raised as OutOfRange."""
+    for i, v in enumerate(y, 1):
+        if not v > 0.0:
+            raise OutOfRange(f"t = {t}, index {i}: y = {v} is not strictly "
+                             "positive (a float under- or overflow)")
+    return y
+
+
 def _power(x, c: int):
     """x ** c, saturating at inf where Python's power raises OverflowError
     (numpy's power gives inf too); the positivity check downstream then
@@ -369,11 +378,15 @@ def extend_schedule(sched: MutationSchedule, n: int) -> MutationSchedule:
 
 
 def numeric_trajectory(B: ExchangeMatrix, sequence, y0) -> list:
-    """Seeds (B(t), y(t)) for t = 1..L+1 along a mutation sequence."""
+    """Seeds (B(t), y(t)) for t = 1..L+1 along a mutation sequence.  A y0
+    that is not strictly positive is a ValueError; a later y that is not
+    raises OutOfRange naming t and the index."""
     seed = NumericSeed(B, y0)
     out = [seed]
-    for k in sequence:
-        seed = mutate_y_numeric(seed, k)
+    for t, k in enumerate(sequence, 2):
+        kk = seed.matrix.check_index(k)
+        y = _exchange_values(seed.values, seed.matrix.rows[kk], kk)
+        seed = NumericSeed(mutate_matrix(seed.matrix, k), _positive(y, t))
         out.append(seed)
     return out
 

@@ -535,6 +535,18 @@ class ExactField:
 EXACT = ExactField()
 
 
+_q0_powers = {}
+
+
+def _q0_power(q0, j):
+    """Fraction(q0) ** j, cached: the pair products of one check ask for
+    the same few powers thousands of times."""
+    p = _q0_powers.get((q0, j))
+    if p is None:
+        p = _q0_powers[q0, j] = Fraction(q0) ** j
+    return p
+
+
 class RationalQ:
     """Coefficient in Q obtained by fixing q at an exact rational point.
 
@@ -545,12 +557,12 @@ class RationalQ:
     __slots__ = ("value", "q0")
 
     def __init__(self, value, q0):
-        self.value = Fraction(value)
+        self.value = value if type(value) is Fraction else Fraction(value)
         self.q0 = q0
 
     def _lift(self, other):
         if isinstance(other, RationalQ):
-            if other.q0 != self.q0:
+            if other.q0 is not self.q0 and other.q0 != self.q0:
                 raise ValueError("mixed rational evaluation points")
             return other.value
         raise TypeError(f"cannot combine RationalQ with {type(other).__name__}")
@@ -568,11 +580,11 @@ class RationalQ:
         return RationalQ(-self.value, self.q0)
 
     def mul_q_power(self, j):
-        return RationalQ(self.value * Fraction(self.q0) ** j, self.q0)
+        return RationalQ(self.value * _q0_power(self.q0, j), self.q0)
 
     def mul_shifted(self, other, j):
         """self * other * q0^j."""
-        return RationalQ(self.value * self._lift(other) * Fraction(self.q0) ** j,
+        return RationalQ(self.value * self._lift(other) * _q0_power(self.q0, j),
                          self.q0)
 
     def scale_int(self, c):
@@ -585,7 +597,7 @@ class RationalQ:
         return RationalQ(self.value / self._lift(other), self.q0)
 
     def is_zero(self):
-        return self.value == 0
+        return not self.value
 
     def is_one(self):
         return self.value == 1
@@ -628,7 +640,7 @@ class RationalPointField:
         return RationalQ(c, self.q0)
 
     def q_power(self, j):
-        return RationalQ(Fraction(self.q0) ** j, self.q0)
+        return RationalQ(_q0_power(self.q0, j), self.q0)
 
     def sum(self, coefs):
         return RationalQ(sum((c.value for c in coefs), Fraction(0)), self.q0)

@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass
 
 from .dilog import li2, rogers_L, rogers_L_complex
-from .errors import BranchProximity
+from .errors import BranchProximity, OutOfRange
 from .exchange import (ExchangeMatrix, MutationSchedule, _exchange_values,
-                       _periodic_walk, _units, _walk)
+                       _periodic_walk, _positive, _units, _walk)
 
 _GUARD = 1e-6
 
@@ -167,11 +167,19 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
 
     # (i) w(1) and the y-trajectory
     w1 = _w(mats[0], u1)
-    y = [cmath.exp(2 * lam * w) if mode == "lambda" else math.exp(2 * w)
-         for w in w1]
-    ys = [list(y)]
+    y = []
+    for i, w in enumerate(w1, 1):
+        try:
+            y.append(cmath.exp(2 * lam * w) if mode == "lambda"
+                     else math.exp(2 * w))
+        except OverflowError:
+            raise OutOfRange(f"t = 1, index {i}: y = exp({2 * w}) "
+                             "overflows") from None
+    ys = [y]
     for t in range(L):
-        ys.append(_exchange_values(ys[-1], mats[t][seq[t] - 1], seq[t] - 1))
+        if mode == "b":     # before 1 / y_k and the logarithms of y(t)
+            _positive(ys[t], t + 1)
+        ys.append(_exchange_values(ys[t], mats[t][seq[t] - 1], seq[t] - 1))
     yactive = [ys[t][seq[t] - 1] for t in range(L)]
 
     # (ii) u(t) by the half-logarithmic exchange rule

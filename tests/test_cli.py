@@ -64,14 +64,18 @@ class TestMutate:
         assert code == 0 and "**command**: mutate" in out
 
     def test_overflowing_y_prints_only_the_error(self):
-        """y = 1e300 overflows to inf and then NaN along the period: the
-        run exits 4 with its one error line and no numpy warnings."""
+        """y = 1e300 is valid input that overflows to inf and then 0 along
+        the period: a numerical failure (exit 3) with its one JSON error
+        naming t and the index, and no numpy warnings."""
         proc = subprocess.run(
             [sys.executable, "-W", "default", "-m", "clusterdilog.cli",
              "mutate", "--builtin", "A2", "--y", "1e300,1e300"],
             capture_output=True, text=True, timeout=60, env=cli_env())
-        assert proc.returncode == 4
-        assert proc.stderr == "error: all y-variables must be strictly positive\n"
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == {
+            "error": "OutOfRange", "detail": "t = 3, index 2: y = 0.0 is not "
+            "strictly positive (a float under- or overflow)"}
 
 
 class TestVerify:
@@ -243,38 +247,82 @@ NON_PERIOD = {"n": 3, "B": [[0, -1, 0], [1, 0, -1], [0, 1, 0]],
               "sequence": [1, 2, 3, 1], "nu": [1, 2, 3]}
 
 
+EXACT = {"ratfunc", "torus", "qident"}
+NUMERIC = {"dilog", "phib", "saddle"}
+# argv, exit code, whether numpy loads, clusterdilog modules that must not
+COLD_LAUNCHES = [
+    (["mutate", "--builtin", "A2"], 0, False, EXACT | NUMERIC),
+    (["search", "--builtin", "A2", "--depth", "5"], 0, False, EXACT | NUMERIC),
+    (["verify", "quantum-tropical", "dual", "--builtin", "A2", "-N", "4"],
+     0, False, NUMERIC),
+    (["verify", "quantum-universal", "shuffle", "--builtin",
+      "A2-principal", "-N", "3"], 0, False, NUMERIC),
+    (["verify", "quantum-universal", "--builtin", "A2", "-N", "12",
+      "--q0", "3/8"], 0, False, NUMERIC),
+    (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False,
+     EXACT | NUMERIC),
+    (["mutate", "--builtin", "A7"], 4, False, EXACT | NUMERIC),
+    (["phib", "--check", "value"], 0, True, EXACT | {"saddle"}),
+    (["verify", "saddle", "--builtin", "A2"], 0, True, EXACT | {"phib"}),
+]
+
+
 class TestColdStart:
     """A launch imports numpy only for Phi_b quadrature, the Newton check
     and the seeded trial points; exact and combinatorial commands, and the
-    early exits, never load it."""
+    early exits, never load it.  Each command loads only the modules it
+    runs."""
 
-    @pytest.mark.parametrize("argv, code, numpy", [
-        (["mutate", "--builtin", "A2"], 0, False),
-        (["search", "--builtin", "A2", "--depth", "5"], 0, False),
-        (["verify", "quantum-tropical", "dual", "--builtin", "A2", "-N", "4"],
-         0, False),
-        (["verify", "quantum-universal", "shuffle", "--builtin",
-          "A2-principal", "-N", "3"], 0, False),
-        (["verify", "quantum-universal", "--builtin", "A2", "-N", "12",
-          "--q0", "3/8"], 0, False),
-        (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False),
-        (["mutate", "--builtin", "A7"], 4, False),
-        (["phib", "--check", "value"], 0, True),
-        (["verify", "saddle", "--builtin", "A2"], 0, True),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    @pytest.mark.parametrize(
+        "argv, code, numpy, unloaded", COLD_LAUNCHES,
+        ids=[f"{' '.join(a)}-{c}-{n}" for a, c, n, _ in COLD_LAUNCHES])
     def test_numpy_is_imported_only_when_needed(self, tmp_path, argv, code,
-                                                numpy):
+                                                numpy, unloaded):
         seed = tmp_path / "non-period.json"
         seed.write_text(json.dumps(NON_PERIOD))
         argv = [str(seed) if a == "NON_PERIOD" else a for a in argv]
         script = ("import sys\n"
                   "from clusterdilog.cli import main\n"
                   "code = main(sys.argv[1:])\n"
-                  "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+                  "mods = [m[13:] for m in sys.modules\n"
+                  "        if m.startswith('clusterdilog.')]\n"
+                  "print(code, 'numpy' in sys.modules, *mods, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True, timeout=60,
                               env=cli_env())
-        assert proc.stderr.splitlines()[-1] == f"{code} {numpy}"
+        got_code, got_numpy, *loaded = proc.stderr.splitlines()[-1].split()
+        assert (got_code, got_numpy) == (str(code), str(numpy))
+        assert unloaded.isdisjoint(loaded), sorted(loaded)
+
+
+WIDE = {"n": 2, "B": [[0, 10**20], [-10**20, 0]], "sequence": [1, 1],
+        "nu": [1, 2]}
+
+
+class TestWideExchangeEntries:
+    """Exchange entries of 10**20 under- and overflow the floats along the
+    period.  That is a numerical failure (exit 3) naming t and the index;
+    a bad initial y is still an input error (exit 4)."""
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["mutate", "--y", "1,1"], "t = 2, index 2: y = 0.0 is not strictly "
+                                   "positive (a float under- or overflow)"),
+        (["verify", "classical"], "t = 2, index 2: y = "),
+        (["verify", "saddle"], "t = 1, index "),
+    ], ids=["mutate", "verify classical", "verify saddle"])
+    def test_float_range_exit_3(self, capsys, tmp_path, argv, detail):
+        seed = tmp_path / "wide.json"
+        seed.write_text(json.dumps(WIDE))
+        code, rep = run_json(capsys, *argv, "--seed-file", str(seed))
+        assert code == 3
+        assert rep["error"] == "OutOfRange"
+        assert rep["detail"].startswith(detail)
+
+    def test_bad_initial_y_exit_4(self, tmp_path):
+        seed = tmp_path / "wide.json"
+        seed.write_text(json.dumps(WIDE))
+        assert quiet_main(["mutate", "--seed-file", str(seed),
+                           "--y", "0,1"]) == 4
 
 
 class TestPhibCommand:

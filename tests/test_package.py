@@ -1,0 +1,72 @@
+"""The package namespace: names and submodules load on first use and
+resolve to the objects their modules define."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import clusterdilog
+from test_cli import cli_env
+
+
+def run_fresh(script):
+    """stdout of `script` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_bare_import_loads_no_submodule():
+    assert run_fresh(
+        "import sys, clusterdilog\n"
+        "print(*[m for m in sys.modules if m.startswith('clusterdilog')])\n"
+        "print(type(clusterdilog.torus).__name__, clusterdilog.torus.__name__)"
+    ) == ["clusterdilog", "module", "clusterdilog.torus"]
+
+
+def test_every_name_is_its_modules_object():
+    assert len(clusterdilog.__all__) == 73
+    for name in clusterdilog.__all__:
+        module = importlib.import_module(
+            f"clusterdilog.{clusterdilog._MODULE_OF[name]}")
+        assert getattr(clusterdilog, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("first", [
+    "from clusterdilog import PhibParams",
+    "import clusterdilog.phib",
+    "from clusterdilog.phib import phib",
+    "import clusterdilog.cli; clusterdilog.cli.main(['phib'])",
+])
+def test_phib_stays_the_function(first):
+    """Importing the submodule phib binds it on the package; the package
+    keeps the function of that name."""
+    assert run_fresh(
+        "import io, contextlib, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {first}\n"
+        "import clusterdilog\n"
+        "from clusterdilog import phib\n"
+        "print(phib is sys.modules['clusterdilog.phib'].phib,\n"
+        "      clusterdilog.phib is phib, type(phib).__name__)"
+    ) == ["True", "True", "function"]
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from clusterdilog import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == clusterdilog.__all__
+
+
+def test_dir_lists_all():
+    assert set(clusterdilog.__all__) <= set(dir(clusterdilog))
+
+
+def test_unknown_attribute():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        clusterdilog.no_such_name
+    assert not hasattr(clusterdilog, "__no_such_dunder__")
