@@ -1,10 +1,11 @@
 """Euler and Rogers dilogarithms and the classical identities of a period.
 
-The Euler dilogarithm is evaluated by series after range reduction with
-the standard inversion, reflection, and Landen transformations; the
-Rogers dilogarithm is built on top of it.  A mutation period of a seed
-then yields numerical identities: the signed Rogers sum vanishes, and
-the unsigned sums count the negative and positive tropical signs in
+The Euler dilogarithm is one series, Li2(z) = sum_n B_n w^(n+1) / (n+1)!
+in w = -log(1 - z) ('t Hooft and Veltman), after inversion and
+reflection keep |w| <= log 2 on the real line and |w| <= 3.33 off it;
+the Rogers dilogarithm is built on top of it.  A mutation period of a
+seed then yields numerical identities: the signed Rogers sum vanishes,
+and the unsigned sums count the negative and positive tropical signs in
 units of pi^2/6.
 """
 
@@ -23,20 +24,6 @@ from .exchange import (ExchangeMatrix, MutationSchedule, NumericSeed,
 PI2_6 = math.pi**2 / 6
 
 _BRANCH_GUARD = 1e-6
-
-
-def _li2_series(z):
-    """sum z^k / k^2 for |z| <= 1/2."""
-    term = z
-    total = z
-    k = 1
-    while True:
-        k += 1
-        term *= z
-        inc = term / (k * k)
-        total += inc
-        if abs(inc) < 1e-18 * max(1.0, abs(total)):
-            return total
 
 
 def li2(x):
@@ -59,16 +46,14 @@ def li2(x):
     if x < -1.0:
         # inversion onto (-1, 0)
         return -PI2_6 - 0.5 * math.log(-x) ** 2 - li2(1.0 / x)
-    if x < -0.5:
-        # Landen onto (1/3, 1/2)
-        return -li2(x / (x - 1.0)) - 0.5 * math.log1p(-x) ** 2
-    if x <= 0.5:
-        return _li2_series(x)
-    # reflection onto [0, 1/2)
-    return PI2_6 - math.log(x) * math.log1p(-x) - _li2_series(1.0 - x)
+    if x <= 0.5:  # |w| <= log 2
+        return _bernoulli_series(-math.log1p(-x), 11)
+    # reflection onto [0, 1/2), where w = -log x
+    log_x = math.log(x)
+    return PI2_6 - log_x * math.log1p(-x) - _bernoulli_series(-log_x, 11)
 
 
-# Bernoulli numbers B_0, B_1, ... (B_1 = -1/2), exact then cached as floats.
+# Bernoulli numbers B_0, B_1, ... (B_1 = -1/2), exact and cached.
 _bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
 
 
@@ -82,24 +67,30 @@ def _bernoulli(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
-def _li2_log_series(z):
-    """Dilogarithm via the expansion in w = -log(1-z); needs |w| < 2 pi."""
-    w = -cmath.log(1.0 - z)
-    total = 0.0 + 0.0j
-    wp = w
-    fact = 1.0
-    prev = float("inf")
-    for k in range(0, 120):
-        fact *= (k + 1)
-        inc = float(_bernoulli(k)) * wp / fact
-        total += inc
-        wp *= w
-        # odd Bernoulli numbers vanish: require two small increments in a row
-        cur = abs(inc)
-        if max(cur, prev) < 1e-18 * max(1.0, abs(total)) and k > 4:
-            return total
-        prev = cur
-    raise ArithmeticError("dilogarithm log-series failed to converge")
+# B_2k / (2k+1)! for k = 0..29, written out so that importing does no
+# Fraction arithmetic; the tests check them against `_bernoulli`
+_LI2_COEFFS = (
+    1.0, 0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+    -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+    8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
+    -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21,
+    1.3091507554183213e-22, -3.0874198024267403e-24, 7.315975652702203e-26,
+    -1.740845657234001e-27, 4.1576356446139e-29, -9.962148488284622e-31,
+    2.3940344248961652e-32, -5.76834735536739e-34, 1.393179479647008e-35,
+    -3.3721219654850894e-37, 8.178208777562102e-39, -1.987010831152386e-40,
+    4.8357785180405507e-42, -1.1786937248718384e-43, 2.877096408117257e-45,
+    -7.032059098156028e-47, 1.7208603145033145e-48)
+
+
+def _bernoulli_series(w, terms: int):
+    """Li2(1 - e^-w) = sum_n B_n w^(n+1) / (n+1)!, that is w - w^2/4 plus
+    the odd powers, by Horner in w^2 over the first `terms` coefficients.
+    The series converges for |w| < 2 pi."""
+    u = w * w
+    s = 0.0
+    for c in _LI2_COEFFS[terms - 1::-1]:
+        s = s * u + c
+    return w * s - 0.25 * u
 
 
 def _guard_cut(z):
@@ -110,14 +101,17 @@ def _guard_cut(z):
 
 def _li2_complex(z):
     _guard_cut(z)
-    if abs(z) <= 0.5:
-        return _li2_series(z)
     if abs(1.0 - z) <= 0.5:
-        return (PI2_6 - cmath.log(z) * cmath.log(1.0 - z)
-                - _li2_series(1.0 - z))
+        # reflection onto |z| <= 1/2, where w = -log z
+        log_z = cmath.log(z)
+        return (PI2_6 - log_z * cmath.log(1.0 - z)
+                - _bernoulli_series(-log_z, 30))
     if abs(z) >= 2.0:
-        return (-PI2_6 - 0.5 * cmath.log(-z) ** 2 - _li2_complex(1.0 / z))
-    return _li2_log_series(z)
+        # inversion onto |z| <= 1/2
+        return -PI2_6 - 0.5 * cmath.log(-z) ** 2 - _li2_complex(1.0 / z)
+    # |w| <= 3.33; z / (1 - u) undoes the rounding of u = 1 - z at small z
+    u = 1.0 - z
+    return _bernoulli_series(-cmath.log(u) * (z / (1.0 - u)), 30)
 
 
 def rogers_L(x):
@@ -252,6 +246,11 @@ def log_psiq_numeric(x, q) -> complex:
     factor_arg = q * x
     absq = abs(q)
     abstail = abs(q) * abs(x)
+    # the loop runs about log(excess) / -log|q|^2 times: refuse before it
+    excess = abstail / (1.0 - absq * absq) * 1e16
+    if excess > 1.0 and math.log(excess) / (-2.0 * math.log(absq)) > 10**7:
+        raise ArithmeticError(f"q-product needs over 10^7 factors at "
+                              f"|q| = {absq}, |x| = {abs(x)}")
     k = 0
     while abstail / (1.0 - absq * absq) > 1e-16:
         f = 1.0 + factor_arg

@@ -18,6 +18,7 @@ wraps it, and `mutate_y_numeric` is its one-step case.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -299,25 +300,34 @@ def _walk(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
     """Mutate B and the tropical y-variables along sched in Python ints.
 
     A zero or mixed-sign active c-vector raises as in `mutate_tropical`.
+    The walk is computed once per (B, sched) and cached; `rows` comes as
+    a fresh list on every call.
     """
-    n = B.n
-    if len(sched.nu) != n:
+    walk = _cached_walk(B.rows, sched.sequence, sched.nu)
+    return walk._replace(rows=list(walk.rows))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_walk(b0: tuple, sequence: tuple, nu: tuple) -> _Walk:
+    """`_walk` with `rows` a tuple: an immutable value, safe to share."""
+    n = len(b0)
+    if len(nu) != n:
         raise ValueError("schedule rank does not match matrix rank")
-    rows = [B.rows]
+    rows = [b0]
     cols = units = _units(n)
     signs, alphas = [], []
-    for k in sched.sequence:
+    for k in sequence:
         alphas.append(cols[k - 1])
         b, cols, eps = _step(rows[-1], cols, k - 1)
         rows.append(b)
         signs.append(eps)
-    perm = [v - 1 for v in sched.nu]
+    perm = [v - 1 for v in nu]
     final = rows[-1]
     report = PeriodReport(
-        all(final[perm[i]][perm[j]] == B.rows[i][j]
+        all(final[perm[i]][perm[j]] == b0[i][j]
             for i in range(n) for j in range(n)),
         all(cols[perm[i]] == units[i] for i in range(n)))
-    return _Walk(rows, cols, tuple(signs), tuple(alphas), report)
+    return _Walk(tuple(rows), cols, tuple(signs), tuple(alphas), report)
 
 
 def _periodic_walk(B: ExchangeMatrix, sched: MutationSchedule):

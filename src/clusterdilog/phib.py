@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .dilog import PI2_6, _bernoulli, li2, psiq_numeric
+from .dilog import PI2_6, _bernoulli, li2, log_psiq_numeric
 from .errors import QuadratureFailure
 
 _MAX_PANELS = 4096
@@ -25,15 +25,18 @@ _MAX_PANELS = 4096
 
 @functools.cache
 def _tables():
-    """numpy, the 16- and 32-point Gauss-Legendre rules and, for `_head`, the
-    coefficients in t^2 of t/sinh(t) and of sin(t)/t through t^16 with the
-    odd reciprocals; loaded on the first quadrature rather than at import."""
+    """numpy, the nodes of the 32- and 16-point Gauss-Legendre rules side by
+    side with their two weight vectors and, for `_head`, the coefficients
+    in t^2 of t/sinh(t) and of sin(t)/t through t^16 with the odd
+    reciprocals; loaded on the first quadrature rather than at import."""
     import numpy as np
     t = np.array([float((2 - 4**n) * _bernoulli(2 * n) / math.factorial(2 * n))
                   for n in range(9)])
     sinc = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(9)])
-    gl16, gl32 = (np.polynomial.legendre.leggauss(n) for n in (16, 32))
-    return np, gl16, gl32, t, sinc, 1.0 / np.arange(1, 17, 2)
+    (x32, w32), (x16, w16) = (np.polynomial.legendre.leggauss(n)
+                              for n in (32, 16))
+    return (np, np.concatenate((x32, x16)), w32, w16, t, sinc,
+            1.0 / np.arange(1, 17, 2))
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,21 @@ class PhibParams:
         return abs(self.c_b.imag)
 
 
-def _panel_sum(f, edges, rule) -> complex:
-    """Sum over panels [edges[i], edges[i+1]] of the Gauss-Legendre rule on f."""
-    nodes, weights = rule
+def _panel_sums(f, edges) -> tuple:
+    """Sums over panels [edges[i], edges[i+1]] of the 32- and of the 16-point
+    Gauss-Legendre rule on f, which is evaluated once on both node sets."""
+    _, nodes, w32, w16 = _tables()[:4]
     left = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - left)
-    return complex((half * weights * f(left + half * (nodes + 1.0))).sum())
+    vals = f(left + half * (nodes + 1.0))
+    return (complex((half * w32 * vals[:, :32]).sum()),
+            complex((half * w16 * vals[:, 32:]).sum()))
 
 
 def _head(z, b, r) -> complex:
     """Integral over [0, r] of sym(x) + 4iz/x^2 = -(4iz/x^2) (sinc(2zx)
     T(bx) T(x/b) - 1), T(t) = t/sinh(t), term by term in (x/r)^2."""
-    np, _, _, t, sinc, odd = _tables()
+    np, _, _, _, t, sinc, odd = _tables()
     n = np.arange(len(t))
     series = np.convolve(t * (b * r) ** (2 * n), t * (r / b) ** (2 * n))
     series = np.convolve(series[:len(t)], sinc * (2 * z * r) ** (2 * n))
@@ -122,10 +128,9 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     edges = [r]
     while edges[-1] < upper:
         edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
-    np, gl16, gl32 = _tables()[:3]
-    edges = np.array(edges)
-    tails = _panel_sum(sym, edges, gl32)
-    achieved = abs(tails - _panel_sum(sym, edges, gl16))
+    np = _tables()[0]
+    tails, coarse = _panel_sums(sym, np.array(edges))
+    achieved = abs(tails - coarse)
     if not achieved <= 100 * tol:
         raise QuadratureFailure(
             f"tail quadrature error {achieved:.2e} above budget", achieved)
@@ -194,9 +199,9 @@ def phipsi_residual(z, p: PhibParams) -> float:
     if (p.b * p.b).imag <= 0:
         raise ValueError("the product ratio requires Im b^2 > 0")
     lhs = phib(z, p)
-    num = psiq_numeric(cmath.exp(2 * math.pi * p.b * z), p.q)
-    den = psiq_numeric(cmath.exp(2 * math.pi * z / p.b), p.q_bar)
-    rhs = num / den
+    log_num = log_psiq_numeric(cmath.exp(2 * math.pi * p.b * z), p.q)
+    log_den = log_psiq_numeric(cmath.exp(2 * math.pi * z / p.b), p.q_bar)
+    rhs = cmath.exp(log_num - log_den)  # either product alone can overflow
     return abs(lhs - rhs) / abs(rhs)
 
 

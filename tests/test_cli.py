@@ -377,6 +377,26 @@ class TestPhibCommand:
         assert main(["phib", *args]) == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z", ["0.1", "-0.3", "0"])
+    def test_phipsi_near_real_b_forms_the_ratio_in_logarithms(self, capsys, z):
+        """At Im b = 1e-5 each product overflows a float; their ratio
+        does not."""
+        code, rep = run_json(capsys, "phib", "--check", "phipsi",
+                             "--b", "1,0.00001", "--z", z)
+        assert code == 0 and rep["verdict"] == "PASS"
+
+    def test_phipsi_refuses_a_product_too_long_at_once(self):
+        """At Im b = 1e-7 the product needs over 10^7 factors: counted
+        before the loop, not found out after it."""
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "clusterdilog.cli", "phib", "--check",
+             "phipsi", "--b", "1,0.0000001", "--z", "0.1"],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"] == "ArithmeticError"
+        assert time.perf_counter() - start < 2.0
+
     def test_asymptotics_csv(self, capsys):
         code, out = run(capsys, "phib", "--check", "asymptotics", "--z", "0.0",
                         "--format", "csv")

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from clusterdilog.dilog import (
+    _LI2_COEFFS,
     PI2_6,
+    _bernoulli,
     li2,
     log_psiq_numeric,
     psiq_asymptotics,
@@ -68,6 +71,56 @@ class TestLi2:
 
     def test_real_axis_complex_input_delegates(self):
         assert li2(complex(0.3, 0.0)) == complex(li2(0.3), 0.0)
+
+
+def assert_close_to_mpmath(value, ref):
+    """value within 1e-15 relative of the 40-digit reference ref."""
+    assert abs(mpmath.mpc(value) - ref) <= 1e-15 * abs(ref)
+
+
+class TestBernoulliSeries:
+    """li2 is one series in w = -log(1 - z) after inversion and
+    reflection: the literal coefficients, and both sides of every
+    border between the regions, against 40-digit mpmath."""
+
+    def test_literal_coefficients_are_the_exact_values(self):
+        assert len(_LI2_COEFFS) == 30
+        for k, c in enumerate(_LI2_COEFFS):
+            assert c == float(_bernoulli(2 * k) / math.factorial(2 * k + 1))
+
+    @pytest.mark.parametrize("x", [
+        -1.0 - 1e-9, -1.0, -1.0 + 1e-9, -1.5, -0.7,
+        0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.3, 0.8,
+        1.0 - 2.0**-52, 1e-300, -1e-300, -1e300])
+    def test_real_region_borders(self, x):
+        with mpmath.workdps(40):
+            assert_close_to_mpmath(li2(x), mpmath.polylog(2, mpmath.mpf(x)))
+
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9, 0.97, 1.03])
+    @pytest.mark.parametrize("border", ["|z| = 1/2", "|z| = 2", "|1-z| = 1/2"])
+    def test_complex_region_borders(self, border, scale):
+        radius = 2.0 if border == "|z| = 2" else 0.5
+        with mpmath.workdps(40):
+            for t in range(16):
+                z = cmath.rect(radius * scale, math.pi * (t + 0.5) / 8)
+                if border == "|1-z| = 1/2":
+                    z = 1.0 - z
+                assert_close_to_mpmath(li2(z), mpmath.polylog(2, mpmath.mpc(z)))
+
+    def test_small_complex_arguments(self):
+        """Near 0 the rounding of 1 - z would cost all relative accuracy."""
+        with mpmath.workdps(40):
+            for r in (1e-300, 1e-12, 1e-6):
+                z = cmath.rect(r, 0.7)
+                assert_close_to_mpmath(li2(z), mpmath.polylog(2, mpmath.mpc(z)))
+
+    def test_rogers_L_on_the_open_interval(self):
+        with mpmath.workdps(40):
+            for x in [1e-300, 1e-10, *(k / 64 for k in range(1, 64)),
+                      1.0 - 1e-10, 1.0 - 2.0**-52]:
+                X = mpmath.mpf(x)
+                ref = mpmath.polylog(2, X) + mpmath.log(X) * mpmath.log1p(-X) / 2
+                assert_close_to_mpmath(rogers_L(x), ref)
 
 
 class TestRogersL:

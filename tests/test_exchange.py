@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clusterdilog import qident
+from clusterdilog import exchange, qident
 from clusterdilog.errors import MixedSignCVector, NotAPeriod, ZeroCVector
 from clusterdilog.exchange import (
     ExchangeMatrix,
@@ -449,3 +449,46 @@ class TestWideEntries:
         assert found
         for sched in found:
             assert check_period(WIDE, sched).periodic
+
+
+class TestWalkCache:
+    """`_walk` runs once per (B.rows, sequence, nu) and hands out copies."""
+
+    def test_repeated_calls_give_equal_walks(self):
+        first, second = _walk(A2, A2_SCHED), _walk(A2, A2_SCHED)
+        assert first == second
+        assert type(first.rows) is list and first.rows is not second.rows
+        assert _walk(ExchangeMatrix(A2.rows), MutationSchedule(
+            A2_SCHED.sequence, A2_SCHED.nu)) == first
+
+    def test_mutating_rows_does_not_reach_the_cache(self):
+        ref = [as_tuples(b) for b, _ in textbook_walk(A2, A2_SCHED.sequence)]
+        walk = _walk(A2, A2_SCHED)
+        walk.rows[0] = None
+        walk.rows.append(walk.rows[1])
+        assert _walk(A2, A2_SCHED).rows == ref
+
+    def test_mixed_sign_word_raises_on_every_call(self, monkeypatch):
+        """No walk of a skew-symmetric B meets a mixed-sign c-vector
+        (sign-coherence), so the sign test is made to find one."""
+        calls = []
+
+        def mixed(c):
+            calls.append(c)
+            raise MixedSignCVector(f"c-vector {c} has entries of both signs")
+
+        sched = MutationSchedule.identity_nu((2, 1, 2, 2, 1, 1, 2), 2)
+        exchange._cached_walk.cache_clear()
+        monkeypatch.setattr(exchange, "tropical_sign", mixed)
+        for attempt in (1, 2, 3):
+            with pytest.raises(MixedSignCVector):
+                _walk(A2, sched)
+            assert len(calls) == attempt
+        monkeypatch.undo()
+        assert _walk(A2, sched).rows == [
+            as_tuples(b) for b, _ in textbook_walk(A2, sched.sequence)]
+
+    def test_cache_stays_bounded_after_a_search(self):
+        search_periods(A2, 8)
+        info = exchange._cached_walk.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
