@@ -2,9 +2,9 @@
 
 Defined inside the strip |Im z| < |Im c_b| by a contour integral over
 the real line that circles the origin from above; continued outside by
-the recurrence in steps of i*b.  The pole at the origin is integrated in
-closed form, so for real b and z the integral is imaginary and Phi_b is
-unimodular by construction.  The rest is a Taylor series on [0, r] and
+the recurrence in steps of i*b, or of i/b when |b| > 1.  The pole at the
+origin is integrated in closed form, so for real b and z the integral is
+imaginary and Phi_b is unimodular by construction.  The rest is a Taylor series on [0, r] and
 Gauss-Legendre panels on the tails, where a 16-point rule beside the
 32-point one gives the error estimate.  For Im b^2 > 0, Phi_b is also a
 ratio of two compact quantum dilogarithm products: an independent check.
@@ -130,6 +130,9 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
         edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
     np = _tables()[0]
     tails, coarse = _panel_sums(sym, np.array(edges))
+    # abs() of a NaN can raise a stale libm ERANGE as OverflowError
+    if not (cmath.isfinite(tails) and cmath.isfinite(coarse)):
+        raise QuadratureFailure(f"tail sums are not finite at z={z}")
     achieved = abs(tails - coarse)
     if not achieved <= 100 * tol:
         raise QuadratureFailure(
@@ -141,22 +144,26 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
 
 def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:
     """Evaluate Phi_b(z), reducing into the strip by the recurrence
-    Phi_b(w + i b) = (1 + q e^(2 pi b w)) Phi_b(w) when needed."""
+    Phi_b(w + i s) = (1 + q_s e^(2 pi s w)) Phi_b(w) when needed.
+
+    The step s is b, with q_s = q, for |b| <= 1, and 1/b, with q_s =
+    q_dual, for |b| > 1 (Phi_b = Phi_{1/b}): the shorter of the two is
+    under the strip's height, so the last step lands in the half-strip."""
     z = complex(z)
     b = p.b if p.b.real > 0 else -p.b
-    q = p.q
+    s, q = (b, p.q) if abs(b) <= 1 else (1.0 / b, p.q_dual)
     thresh = 0.5 * p.strip_height
     prefactor = 1.0 + 0.0j
     guard = 0
     while z.imag > thresh:
-        z = z - 1j * b
-        prefactor *= 1.0 + q * cmath.exp(2 * math.pi * b * z)
+        z = z - 1j * s
+        prefactor *= 1.0 + q * cmath.exp(2 * math.pi * s * z)
         guard += 1
         if guard > 500:
             raise QuadratureFailure("recurrence reduction did not terminate")
     while z.imag < -thresh:
-        z = z + 1j * b
-        prefactor /= 1.0 + cmath.exp(2 * math.pi * b * z) / q
+        z = z + 1j * s
+        prefactor /= 1.0 + cmath.exp(2 * math.pi * s * z) / q
         guard += 1
         if guard > 500:
             raise QuadratureFailure("recurrence reduction did not terminate")

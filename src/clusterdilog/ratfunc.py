@@ -21,6 +21,13 @@ does not fit a balanced digit, the operands are first renormalised
 fit, repacked at a wider digit.  A coefficient therefore never
 outgrows its digit, and a value is only as wide as its coefficients
 have needed.  Denominator factor products are cached per width.
+
+A torus product hands all the pair products landing on one of its terms
+to `ExactField.pair_sum` at once.  It multiplies the packed numerators
+as plain ints at one digit width, sums the products that share a
+denominator-factor tuple with their q-powers aligned by shifts, and
+lifts each such group onto the common denominator once, so no pair
+becomes a coefficient of its own.
 """
 
 from __future__ import annotations
@@ -455,18 +462,62 @@ def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
     return num
 
 
+def _max_fac(facs) -> tuple:
+    """Exponent-wise maximum of factored denominators."""
+    out = {}
+    for f in facs:
+        for m, e in f:
+            if e > out.get(m, 0):
+                out[m] = e
+    return tuple(sorted(out.items()))
+
+
 def _common_sum(coefs, dext=None) -> QCoefficient:
     """Sum of nonzero coefficients sharing the extra denominator dext:
     each numerator is lifted once onto the common denominator."""
     dq = max(c.dq for c in coefs)
-    fac = {}
-    for c in coefs:
-        for m, e in c.dfac:
-            if e > fac.get(m, 0):
-                fac[m] = e
-    dfac = tuple(sorted(fac.items()))
+    dfac = _max_fac(c.dfac for c in coefs)
     nums = [_lift(c.num, dq - c.dq, _fac_diff(dfac, c.dfac)) for c in coefs]
     return QCoefficient(_poly_sum(nums), dq, dfac, dext)
+
+
+def _tight(c: QCoefficient) -> QCoefficient:
+    """c with its numerator's digit count and bound recomputed."""
+    return QCoefficient(c.num.tight(), c.dq, c.dfac)
+
+
+def _pair_groups(triples, k) -> dict:
+    """The products c_d * c_e * q^j of `triples` (no extra denominators),
+    summed per denominator-factor tuple: {dfac: [val, low, top, bound]}.
+    A group is P(q) q^low / prod over dfac, where val = P(2^k) has digits
+    below q^(top - low), each within bound once bound < 2^(k-1)."""
+    groups = {}
+    facs = {}
+    for c, e, j in triples:
+        a, b = c.num, e.num
+        val = ((a.val if a.k == k else a.at(k))
+               * (b.val if b.k == k else b.at(k)))
+        s = j - c.dq - e.dq
+        top = s + a.nd + b.nd - 1
+        bound = min(a.nd, b.nd) * a.bound * b.bound
+        key = (c.dfac, e.dfac)
+        fac = facs.get(key)
+        if fac is None:
+            fac = facs[key] = _add_fac(c.dfac, e.dfac)
+        g = groups.get(fac)
+        if g is None:
+            groups[fac] = [val, s, top, bound]
+            continue
+        low = g[1]
+        if s >= low:
+            g[0] += val << k * (s - low)
+        else:
+            g[0] = (g[0] << k * (low - s)) + val
+            g[1] = s
+        if top > g[2]:
+            g[2] = top
+        g[3] += bound
+    return groups
 
 
 _ZERO_COEF = QCoefficient(_ZERO_POLY)
@@ -513,6 +564,47 @@ class ExactField:
                 total = total + c
             return total
         return _common_sum(coefs)
+
+    @staticmethod
+    def pair_sum(triples):
+        """Sum of c_d * c_e * q^j over (c_d, c_e, j) triples of nonzero
+        coefficients: the pair products landing on one torus term.
+
+        The products are taken on the packed numerators as plain ints, at
+        one digit width, and summed per denominator-factor tuple with
+        their q-powers aligned by shifts; each such group is then lifted
+        onto the common denominator once.  A lone pair is one
+        `mul_shifted`; pairs with an extra denominator take `mul_shifted`
+        and `sum`."""
+        if len(triples) == 1:
+            c, e, j = triples[0]
+            return c.mul_shifted(e, j)
+        k = _MIN_WIDTH
+        for c, e, _ in triples:
+            if c.dext is not None or e.dext is not None:
+                return ExactField.sum([c.mul_shifted(e, j)
+                                       for c, e, j in triples])
+            if c.num.k > k or e.num.k > k:
+                k = max(c.num.k, e.num.k, k)
+        groups = _pair_groups(triples, k)
+        if max(g[3] for g in groups.values()).bit_length() >= k:
+            # pessimistic bounds are tightened before the width grows
+            triples = [(_tight(c), _tight(e), j) for c, e, j in triples]
+            groups = _pair_groups(triples, k)
+            bound = max(g[3] for g in groups.values())
+            if bound.bit_length() >= k:
+                k = _width(bound)
+                groups = _pair_groups(triples, k)
+        groups = [(fac, g) for fac, g in groups.items() if g[0]]
+        if not groups:
+            return _ZERO_COEF
+        dq = max(0, -min(g[1] for _, g in groups))
+        dfac = _max_fac(fac for fac, _ in groups)
+        nums = [_lift(Poly(val, top - low, bound, k), low + dq,
+                      _fac_diff(dfac, fac))
+                for fac, (val, low, top, bound) in groups]
+        return QCoefficient(nums[0] if len(nums) == 1 else _poly_sum(nums),
+                            dq, dfac)
 
     @staticmethod
     def psi_coefficient(n):
@@ -582,11 +674,6 @@ class RationalQ:
     def mul_q_power(self, j):
         return RationalQ(self.value * _q0_power(self.q0, j), self.q0)
 
-    def mul_shifted(self, other, j):
-        """self * other * q0^j."""
-        return RationalQ(self.value * self._lift(other) * _q0_power(self.q0, j),
-                         self.q0)
-
     def scale_int(self, c):
         return RationalQ(self.value * c, self.q0)
 
@@ -627,6 +714,9 @@ class RationalPointField:
         if abs(q0) == 1:
             raise ZeroDivisionError(
                 "q-Pochhammer denominators vanish at |q0| = 1")
+        if q0 == 0:
+            raise ZeroDivisionError(
+                "negative powers of q are undefined at q0 = 0")
         self.q0 = q0
         self.name = f"rational-point q0={q0} (probabilistic)"
 
@@ -644,6 +734,12 @@ class RationalPointField:
 
     def sum(self, coefs):
         return RationalQ(sum((c.value for c in coefs), Fraction(0)), self.q0)
+
+    def pair_sum(self, triples):
+        """Sum of c_d * c_e * q0^j over (c_d, c_e, j) triples."""
+        q0 = self.q0
+        return RationalQ(sum((c.value * e.value * _q0_power(q0, j)
+                              for c, e, j in triples), Fraction(0)), q0)
 
     def _qpochhammer(self, n):
         """(q0^2; q0^2)_n."""

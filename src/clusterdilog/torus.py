@@ -189,23 +189,29 @@ def _rebase(elem: TorusElement, newbase: tuple) -> dict:
 
 def add(a: TorusElement, b: TorusElement) -> TorusElement:
     _check_context(a, b)
-    newbase = tuple(min(x, y) for x, y in zip(a.base, b.base))
-    ta = _rebase(a, newbase)
-    tb = _rebase(b, newbase)
-    for d, c in tb.items():
-        if d in ta:
-            ta[d] = ta[d] + c
-        else:
-            ta[d] = c
-    return TorusElement(a.matrix, a.order, newbase, ta, a.ring)
+    return _sum((a, b))
+
+
+def _sum(elems) -> TorusElement:
+    """Sum of torus elements of one context over their lowest base: the
+    coefficients landing on each term are summed in one `ring.sum`."""
+    first = elems[0]
+    newbase = tuple(map(min, zip(*(e.base for e in elems))))
+    out = {}
+    for e in elems:
+        for d, c in _rebase(e, newbase).items():
+            out.setdefault(d, []).append(c)
+    total = first.ring.sum
+    return TorusElement(first.matrix, first.order, newbase,
+                        {d: total(cs) for d, cs in out.items()}, first.ring)
 
 
 def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     """Graded product; exact coefficients, terms above the order dropped.
 
-    Each pair of terms gives one coefficient (`mul_shifted`).  The
-    products landing on each output shift are summed in one step
-    (`ring.sum`), so each is lifted to the common denominator once."""
+    The pairs of terms landing on each output shift are gathered as
+    (c_d, c_e, q-exponent) triples and handed to `ring.pair_sum` once per
+    shift, which builds and sums their products in one step."""
     _check_context(a, b)
     B, N = a.matrix, a.order
     g1, g2 = a.base, b.base
@@ -219,16 +225,16 @@ def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
         room = N - sum(d)
         e1 = head + 2 * pairing(g2, d, B)
         row_d = _row_B(d, B)
-        product = cd.mul_shifted
         for we, e, ce in bterms:
             if we > room:
                 break
             key = tuple(map(_plus, d, e))
             qexp = e1 - sum(map(_times, row_d, e))
-            out.setdefault(key, []).append(product(ce, qexp))
-    total = a.ring.sum
+            out.setdefault(key, []).append((cd, ce, qexp))
+    pair_sum = a.ring.pair_sum
     return TorusElement(B, N, tuple(map(_plus, g1, g2)),
-                        {key: total(vals) for key, vals in out.items()}, a.ring)
+                        {key: pair_sum(pairs) for key, pairs in out.items()},
+                        a.ring)
 
 
 def power(a: TorusElement, m: int) -> TorusElement:
@@ -260,14 +266,14 @@ def invert(a: TorusElement) -> TorusElement:
     w = TorusElement(B, N, zero_key,
                      {d: c * c0_inv for d, c in u.terms.items() if d != zero_key},
                      ring)
-    acc = unit(B, N, ring)
     t = unit(B, N, ring)
+    terms = [t]
     for _ in range(N):
         t = -multiply(t, w)
         if t.is_zero():
             break
-        acc = add(acc, t)
-    acc = acc.scale(c0_inv)
+        terms.append(t)
+    acc = _sum(terms).scale(c0_inv)
     return multiply(acc, monomial(tuple(-x for x in a.base), B, N, ring))
 
 
@@ -303,14 +309,14 @@ def _series(x: TorusElement, coefficient) -> TorusElement:
             raise NonTruncating(
                 "argument has a degree-0 component; the series does not truncate")
         step = x.degree_floor()
-    acc = unit(x.matrix, N, x.ring)
+    terms = [unit(x.matrix, N, x.ring)]
     xp = None
     for n in range(1, N // step + 1):
         xp = x if xp is None else multiply(xp, x)
         if xp.is_zero():
             break
-        acc = add(acc, xp.scale(coefficient(n)))
-    return acc
+        terms.append(xp.scale(coefficient(n)))
+    return _sum(terms)
 
 
 def deviation_from(elem: TorusElement, reference: TorusElement) -> list:

@@ -152,6 +152,10 @@ class TestVerify:
         ("quantum-tropical", "-N", "x"),
         ("classical", "--trials", "x"),
         ("shuffle", "--cut", "x"),
+        ("quantum-universal", "--q0", "0"),
+        ("shuffle", "--q0", "0"),
+        ("quantum-tropical", "--q0", "0"),
+        ("dual", "--q0", "0"),
     ])
     def test_parse_error_exit_4_out_of_range(self, capsys, extra):
         mode, *opts = extra

@@ -89,6 +89,29 @@ class TestValues:
         assert abs(abs(phib(z, p)) - 1.0) < 1e-12
 
 
+class TestReductionAtLargeB:
+    """For |b| > 1 phib steps by i/b (Phi_b = Phi_{1/b}), so a step never
+    crosses the half-strip; the oracle integrates at z itself."""
+
+    @pytest.mark.parametrize("b,z", [
+        (1.8, -0.62j),
+        (1.7978314801989181, -0.05446281163520439 - 0.6217899523032944j)])
+    def test_inputs_that_stepped_across_the_strip(self, b, z):
+        val = phib(z, PhibParams(b))
+        assert abs(val - cmath.exp(log_phib_mpmath(z, b))) < 1e-13 * abs(val)
+
+    def test_seeded_grid_inside_the_strip(self):
+        rng = np.random.default_rng(14)
+        for _ in range(8):
+            b = complex(rng.uniform(1.5, 3.0), rng.uniform(-0.3, 0.3))
+            height = abs((0.5j * (b + 1 / b)).imag)
+            z = complex(rng.uniform(-1, 1), rng.uniform(0.5, 0.9) * height
+                        * rng.choice((-1, 1)))
+            val = phib(z, PhibParams(b))
+            ref = cmath.exp(log_phib_mpmath(z, b))
+            assert abs(val - ref) < 1e-12 * abs(ref), (b, z)
+
+
 class TestInversion:
     """Phi_b(z) Phi_b(-z) = exp(-i pi s / 12 - i pi z^2), s = b^2 + b^-2
     (Faddeev-Kashaev-Volkov); the last two z lie past half the strip
@@ -207,6 +230,14 @@ class TestStripHandling:
     def test_panel_count_is_bounded(self, z):
         with pytest.raises(QuadratureFailure):
             phib(z, PhibParams(1.0))
+
+    def test_non_finite_tail_sums_are_guarded(self):
+        """At b = 2000, z = 400i (inside the half-strip) sin(2zx)
+        overflows on the tails, and the NaN sums are refused as such."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(QuadratureFailure, match="not finite"):
+                phib(400j, PhibParams(2000.0))
 
     @pytest.mark.parametrize("b", [1e-6, 1e-160, 1e200])
     def test_b_past_double_precision_is_guarded(self, b):

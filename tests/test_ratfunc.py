@@ -264,6 +264,8 @@ class TestRationalPointField:
     def test_rejects_unit_modulus(self):
         with pytest.raises(ZeroDivisionError):
             RationalPointField(1)
+        with pytest.raises(ZeroDivisionError):
+            RationalPointField(0)
 
 
 class TestPolyHelpers:

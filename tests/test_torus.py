@@ -192,10 +192,17 @@ class TestInvert:
 
 @st.composite
 def coefficients(draw):
-    """q^j * P(q) / (q^2; q^2)_n with small random P."""
-    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    """q^j * P(q) / (q^2; q^2)_n, with P's coefficients small or up to
+    2^200 (so one product mixes 64-, 128- and 256-bit digits), sometimes
+    over an extra denominator 1 / (c0 + c1 q) that does not vanish at 3/8."""
+    size = draw(st.sampled_from((3, 2**60, 2**120, 2**200)))
+    num = draw(st.lists(st.integers(-size, size), min_size=1,
+                        max_size=3).filter(any))
     c = QCoefficient.from_poly(num) * \
         QCoefficient.qpochhammer_inverse(draw(st.integers(0, 2)))
+    if draw(st.integers(0, 4)) == 0:
+        c = c * QCoefficient.from_poly([draw(st.integers(2, 3)),
+                                        draw(st.integers(-3, 3))]).inverse()
     return c.mul_q_power(draw(st.integers(-2, 2)))
 
 
@@ -223,7 +230,7 @@ def sparse_triples(draw):
 
 class TestProductProperties:
     """Associativity and two-sided inverses on random sparse elements; the
-    products sum many terms per output shift through `ring.sum`."""
+    products sum many pairs per output shift through `ring.pair_sum`."""
 
     @pytest.mark.parametrize("ring", [ratfunc.EXACT,
                                       RationalPointField(Fraction(3, 8))],
@@ -252,8 +259,9 @@ class TestProductProperties:
     @settings(max_examples=30, deadline=None)
     @given(case=sparse_triples())
     def test_fused_pair_products_match_reference(self, ring, case):
-        """multiply builds each pair's coefficient in one step
-        (mul_shifted); the reference builds (c1 * c2).mul_q_power(e)."""
+        """multiply sums the pairs landing on each shift in one
+        `ring.pair_sum`; the reference builds (c1 * c2).mul_q_power(e)
+        pair by pair and adds them one at a time."""
         B, order, specs = case
 
         def coef(c):
@@ -266,6 +274,35 @@ class TestProductProperties:
                    for base, terms in specs)
         assert multiply(a, b) == reference_multiply(a, b)
         assert multiply(c, a) == reference_multiply(c, a)
+
+    def test_pairs_cancelling_on_one_shift(self):
+        """(u + c Y1)(v - w Y1) with u w = c v: both pairs landing on Y1
+        cancel, although their products carry different denominators."""
+        u = QCoefficient.qpochhammer_inverse(1)
+        v = QCoefficient.from_poly([1, 2]).mul_q_power(-3) * \
+            QCoefficient.qpochhammer_inverse(2)
+        c = QCoefficient.from_poly([0, 5, -1]) * \
+            QCoefficient.qpochhammer_inverse(3)
+        w = c * v / u
+        assert ratfunc.EXACT.pair_sum([(u, -w, 0), (c, v, 0)]).is_zero()
+        a = TorusElement(A2, N, (0, 0), {(0, 0): u, (1, 0): c})
+        b = TorusElement(A2, N, (0, 0), {(0, 0): v, (1, 0): -w})
+        prod = multiply(a, b)
+        assert (1, 0) not in prod.terms
+        assert prod == reference_multiply(a, b)
+
+    def test_pessimistic_bounds_keep_64_bit_digits(self):
+        """c = ((1 + q) + 2^61) - 2^61 tracks a coefficient bound near
+        2^62, so a product's bound overflows 64-bit digits until it is
+        tightened; the product then stays at 64 bits."""
+        big = QCoefficient.from_int(2**61)
+        c = (QCoefficient.from_poly([1, 1]) + big) - big
+        assert c.num.k == 64 and c.num.bound > 2**61
+        a = TorusElement(A2, N, (0, 0), {(0, 0): c, (1, 0): c})
+        prod = multiply(a, a)
+        assert all(coef.num.k == 64 for coef in prod.terms.values())
+        assert prod.terms[(1, 0)] == QCoefficient.from_poly([2, 4, 2])
+        assert prod == reference_multiply(a, a)
 
 
 class TestPsiSeries:
