@@ -4,10 +4,11 @@ Defined inside the strip |Im z| < |Im c_b| by a contour integral over
 the real line that circles the origin from above; continued outside by
 the recurrence in steps of i*b, or of i/b when |b| > 1.  The pole at the
 origin is integrated in closed form, so for real b and z the integral is
-imaginary and Phi_b is unimodular by construction.  The rest is a Taylor series on [0, r] and
-Gauss-Legendre panels on the tails, where a 16-point rule beside the
-32-point one gives the error estimate.  For Im b^2 > 0, Phi_b is also a
-ratio of two compact quantum dilogarithm products: an independent check.
+imaginary and Phi_b is unimodular by construction.  The rest is a Taylor
+series on [0, r] and Gauss-Legendre panels on the tails, where a 16-point
+rule beside the 32-point one gives the error estimate.  For Im b^2 > 0,
+Phi_b is also a ratio of two compact quantum dilogarithm products: an
+independent check.
 """
 
 from __future__ import annotations
