@@ -36,7 +36,8 @@ class IncompatibleContexts(ClusterDilogError):
 
 class NonInvertible(ClusterDilogError):
     """Series inversion requested for an element with zero constant-shift
-    coefficient."""
+    coefficient, or an exact coefficient that is not a unit of
+    Z[q, q^-1][(1 - q^(2m))^-1]: not +-q^j times cyclotomic polynomials."""
 
 
 class NonTruncating(ClusterDilogError):

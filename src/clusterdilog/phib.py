@@ -130,7 +130,10 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     while edges[-1] < upper:
         edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
     np = _tables()[0]
-    tails, coarse = _panel_sums(sym, np.array(edges))
+    # sin(2zx) may overflow where exp(-x(b + 1/b)) underflows: the NaN
+    # that follows is refused below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails, coarse = _panel_sums(sym, np.array(edges))
     # abs() of a NaN can raise a stale libm ERANGE as OverflowError
     if not (cmath.isfinite(tails) and cmath.isfinite(coarse)):
         raise QuadratureFailure(f"tail sums are not finite at z={z}")
@@ -168,7 +171,13 @@ def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:
         guard += 1
         if guard > 500:
             raise QuadratureFailure("recurrence reduction did not terminate")
-    return prefactor * cmath.exp(_log_phib_strip(z, p, tol))
+    log_value = _log_phib_strip(z, p, tol)
+    try:
+        return prefactor * cmath.exp(log_value)
+    except OverflowError:
+        raise QuadratureFailure(
+            f"|Phi_b(z)| = exp({log_value.real:.6g}) at z={z} is beyond "
+            "double range") from None
 
 
 def log_phib(z, p: PhibParams, tol: float = 1e-8) -> complex:

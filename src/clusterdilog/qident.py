@@ -161,7 +161,7 @@ class Residual:
 
 
 def _coeff_json(c):
-    num, den = c  # tuples of ints in Q(q), ints at a rational point
+    num, den = c  # tuples of ints exactly, ints at a rational point
     return {"numerator": list(num) if isinstance(num, tuple) else num,
             "denominator": list(den) if isinstance(den, tuple) else den}
 

@@ -1,16 +1,14 @@
-"""Exact arithmetic in the field of rational functions of q.
+"""Exact arithmetic in R = Z[q, q^-1][(1 - q^(2m))^-1], the ring of every
+coefficient the quantum identities produce.
 
-Coefficients of quantum-torus elements live in Q(q).  Numerators are
-integer polynomials stored packed into single Python integers (one
-balanced base-2^k digit per coefficient), so polynomial addition and
-multiplication become big-integer addition and multiplication, which
-CPython does in C.  Denominators are kept factored as
-
-    q^a * prod_m (1 - q^(2m))^{e_m} * (optional extra polynomial)
-
-because every denominator arising from the q-exponential series and
-from series inversion is built from these factors; keeping them
-factored makes common denominators cheap and bounded.
+Numerators are integer polynomials stored packed into single Python
+integers (one balanced base-2^k digit per coefficient), so polynomial
+addition and multiplication become big-integer addition and
+multiplication, which CPython does in C.  Denominators are kept factored
+as q^a * prod_m (1 - q^(2m))^{e_m}, which makes common denominators cheap
+and bounded.  The units of R are +-q^j times cyclotomic polynomials Phi_d
+(Phi_d divides 1 - q^(2d)): `inverse` inverts exactly those, and
+`canonical` reduces by trial division by the Phi_d of the denominator.
 
 Exactness is unconditional: all operations are ring operations on the
 packed values.  Each value carries its own digit width k, taken from
@@ -34,6 +32,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+
+from .errors import NonInvertible
 
 _MIN_WIDTH = 64                # narrowest digit, in bits
 
@@ -228,12 +228,10 @@ def _fac_product(fac: tuple, k: int) -> Poly:
     return p
 
 
-def _den_product(dq, dfac, dext) -> Poly:
+def _den_product(dq, dfac) -> Poly:
     p = _ONE_POLY.shift(dq) if dq else _ONE_POLY
     if dfac:
         p = p * _fac_product(dfac, p.k)
-    if dext is not None:
-        p = p * dext
     return p
 
 
@@ -258,24 +256,23 @@ def _fac_diff(big, small):
 
 
 class QCoefficient:
-    """An element of Q(q): packed integer-polynomial numerator over a
-    factored denominator q^dq * prod (1-q^(2m))^e * ext."""
+    """An element of R = Z[q, q^-1][(1 - q^(2m))^-1]: a packed
+    integer-polynomial numerator over the factored denominator
+    q^dq * prod (1 - q^(2m))^e, with dfac the sorted (m, e) pairs.  The
+    numerator and q^dq share no power of q."""
 
-    __slots__ = ("num", "dq", "dfac", "dext")
+    __slots__ = ("num", "dq", "dfac")
 
-    def __init__(self, num: Poly, dq: int = 0, dfac: tuple = (), dext=None):
+    def __init__(self, num: Poly, dq: int = 0, dfac: tuple = ()):
         if num.is_zero():
-            num, dq, dfac, dext = _ZERO_POLY, 0, (), None
-        else:
-            j = min(dq, num.q_order()) if dq else 0
+            num, dq, dfac = _ZERO_POLY, 0, ()
+        elif dq:
+            j = min(dq, num.q_order())
             if j:
                 num, dq = num.unshift(j), dq - j
-            if dext is not None and dext == _ONE_POLY:
-                dext = None
         self.num = num
         self.dq = dq
         self.dfac = dfac
-        self.dext = dext
 
     # ---- constructors -------------------------------------------------
 
@@ -314,16 +311,10 @@ class QCoefficient:
             return other
         if other.is_zero():
             return self
-        if self.dext == other.dext:
-            return _common_sum((self, other), self.dext)
-        e1 = self.dext if self.dext is not None else _ONE_POLY
-        e2 = other.dext if other.dext is not None else _ONE_POLY
-        return _common_sum((QCoefficient(self.num * e2, self.dq, self.dfac),
-                            QCoefficient(other.num * e1, other.dq, other.dfac)),
-                           e1 * e2)
+        return _common_sum((self, other))
 
     def __neg__(self):
-        return QCoefficient(-self.num, self.dq, self.dfac, self.dext)
+        return QCoefficient(-self.num, self.dq, self.dfac)
 
     def __sub__(self, other):
         return self + (-other)
@@ -333,41 +324,40 @@ class QCoefficient:
 
     def mul_shifted(self, other, j: int) -> "QCoefficient":
         """self * other * q^j, built as one coefficient."""
-        if self.dext is None:
-            dext = other.dext
-        elif other.dext is None:
-            dext = self.dext
-        else:
-            dext = self.dext * other.dext
         num = self.num * other.num
         dq = self.dq + other.dq - j
         if dq < 0:
             num, dq = num.shift(-dq), 0
-        return QCoefficient(num, dq, _add_fac(self.dfac, other.dfac), dext)
+        return QCoefficient(num, dq, _add_fac(self.dfac, other.dfac))
 
     def mul_q_power(self, j: int) -> "QCoefficient":
         if j == 0 or self.is_zero():
             return self
         if j > 0:
-            return QCoefficient(self.num.shift(j), self.dq, self.dfac, self.dext)
-        return QCoefficient(self.num, self.dq - j, self.dfac, self.dext)
+            return QCoefficient(self.num.shift(j), self.dq, self.dfac)
+        return QCoefficient(self.num, self.dq - j, self.dfac)
 
     def scale_int(self, c: int) -> "QCoefficient":
-        return QCoefficient(self.num.scale(c), self.dq, self.dfac, self.dext)
+        return QCoefficient(self.num.scale(c), self.dq, self.dfac)
 
     def inverse(self) -> "QCoefficient":
-        """Multiplicative inverse; the numerator becomes the denominator."""
+        """Inverse of a unit of R, +-q^j times cyclotomic Phi_d, with
+        1/Phi_d = ((1 - q^(2d)) / Phi_d) / (1 - q^(2d)); NonInvertible
+        for anything else."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        den = _den_product(self.dq, self.dfac, self.dext)
+        num = _den_product(self.dq, self.dfac)
         # pull monomial content of the old numerator back into dq
         j = self.num.q_order()
-        num = self.num.unshift(j)
-        c = num.coeffs()
-        if len(c) == 1 and c[0] in (1, -1):
-            # common fast path: old numerator was +-q^j
-            return QCoefficient(den.scale(c[0]), dq=j)
-        return QCoefficient(den, dq=j, dext=num)
+        sign, exps = _unit_factors(self.num.unshift(j).coeffs())
+        if sign < 0:
+            num = -num
+        for d, a in exps:
+            c = Poly.from_coeffs(_quotient((1,) + (0,) * (2 * d - 1) + (-1,),
+                                           _cyclotomic(d)))
+            for _ in range(a):
+                num = num * c
+        return QCoefficient(num, dq=j, dfac=exps)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -379,8 +369,8 @@ class QCoefficient:
             return NotImplemented
         if self.num.is_zero():
             return other.num.is_zero()
-        lhs = self.num * _den_product(other.dq, other.dfac, other.dext)
-        rhs = other.num * _den_product(self.dq, self.dfac, self.dext)
+        lhs = self.num * _den_product(other.dq, other.dfac)
+        rhs = other.num * _den_product(self.dq, self.dfac)
         return lhs == rhs
 
     def __hash__(self):
@@ -392,40 +382,23 @@ class QCoefficient:
     def canonical(self) -> tuple:
         """Fully reduced (numerator, denominator) coefficient tuples.
 
-        The fraction is gcd-reduced over Z[q], the integer contents are
-        coprime, and the denominator's leading coefficient is positive.
-        """
-        num = list(self.num.coeffs())
-        den = list(_den_product(self.dq, self.dfac, self.dext).coeffs())
+        The denominator q^dq prod (1 - q^(2m))^e is +-q^dq prod Phi_d^E,
+        and the numerator shares no q with it: each Phi_d is divided out
+        of the numerator as often as it divides it, at most E times.  The
+        denominator left is the monic product of the other factors."""
+        num = self.num.coeffs()
         if not num:
             return (0,), (1,)
-        g = poly_gcd(tuple(num), tuple(den))
-        if len(g) > 1 or g[0] != 1:
-            num = list(poly_exact_div(tuple(num), g))
-            den = list(poly_exact_div(tuple(den), g))
-        from math import gcd
-        cn = 0
-        for c in num:
-            cn = gcd(cn, abs(c))
-        cd = 0
-        for c in den:
-            cd = gcd(cd, abs(c))
-        g0 = gcd(cn, cd)
-        if g0 > 1:
-            num = [c // g0 for c in num]
-            den = [c // g0 for c in den]
-        if den[-1] < 0:
-            num = [-c for c in num]
-            den = [-c for c in den]
-        return tuple(num), tuple(den)
-
-    @property
-    def numerator(self) -> tuple:
-        return self.canonical()[0]
-
-    @property
-    def denominator(self) -> tuple:
-        return self.canonical()[1]
+        den = _ONE_POLY.shift(self.dq)
+        for d, e in _cyclotomic_exponents(self.dfac).items():
+            num, k = _strip_cyclotomic(num, d, e)
+            if k < e:
+                phi = Poly.from_coeffs(_cyclotomic(d))
+                for _ in range(e - k):
+                    den = den * phi
+        if sum(e for _, e in self.dfac) % 2:  # (1 - q^(2m)) = -(q^(2m) - 1)
+            num = tuple(-c for c in num)
+        return num, den.coeffs()
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point q0."""
@@ -438,11 +411,6 @@ class QCoefficient:
             if f == 0:
                 raise ZeroDivisionError(f"denominator factor 1-q^{2*m} vanishes at q={q0}")
             den *= f**e
-        if self.dext is not None:
-            f = self.dext.evaluate(q0)
-            if f == 0:
-                raise ZeroDivisionError(f"denominator vanishes at q={q0}")
-            den *= f
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q0}")
         return self.num.evaluate(q0) / den
@@ -472,13 +440,13 @@ def _max_fac(facs) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _common_sum(coefs, dext=None) -> QCoefficient:
-    """Sum of nonzero coefficients sharing the extra denominator dext:
-    each numerator is lifted once onto the common denominator."""
+def _common_sum(coefs) -> QCoefficient:
+    """Sum of coefficients: each numerator is lifted once onto the common
+    denominator."""
     dq = max(c.dq for c in coefs)
     dfac = _max_fac(c.dfac for c in coefs)
     nums = [_lift(c.num, dq - c.dq, _fac_diff(dfac, c.dfac)) for c in coefs]
-    return QCoefficient(_poly_sum(nums), dq, dfac, dext)
+    return QCoefficient(_poly_sum(nums), dq, dfac)
 
 
 def _tight(c: QCoefficient) -> QCoefficient:
@@ -487,8 +455,8 @@ def _tight(c: QCoefficient) -> QCoefficient:
 
 
 def _pair_groups(triples, k) -> dict:
-    """The products c_d * c_e * q^j of `triples` (no extra denominators),
-    summed per denominator-factor tuple: {dfac: [val, low, top, bound]}.
+    """The products c_d * c_e * q^j of `triples`, summed per
+    denominator-factor tuple: {dfac: [val, low, top, bound]}.
     A group is P(q) q^low / prod over dfac, where val = P(2^k) has digits
     below q^(top - low), each within bound once bound < 2^(k-1)."""
     groups = {}
@@ -524,16 +492,9 @@ _ZERO_COEF = QCoefficient(_ZERO_POLY)
 _ONE_COEF = QCoefficient(_ONE_POLY)
 
 
-def zero() -> QCoefficient:
-    return _ZERO_COEF
-
-
-def one() -> QCoefficient:
-    return _ONE_COEF
-
-
 class ExactField:
-    """Coefficient field Q(q) with q a formal variable (the default)."""
+    """The exact coefficient ring R = Z[q, q^-1][(1 - q^(2m))^-1] with q a
+    formal variable (the default)."""
 
     name = "exact"
 
@@ -558,11 +519,6 @@ class ExactField:
         """Sum of coefficients over one common denominator."""
         if len(coefs) < 2:
             return coefs[0] if coefs else _ZERO_COEF
-        if any(c.dext is not None for c in coefs):
-            total = coefs[0]
-            for c in coefs[1:]:
-                total = total + c
-            return total
         return _common_sum(coefs)
 
     @staticmethod
@@ -574,16 +530,12 @@ class ExactField:
         one digit width, and summed per denominator-factor tuple with
         their q-powers aligned by shifts; each such group is then lifted
         onto the common denominator once.  A lone pair is one
-        `mul_shifted`; pairs with an extra denominator take `mul_shifted`
-        and `sum`."""
+        `mul_shifted`."""
         if len(triples) == 1:
             c, e, j = triples[0]
             return c.mul_shifted(e, j)
         k = _MIN_WIDTH
         for c, e, _ in triples:
-            if c.dext is not None or e.dext is not None:
-                return ExactField.sum([c.mul_shifted(e, j)
-                                       for c, e, j in triples])
             if c.num.k > k or e.num.k > k:
                 k = max(c.num.k, e.num.k, k)
         groups = _pair_groups(triples, k)
@@ -784,7 +736,7 @@ def _poly_str(coeffs) -> str:
     return s
 
 
-# ---- classical dense-tuple helpers (canonicalisation only) ------------
+# ---- dense-tuple helpers: cyclotomic factors, for canonical and inverse
 
 
 def poly_trim(p) -> tuple:
@@ -794,74 +746,92 @@ def poly_trim(p) -> tuple:
     return tuple(p)
 
 
-def poly_exact_div(a, b) -> tuple:
-    """Quotient of a by b, assuming the division is exact over Z."""
-    a = list(poly_trim(a))
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db, lb = len(b) - 1, b[-1]
-    out = [0] * (max(len(a) - db, 0))
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c % lb != 0:
-            raise ValueError("division is not exact")
-        t = c // lb
-        out[i - db] = t
-        for j in range(db + 1):
-            a[i - db + j] -= t * b[j]
-    if any(a):
-        raise ValueError("division is not exact")
-    return poly_trim(out) or (0,)
-
-
-def _content(p) -> int:
-    from math import gcd
-    c = 0
-    for x in p:
-        c = gcd(c, abs(x))
-    return c
-
-
-def _primitive(p) -> tuple:
-    c = _content(p)
-    if c <= 1:
-        return poly_trim(p)
-    return tuple(x // c for x in poly_trim(p))
-
-
-def _pseudo_rem(a, b) -> tuple:
-    """Pseudo-remainder of a by b over Z."""
+def _quotient(a, b):
+    """a / b for trimmed coefficient tuples, b nonzero, or None if b does
+    not divide a over Z."""
     a = list(a)
     db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        a = poly_trim(a)
-        if not a or len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        a = list(poly_trim(a))
-    return poly_trim(a)
+    low = [(j, c) for j, c in enumerate(b[:db]) if c]
+    out = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        t, r = divmod(a[i], lb)
+        if r:
+            return None
+        if t:
+            out[i - db] = t
+            for j, c in low:
+                a[i - db + j] -= t * c
+    if any(a[:db]):
+        return None
+    return poly_trim(out)
 
 
-def poly_gcd(a, b) -> tuple:
-    """Primitive gcd of two integer polynomials (positive leading coeff)."""
+def poly_exact_div(a, b) -> tuple:
+    """Quotient of a by b, assuming the division is exact over Z."""
     a, b = poly_trim(a), poly_trim(b)
-    if not a:
-        g = _primitive(b)
-    elif not b:
-        g = _primitive(a)
-    else:
-        a, b = _primitive(a), _primitive(b)
-        while b:
-            r = _pseudo_rem(a, b)
-            a, b = b, _primitive(r)
-        g = a
-    if not g:
-        return (1,)
-    if g[-1] < 0:
-        g = tuple(-c for c in g)
-    return g
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    out = _quotient(a, b)
+    if out is None:
+        raise ValueError("division is not exact")
+    return out or (0,)
+
+
+_cyclotomics = {}
+
+
+def _cyclotomic(d) -> tuple:
+    """Phi_d: q^d - 1 over the Phi_e of the proper divisors e of d."""
+    p = _cyclotomics.get(d)
+    if p is None:
+        p = (-1,) + (0,) * (d - 1) + (1,)
+        for e in range(1, d):
+            if d % e == 0:
+                p = _quotient(p, _cyclotomic(e))
+        _cyclotomics[d] = p
+    return p
+
+
+def _strip_cyclotomic(p, d, most):
+    """(p / Phi_d^k, k) for the largest k <= most with Phi_d^k | p."""
+    phi = _cyclotomic(d)
+    k = 0
+    while k < most:
+        quo = _quotient(p, phi)
+        if quo is None:
+            break
+        p, k = quo, k + 1
+    return p, k
+
+
+def _cyclotomic_exponents(dfac) -> dict:
+    """{d: E_d} with prod (1 - q^(2m))^e = +-prod Phi_d^(E_d): q^(2m) - 1
+    is the product of the Phi_d over d | 2m."""
+    out = {}
+    for m, e in dfac:
+        for d in range(1, 2 * m + 1):
+            if 2 * m % d == 0:
+                out[d] = out.get(d, 0) + e
+    return out
+
+
+def _unit_factors(p) -> tuple:
+    """(s, ((d, a), ...)) with p = s * prod Phi_d^a, s = +-1, for p(0) != 0;
+    NonInvertible for any other p.  As phi(d) <= deg p for each d and
+    phi(d) >= sqrt(d/2), the search stops at d = 2 deg(p)^2."""
+    n = 2 * (len(p) - 1) ** 2 if p[0] in (1, -1) and p[-1] in (1, -1) else 0
+    phi = list(range(n + 1))
+    for i in range(2, n + 1):
+        if phi[i] == i:                 # i is prime
+            for j in range(i, n + 1, i):
+                phi[j] -= phi[j] // i
+    exps = []
+    for d in range(1, n + 1):
+        if phi[d] < len(p):
+            p, a = _strip_cyclotomic(p, d, len(p))
+            if a:
+                exps.append((d, a))
+    if p not in ((1,), (-1,)):
+        raise NonInvertible(
+            f"{_poly_str(p)} is not a unit of Z[q, 1/q, 1/(1 - q^(2m))]")
+    return p[0], tuple(exps)

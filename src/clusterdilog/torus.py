@@ -1,8 +1,9 @@
-"""Truncated completed quantum torus with exact Q(q) coefficients.
+"""Truncated completed quantum torus with exact coefficients.
 
 Elements have the normal form  Y^gamma * sum_delta c_delta Y^delta
 with gamma in Z^n, delta running over nonnegative shift vectors of
-total degree at most the truncation order, and c_delta in Q(q).  The
+total degree at most the truncation order, and c_delta in the ring
+R = Z[q, q^-1][(1 - q^(2m))^-1] (or in Q at a rational point q0).  The
 generators obey
 
     q^<alpha,beta> Y^alpha Y^beta = Y^(alpha+beta),
@@ -73,7 +74,7 @@ class TorusElement:
         return min(degs) if degs else self.order + 1
 
     def scale(self, c: QCoefficient) -> "TorusElement":
-        """Multiply by a central scalar from Q(q)."""
+        """Multiply by a central scalar of the coefficient ring."""
         return TorusElement(self.matrix, self.order, self.base,
                             {d: v * c for d, v in self.terms.items()}, self.ring)
 

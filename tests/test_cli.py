@@ -369,6 +369,21 @@ class TestPhibCommand:
         else:
             assert all(row["residual"] < 1e-12 for row in rep["rows"])
 
+    @pytest.mark.parametrize("z", ["0,400", "0,100"])
+    def test_beyond_double_range_prints_one_error_line(self, z):
+        """At b = 2000, |Phi_b| overflows a float: at Im z = 400 sin(2zx)
+        overflows on the tails too, at Im z = 100 only the final exp.
+        Either way the run exits 3 with the one JSON error line on stdout,
+        and no numpy warning reaches stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "clusterdilog.cli",
+             "phib", "--b", "2000", "--z", z],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        line, = proc.stdout.splitlines()
+        assert json.loads(line)["error"] == "QuadratureFailure"
+
     @pytest.mark.parametrize("z", ["710", "1000", "1e300", "-1000"])
     def test_asymptotics_beyond_exp_overflow(self, capsys, z):
         assert main(["phib", "--check", "asymptotics", "--z", z]) in (0, 3)

@@ -1,9 +1,12 @@
 """The package namespace: names and submodules load on first use and
 resolve to the objects their modules define."""
 
+import ast
 import importlib
+import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +73,24 @@ def test_unknown_attribute():
     with pytest.raises(AttributeError, match="no_such_name"):
         clusterdilog.no_such_name
     assert not hasattr(clusterdilog, "__no_such_dunder__")
+
+
+def test_traced_methods_exist():
+    """perfbench/spans.py wraps the methods named in its METHODS table,
+    looked up with inspect.getattr_static: a rename breaks the benchmark's
+    tracer, so each name must be defined by its class (not `object`).
+    The table is read from the file's source, which stays untouched."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(path.read_text())
+    methods, = (ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["METHODS"])
+    assert methods
+    for layer, classes in methods.items():
+        module = importlib.import_module(f"clusterdilog.{layer}")
+        for cls_name, names in classes.items():
+            cls = getattr(module, cls_name)
+            for name in names:
+                inspect.getattr_static(cls, name)
+                assert any(name in vars(owner) for owner in cls.__mro__
+                           if owner is not object), f"{cls_name}.{name}"

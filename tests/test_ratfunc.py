@@ -1,17 +1,23 @@
+import json
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clusterdilog.errors import NonInvertible
 from clusterdilog.ratfunc import (
     EXACT,
     Poly,
     QCoefficient,
     RationalPointField,
     poly_exact_div,
-    poly_gcd,
 )
+
+# cyclotomic polynomials Phi_d, constant term first
+CYCLOTOMIC = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1),
+              6: (1, -1, 1), 12: (1, 0, -1, 0, 1)}
 
 
 def random_coeff(rng, max_deg=6):
@@ -23,6 +29,86 @@ def random_coeff(rng, max_deg=6):
     if n:
         c = c * QCoefficient.qpochhammer_inverse(n)
     return c.mul_q_power(int(rng.integers(-4, 5)))
+
+
+def random_unit(rng):
+    """+-q^j prod Phi_d / (q^2; q^2)_n: a unit of the exact ring."""
+    u = QCoefficient.from_int(int(rng.choice([1, -1])))
+    for d in rng.choice(sorted(CYCLOTOMIC), size=int(rng.integers(1, 5))):
+        u = u * QCoefficient.from_poly(CYCLOTOMIC[int(d)])
+    u = u * QCoefficient.qpochhammer_inverse(int(rng.integers(0, 4)))
+    return u.mul_q_power(int(rng.integers(-3, 4)))
+
+
+@st.composite
+def units(draw, powers=(0, 1, 70)):
+    """+-q^j prod Phi_d^a / (q^2; q^2)_n, a unit of the exact ring; with
+    one of `powers` of Phi_1 or Phi_2, whose 70th power has binomial
+    coefficients up to 2^67, so the numerator packs at 64- or 128-bit
+    digits."""
+    u = QCoefficient.from_int(draw(st.sampled_from([1, -1])))
+    for d in draw(st.lists(st.sampled_from(sorted(CYCLOTOMIC)), max_size=4)):
+        u = u * QCoefficient.from_poly(CYCLOTOMIC[d])
+    wide = QCoefficient.from_poly(CYCLOTOMIC[draw(st.sampled_from([1, 2]))])
+    for _ in range(draw(st.sampled_from(powers))):
+        u = u * wide
+    u = u * QCoefficient.qpochhammer_inverse(draw(st.integers(0, 3)))
+    return u.mul_q_power(draw(st.integers(-3, 3)))
+
+
+# (numerator, dq, dfac) -> canonical(), pinned byte for byte because
+# residual JSON, repr and hash are built from it: the q-power; Phi_1,
+# Phi_2, Phi_3, Phi_4, Phi_6 and Phi_12 cancelled in part, in full or not
+# at all; the sign flip of a negative leading coefficient; wide and
+# non-primitive numerators
+CANONICAL_TABLE = [
+    ((), 0, (), ((0,), (1,))),
+    ((5,), 0, (), ((5,), (1,))),
+    ((1,), 2, (), ((1,), (0, 0, 1))),
+    ((0, -1), 0, ((1, 1),), ((0, 1), (-1, 0, 1))),
+    ((1, 1), 0, ((1, 1),), ((-1,), (-1, 1))),
+    ((-1, 1), 0, ((1, 1),), ((-1,), (1, 1))),
+    ((-1, 1), 0, ((1, 2),), ((1,), (-1, -1, 1, 1))),
+    ((1, -2, 1), 0, ((1, 1),), ((1, -1), (1, 1))),
+    ((1, 2, 1), 0, ((1, 1), (2, 1)), ((1,), (1, -2, 2, -2, 1))),
+    ((1, 3, 3, 1), 0, ((1, 1), (2, 1)), ((1, 1), (1, -2, 2, -2, 1))),
+    ((1, 0, 1), 0, ((1, 1), (2, 1)), ((1,), (1, 0, -2, 0, 1))),
+    ((1, 0, 1), 0, ((1, 1),), ((-1, 0, -1), (-1, 0, 1))),
+    ((1, -1, 1), 0, ((3, 1),), ((-1,), (-1, -1, 0, 1, 1))),
+    ((1, -1, 1), 0, ((1, 1), (2, 1)),
+     ((1, -1, 1), (1, 0, -1, 0, -1, 0, 1))),
+    ((1, 1, 1), 0, ((3, 1),), ((-1,), (-1, 1, 0, -1, 1))),
+    ((1, 0, -1, 0, 1), 0, ((6, 1),),
+     ((-1,), (-1, 0, -1, 0, 0, 0, 1, 0, 1))),
+    ((-1, 1, -1, 1, -1, 1), 0, ((1, 1), (2, 1), (3, 1)),
+     ((-1,), (1, 1, -1, -1, -1, -1, 1, 1))),
+    ((2, 3), 3, ((1, 1),), ((-2, -3), (0, 0, 0, -1, 0, 1))),
+    ((0, 0, 7, 7), 5, ((1, 1), (2, 1)),
+     ((7,), (0, 0, 0, 1, -1, 0, 0, -1, 1))),
+    ((2**100, 2**100), 0, ((1, 1),), ((-2**100,), (-1, 1))),
+    ((6, 0, -6), 0, ((1, 1), (2, 1)), ((-6,), (-1, 0, 0, 0, 1))),
+    ((1, 1, 1, 1), 1, ((2, 1), (3, 1), (4, 1)),
+     ((-1,), (0, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1, 0, 0, 0, 0, -1, 1))),
+]
+
+# the JSON of a nonzero exact residual, pinned byte for byte
+RESIDUAL_JSON = (
+    '{"identity": "pentagon-commutator", "order": 4, "residual_terms": ['
+    '{"exponent": [1, 1], "coefficient": '
+    '{"numerator": [0, 1], "denominator": [-1, 0, 1]}}, '
+    '{"exponent": [1, 2], "coefficient": '
+    '{"numerator": [0, 1], "denominator": [1, 0, -2, 0, 1]}}, '
+    '{"exponent": [2, 1], "coefficient": '
+    '{"numerator": [0, 1], "denominator": [1, 0, -2, 0, 1]}}, '
+    '{"exponent": [1, 3], "coefficient": '
+    '{"numerator": [0, 1], "denominator": [-1, 0, 2, 0, 0, 0, -2, 0, 1]}}, '
+    '{"exponent": [2, 2], "coefficient": '
+    '{"numerator": [1, 0, 0, 0, 1], '
+    '"denominator": [-1, 0, 2, 0, 0, 0, -2, 0, 1]}}, '
+    '{"exponent": [3, 1], "coefficient": '
+    '{"numerator": [0, 1], "denominator": [-1, 0, 2, 0, 0, 0, -2, 0, 1]}}], '
+    '"verdict": "FAIL", "mode": "exact"}'
+)
 
 
 class TestPoly:
@@ -96,10 +182,20 @@ class TestPoly:
 class TestQCoefficient:
     def test_field_inverse(self):
         rng = np.random.default_rng(2)
+        q0 = Fraction(2, 5)
         for _ in range(30):
-            a = random_coeff(rng)
+            a = random_unit(rng)
             assert (a * a.inverse()).is_one()
             assert (a / a).is_one()
+            assert a.inverse().evaluate(q0) == 1 / a.evaluate(q0)
+            b = random_coeff(rng)
+            assert (b / a) * a == b
+        for num in ([1, 2], [2], [1, 3, 1], [-1, 1, 1], [1, 0, 0, 1, 1]):
+            with pytest.raises(NonInvertible):
+                QCoefficient.from_poly(num).inverse()
+            with pytest.raises(NonInvertible):
+                (QCoefficient.from_poly(num).mul_q_power(-2)
+                 * QCoefficient.qpochhammer_inverse(3)).inverse()
 
     def test_ring_axioms_random(self):
         rng = np.random.default_rng(3)
@@ -118,12 +214,46 @@ class TestQCoefficient:
             assert (a == b) == same_canonical
 
     def test_canonical_is_reduced_and_positive(self):
+        """The canonical fraction has the value of the coefficient, and
+        its numerator vanishes at no root of its denominator: not at
+        q = 0, nor at a 2m-th root of unity for a factor 1 - q^(2m)."""
         rng = np.random.default_rng(5)
-        for _ in range(25):
+        points = [Fraction(2, 5), Fraction(-3, 7), Fraction(5, 2)]
+        for i in range(40):
             a = random_coeff(rng)
+            if i % 2:
+                a = a * random_unit(rng)
             num, den = a.canonical()
             assert den[-1] > 0
-            assert poly_gcd(num, den) == (1,)
+            for x in points:
+                ev = [sum(c * x**k for k, c in enumerate(p)) for p in (num, den)]
+                assert ev[0] / ev[1] == a.evaluate(x)
+            assert den[0] != 0 or num[0] != 0
+            with mpmath.workdps(30):
+                for m, _ in a.dfac:
+                    for k in range(2 * m):
+                        root = mpmath.expjpi(mpmath.mpf(k) / m)
+                        if abs(mpmath.polyval(den[::-1], root)) < 1e-20:
+                            assert abs(mpmath.polyval(num[::-1], root)) > 1e-20
+
+    @pytest.mark.parametrize("num, dq, dfac, expected", CANONICAL_TABLE)
+    def test_canonical_table(self, num, dq, dfac, expected):
+        c = QCoefficient(Poly.from_coeffs(num), dq, dfac)
+        assert c.canonical() == expected
+
+    def test_residual_json_with_denominators(self):
+        """The residual of a product of two Psi's against the reversed
+        product, A2 at order 4: reduced denominators with flipped signs."""
+        from clusterdilog.exchange import ExchangeMatrix
+        from clusterdilog.qident import Residual
+        from clusterdilog.torus import deviation_from, monomial, multiply, psi_series
+
+        A2 = ExchangeMatrix(np.array([[0, -1], [1, 0]]))
+        p1 = psi_series(monomial((1, 0), A2, 4))
+        p2 = psi_series(monomial((0, 1), A2, 4))
+        dev = deviation_from(multiply(p1, p2), multiply(p2, p1))
+        out = json.dumps(Residual("pentagon-commutator", 4, tuple(dev)).to_json())
+        assert out == RESIDUAL_JSON
 
     def test_canonical_flips_pochhammer_sign(self):
         c = QCoefficient.from_poly([0, -1]) * QCoefficient.qpochhammer_inverse(1)
@@ -189,15 +319,13 @@ class TestFieldAxiomsProperty:
         assert (a == b) == (a.canonical() == b.canonical())
 
     @settings(max_examples=60, deadline=None)
-    @given(a=wide_coefficients(), b=wide_coefficients(), x=points)
-    def test_inverse(self, a, b, x):
-        inv = a.inverse()
-        assert (a * inv).is_one() and (inv * a).is_one()
-        if a.evaluate(x) != 0:
-            assert inv.evaluate(x) == 1 / a.evaluate(x)
-        # a round trip through a wide value and an extra denominator
-        big = QCoefficient.from_int(3**200)
-        back = a * big / big
+    @given(a=wide_coefficients(), b=wide_coefficients(), u=units(), x=points)
+    def test_inverse(self, a, b, u, x):
+        inv = u.inverse()
+        assert (u * inv).is_one() and (inv * u).is_one()
+        assert inv.evaluate(x) == 1 / u.evaluate(x)
+        # a round trip through a wide unit
+        back = a * u / u
         assert back == a and hash(back) == hash(a)
         assert EXACT.sum([a, b, inv]) == (a + b) + inv
 
@@ -274,9 +402,3 @@ class TestPolyHelpers:
         assert poly_exact_div(num, (1, -1)) == (1, 1)
         with pytest.raises(ValueError):
             poly_exact_div((1, 1), (1, -1))
-
-    def test_gcd(self):
-        a = (1, 0, -1)          # (1-q)(1+q)
-        b = (1, -2, 1)          # (1-q)^2
-        assert poly_gcd(a, b) == (-1, 1)
-        assert poly_gcd((0,), (1, 1)) == (1, 1)

@@ -23,6 +23,7 @@ from clusterdilog.torus import (
     unit,
     zero_element,
 )
+from test_ratfunc import random_unit, units
 
 A2 = ExchangeMatrix(np.array([[0, -1], [1, 0]]))
 N = 6
@@ -179,8 +180,7 @@ class TestInvert:
         rng = np.random.default_rng(4)
         for _ in range(10):
             a = random_sparse(rng, A2, 4)
-            if a.constant_coefficient().is_zero():
-                continue
+            a = TorusElement(A2, 4, a.base, {**a.terms, (0, 0): random_unit(rng)})
             assert invert(invert(a)) == a
 
     def test_noninvertible(self):
@@ -192,24 +192,39 @@ class TestInvert:
 
 @st.composite
 def coefficients(draw):
-    """q^j * P(q) / (q^2; q^2)_n, with P's coefficients small or up to
-    2^200 (so one product mixes 64-, 128- and 256-bit digits), sometimes
-    over an extra denominator 1 / (c0 + c1 q) that does not vanish at 3/8."""
+    """(c, extra): c = q^j * P(q) / (q^2; q^2)_n, with P's coefficients
+    small or up to 2^200 (so one product mixes 64-, 128- and 256-bit
+    digits); one draw in five, extra = (c0, c1) names a factor
+    1 / (c0 + c1 q), no unit of the exact ring, which the rational point
+    q0 = 3/8 takes as an exact Fraction."""
     size = draw(st.sampled_from((3, 2**60, 2**120, 2**200)))
     num = draw(st.lists(st.integers(-size, size), min_size=1,
                         max_size=3).filter(any))
     c = QCoefficient.from_poly(num) * \
         QCoefficient.qpochhammer_inverse(draw(st.integers(0, 2)))
+    extra = None
     if draw(st.integers(0, 4)) == 0:
-        c = c * QCoefficient.from_poly([draw(st.integers(2, 3)),
-                                        draw(st.integers(-3, 3))]).inverse()
-    return c.mul_q_power(draw(st.integers(-2, 2)))
+        extra = (draw(st.integers(2, 3)), draw(st.integers(-3, 3)))
+    return c.mul_q_power(draw(st.integers(-2, 2))), extra
+
+
+def in_ring(ring, spec):
+    """The coefficient (c, extra) of `coefficients()` in `ring`: c itself
+    over the exact ring, c(q0) / (c0 + c1 q0) at a rational point."""
+    c, extra = spec
+    if ring == ratfunc.EXACT:
+        return c
+    value = c.evaluate(ring.q0)
+    if extra is not None:
+        value /= extra[0] + extra[1] * ring.q0
+    return ratfunc.RationalQ(value, ring.q0)
 
 
 @st.composite
 def sparse_triples(draw):
     """A random skew-symmetric B of rank <= 4, an order N <= 6 and three
-    sparse elements, each with a nonzero constant-shift coefficient."""
+    sparse elements, each with a nonzero constant-shift coefficient and a
+    unit of the exact ring to put in its place."""
     n = draw(st.integers(1, 4))
     N = draw(st.integers(1, 6))
     b = np.zeros((n, n), dtype=int)
@@ -224,7 +239,7 @@ def sparse_triples(draw):
         base = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
         terms = draw(st.dictionaries(shifts, coefficients(), max_size=4))
         terms[(0,) * n] = draw(coefficients())
-        elems.append((base, terms))
+        elems.append((base, terms, draw(units(powers=(0, 1, 2)))))
     return ExchangeMatrix(b), N, elems
 
 
@@ -238,16 +253,17 @@ class TestProductProperties:
     @settings(max_examples=30, deadline=None)
     @given(case=sparse_triples())
     def test_associative_with_two_sided_inverse(self, ring, case):
+        """Over the exact ring the constant-shift coefficients, which
+        `invert` inverts, are units; at q0 = 3/8 any nonzero value is."""
         B, order, specs = case
-
-        def coef(c):
-            if ring == ratfunc.EXACT:
-                return c
-            return ratfunc.RationalQ(c.evaluate(ring.q0), ring.q0)
-
         a, b, c = (TorusElement(B, order, base,
-                                {d: coef(v) for d, v in terms.items()}, ring)
-                   for base, terms in specs)
+                                {d: in_ring(ring, v) for d, v in terms.items()},
+                                ring)
+                   for base, terms, _ in specs)
+        if ring == ratfunc.EXACT:
+            a, b, c = (TorusElement(B, order, x.base,
+                                    {**x.terms, (0,) * B.n: u}, ring)
+                       for x, (_, _, u) in zip((a, b, c), specs))
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
         inv = invert(a)
         assert multiply(a, inv) == unit(B, order, ring)
@@ -263,15 +279,10 @@ class TestProductProperties:
         `ring.pair_sum`; the reference builds (c1 * c2).mul_q_power(e)
         pair by pair and adds them one at a time."""
         B, order, specs = case
-
-        def coef(c):
-            if ring == ratfunc.EXACT:
-                return c
-            return ratfunc.RationalQ(c.evaluate(ring.q0), ring.q0)
-
         a, b, c = (TorusElement(B, order, base,
-                                {d: coef(v) for d, v in terms.items()}, ring)
-                   for base, terms in specs)
+                                {d: in_ring(ring, v) for d, v in terms.items()},
+                                ring)
+                   for base, terms, _ in specs)
         assert multiply(a, b) == reference_multiply(a, b)
         assert multiply(c, a) == reference_multiply(c, a)
 
