@@ -295,15 +295,6 @@ def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
             Residual("dual-qbar", N, tuple(dev2), _mode(ring)))
 
 
-def dual_factor_arguments(B: ExchangeMatrix, sched: MutationSchedule):
-    """Monomial exponents of the factors of the direct identity and of
-    its dual: the dual list is the direct list reversed."""
-    ss = sign_sequence(B, sched)
-    direct = [tuple(eps * a for a in alpha)
-              for eps, alpha in zip(ss.signs, ss.cvectors)]
-    return direct, list(reversed(direct))
-
-
 # ---------------------------------------------------------------------------
 # commutative degeneration at q = 1
 

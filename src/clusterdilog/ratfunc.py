@@ -18,7 +18,9 @@ does not fit a balanced digit, the operands are first renormalised
 (their bounds recomputed from the digits) and, if it still does not
 fit, repacked at a wider digit.  A coefficient therefore never
 outgrows its digit, and a value is only as wide as its coefficients
-have needed.  Denominator factor products are cached per width.
+have needed.  Lifting onto a larger denominator multiplies by each
+(1 - q^(2m)) in turn, which on a packed value is one shift and one
+subtraction.
 
 A torus product hands all the pair products landing on one of its terms
 to `ExactField.pair_sum` at once.  It multiplies the packed numerators
@@ -31,7 +33,6 @@ becomes a coefficient of its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import NonInvertible
 
@@ -208,33 +209,6 @@ def _poly_sum(polys) -> Poly:
 _ZERO_POLY = Poly(0, 0, 0, _MIN_WIDTH)
 _ONE_POLY = Poly(1, 1, 1, _MIN_WIDTH)
 
-_fac_cache = {}
-
-
-def _fac_product(fac: tuple, k: int) -> Poly:
-    """prod (1 - q^(2m))^e over the (m, e) in fac, packed at width k or
-    wider if its coefficients need it."""
-    key = (fac, k)
-    p = _fac_cache.get(key)
-    if p is None:
-        p = Poly(1, 1, 1, k)
-        for m, e in fac:
-            coeffs = [0] * (2 * m * e + 1)
-            for i in range(e + 1):
-                coeffs[2 * m * i] = -comb(e, i) if i % 2 else comb(e, i)
-            p = p * Poly.from_coeffs(coeffs)
-        p = p.tight()
-        _fac_cache[key] = p
-    return p
-
-
-def _den_product(dq, dfac) -> Poly:
-    p = _ONE_POLY.shift(dq) if dq else _ONE_POLY
-    if dfac:
-        p = p * _fac_product(dfac, p.k)
-    return p
-
-
 def _add_fac(f1, f2):
     """Exponent-wise sum of two factored denominators."""
     if not f1 or not f2:
@@ -346,7 +320,7 @@ class QCoefficient:
         for anything else."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        num = _den_product(self.dq, self.dfac)
+        num = _lift(_ONE_POLY, self.dq, self.dfac)
         # pull monomial content of the old numerator back into dq
         j = self.num.q_order()
         sign, exps = _unit_factors(self.num.unshift(j).coeffs())
@@ -367,11 +341,7 @@ class QCoefficient:
     def __eq__(self, other):
         if not isinstance(other, QCoefficient):
             return NotImplemented
-        if self.num.is_zero():
-            return other.num.is_zero()
-        lhs = self.num * _den_product(other.dq, other.dfac)
-        rhs = other.num * _den_product(self.dq, self.dfac)
-        return lhs == rhs
+        return _common_sum((self, -other)).is_zero()
 
     def __hash__(self):
         num, den = self.canonical()
@@ -423,11 +393,25 @@ class QCoefficient:
 
 
 def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
+    """num * q^dq_extra * prod (1 - q^(2m))^e over the (m, e) in
+    fac_extra.  Each factor 1 - q^(2m) is val - (val << 2mk), which
+    doubles the bound: a bound that outgrows the digit is first
+    tightened, then widened on the ladder."""
     if dq_extra:
         num = num.shift(dq_extra)
-    if fac_extra:
-        num = num * _fac_product(fac_extra, num.k)
-    return num
+    val, nd, bound, k = num.val, num.nd, num.bound, num.k
+    for m, e in fac_extra:
+        for _ in range(e):
+            if (bound << 1).bit_length() >= k:
+                num = Poly(val, nd, bound, k).tight()
+                val, nd, bound = num.val, num.nd, num.bound
+                if (bound << 1).bit_length() >= k:
+                    k = _width(bound << 1)
+                    val = num.at(k)
+            val -= val << (2 * m * k)
+            nd += 2 * m
+            bound <<= 1
+    return Poly(val, nd, bound, k)
 
 
 def _max_fac(facs) -> tuple:
@@ -764,17 +748,6 @@ def _quotient(a, b):
     if any(a[:db]):
         return None
     return poly_trim(out)
-
-
-def poly_exact_div(a, b) -> tuple:
-    """Quotient of a by b, assuming the division is exact over Z."""
-    a, b = poly_trim(a), poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = _quotient(a, b)
-    if out is None:
-        raise ValueError("division is not exact")
-    return out or (0,)
 
 
 _cyclotomics = {}

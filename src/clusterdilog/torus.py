@@ -160,10 +160,6 @@ def unit(B: ExchangeMatrix, N: int, ring=ratfunc.EXACT) -> TorusElement:
     return monomial((0,) * B.n, B, N, ring)
 
 
-def zero_element(B: ExchangeMatrix, N: int, ring=ratfunc.EXACT) -> TorusElement:
-    return TorusElement(B, N, (0,) * B.n, {(0,) * B.n: ring.zero()}, ring)
-
-
 def _rebase(elem: TorusElement, newbase: tuple) -> dict:
     """Terms of elem re-expressed over a lower base (entrywise <=).
 
@@ -253,29 +249,39 @@ def power(a: TorusElement, m: int) -> TorusElement:
 def invert(a: TorusElement) -> TorusElement:
     """Two-sided inverse up to the truncation order.
 
-    Requires a nonzero delta = 0 coefficient; computed by geometric
-    series applied to the shift part, then shifted by Y^(-base).
+    Requires a nonzero delta = 0 coefficient c_0.  As <base, base> = 0,
+    Y^(-base) a = sum_delta c_delta Y^delta; its inverse v is solved
+    degree by degree from v_0 = 1/c_0 and
+
+        v_delta = -(1/c_0) sum_{eps + zeta = delta, eps != 0}
+                  q^<eps,zeta> c_eps v_zeta,
+
+    where each zeta has lower degree than delta, and the triples of each
+    delta go to `ring.pair_sum` once.  The result is v Y^(-base).
     """
     c0 = a.constant_coefficient()
     if c0.is_zero():
         raise NonInvertible("element has zero constant-shift coefficient")
     B, N, ring = a.matrix, a.order, a.ring
-    u = multiply(monomial(tuple(-x for x in a.base), B, N, ring), a)
-    c0 = u.constant_coefficient()
     c0_inv = c0.inverse()
     zero_key = (0,) * B.n
-    w = TorusElement(B, N, zero_key,
-                     {d: c * c0_inv for d, c in u.terms.items() if d != zero_key},
+    w = sorted(((sum(e), e, -(c * c0_inv), _row_B(e, B))
+                for e, c in a.terms.items() if any(e) and not c.is_zero()),
+               key=itemgetter(0))
+    levels = [[(zero_key, c0_inv)]]
+    for deg in range(1, N + 1):
+        out = {}
+        for we, e, ce, row_e in w:
+            if we > deg:
+                break
+            for z, cz in levels[deg - we]:
+                out.setdefault(tuple(map(_plus, z, e)), []).append(
+                    (cz, ce, sum(map(_times, row_e, z))))
+        level = [(d, ring.pair_sum(triples)) for d, triples in out.items()]
+        levels.append([(d, c) for d, c in level if not c.is_zero()])
+    v = TorusElement(B, N, zero_key, {d: c for lv in levels for d, c in lv},
                      ring)
-    t = unit(B, N, ring)
-    terms = [t]
-    for _ in range(N):
-        t = -multiply(t, w)
-        if t.is_zero():
-            break
-        terms.append(t)
-    acc = _sum(terms).scale(c0_inv)
-    return multiply(acc, monomial(tuple(-x for x in a.base), B, N, ring))
+    return multiply(v, monomial(tuple(-x for x in a.base), B, N, ring))
 
 
 def psi_series(x: TorusElement, N: int | None = None) -> TorusElement:

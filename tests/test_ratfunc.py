@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -12,7 +13,8 @@ from clusterdilog.ratfunc import (
     Poly,
     QCoefficient,
     RationalPointField,
-    poly_exact_div,
+    _lift,
+    _quotient,
 )
 
 # cyclotomic polynomials Phi_d, constant term first
@@ -111,6 +113,14 @@ RESIDUAL_JSON = (
 )
 
 
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 class TestPoly:
     def test_pack_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -124,11 +134,8 @@ class TestPoly:
             a = [int(c) for c in rng.integers(-9, 10, size=8)]
             b = [int(c) for c in rng.integers(-9, 10, size=5)]
             pa, pb = Poly.from_coeffs(a), Poly.from_coeffs(b)
-            conv = [0] * 12
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-            assert (pa * pb).coeffs() == Poly.from_coeffs(conv).coeffs()
+            assert (pa * pb).coeffs() == \
+                Poly.from_coeffs(convolve(a, b)).coeffs()
             add = [x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):]
             assert (pa + pb).coeffs() == Poly.from_coeffs(add).coeffs()
 
@@ -205,6 +212,18 @@ class TestQCoefficient:
             assert (a * b) * c == a * (b * c)
             assert a + b == b + a
             assert a - a == QCoefficient.from_int(0)
+
+    def test_equality_over_two_denominators(self):
+        """(1 + q^2)/(q (1 - q^4)) and 1/(q (1 - q^2)): one value over
+        two factor tuples, neither of which contains the other."""
+        a = QCoefficient(Poly.from_coeffs([1, 0, 1]), 1, ((2, 1),))
+        b = QCoefficient(Poly.const(1), 1, ((1, 1),))
+        assert a.dfac != b.dfac
+        assert a == b and b == a and hash(a) == hash(b)
+        assert a != b.mul_q_power(1) and a != -b
+        zero = QCoefficient.from_int(0)
+        assert zero != a and a != zero
+        assert zero == a - b and a - b == zero
 
     def test_equality_iff_cross_multiplication(self):
         rng = np.random.default_rng(4)
@@ -399,6 +418,63 @@ class TestRationalPointField:
 class TestPolyHelpers:
     def test_exact_div(self):
         num = (1, 0, -1)  # 1 - q^2
-        assert poly_exact_div(num, (1, -1)) == (1, 1)
-        with pytest.raises(ValueError):
-            poly_exact_div((1, 1), (1, -1))
+        assert _quotient(num, (1, -1)) == (1, 1)
+        assert _quotient((1, 1), (1, -1)) is None
+
+
+def fac_product(fac):
+    """prod (1 - q^(2m))^e over the (m, e) in fac, each factor expanded
+    by the binomial theorem: the reference for `_lift`."""
+    p = [1]
+    for m, e in fac:
+        f = [0] * (2 * m * e + 1)
+        for i in range(e + 1):
+            f[2 * m * i] = (-1) ** i * math.comb(e, i)
+        p = convolve(p, f)
+    return p
+
+
+class TestLift:
+    """`_lift` multiplies a packed numerator by q^dq and by each factor
+    1 - q^(2m) with a shift and a subtraction, tightening and widening the
+    digits as the doubled bound requires."""
+
+    @pytest.mark.parametrize("fac", [
+        ((1, 1),),
+        ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1)),
+        ((2, 3), (7, 2)),
+        ((1, 66),),                 # the bound is tightened, not widened
+        ((1, 70),),                 # C(70, 35) > 2^63: widened part-way
+        ((1, 40), (3, 30), (5, 1)),
+    ])
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    @pytest.mark.parametrize("dq", [0, 3])
+    def test_matches_binomial_product(self, fac, k, dq):
+        size = {64: 5, 128: 2**100, 256: 2**200}[k]
+        coeffs = [size, -1, 0, -size, 2]
+        num = Poly.from_coeffs(coeffs)
+        assert num.k == k
+        out = _lift(num, dq, fac)
+        expected = [0] * dq + convolve(coeffs, fac_product(fac))
+        assert out.coeffs() == tuple(expected)
+        assert out.bound >= max(map(abs, expected))
+        assert out.bound.bit_length() < out.k
+        # widened only as far as the coefficients need
+        assert out.k == max(num.k, Poly.from_coeffs(expected).k)
+
+    def test_bound_crosses_the_digit_mid_loop(self):
+        """After 62 steps the bound 2^62 of (1 - q^2)^62 would double past
+        the 64-bit digit, so the loop tightens it to C(62, 31); C(66, 33)
+        still fits the digit, while C(70, 35) needs 128 bits."""
+        tightened = _lift(Poly.const(1), 0, ((1, 66),))
+        assert tightened.k == 64 and tightened.bound < 2**63
+        assert tightened.coeffs()[66] == -math.comb(66, 33)
+        out = _lift(Poly.const(1), 0, ((1, 70),))
+        assert out.k == 128
+        assert out.coeffs()[70] == -math.comb(70, 35) < -2**63
+
+    def test_zero_and_empty_lifts(self):
+        one = Poly.const(1)
+        assert _lift(one, 0, ()) == one
+        assert _lift(one, 2, ()).coeffs() == (0, 0, 1)
+        assert _lift(Poly.const(0), 1, ((1, 3),)).is_zero()

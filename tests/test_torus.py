@@ -21,7 +21,6 @@ from clusterdilog.torus import (
     power,
     psi_series,
     unit,
-    zero_element,
 )
 from test_ratfunc import random_unit, units
 
@@ -166,9 +165,16 @@ class TestInvert:
         assert invert(Y((-2, 1))) == Y((2, -1))
 
     def test_two_sided_inverse_of_series(self):
-        e = add(one(), Y((1, 0)))
-        assert multiply(e, invert(e)) == one()
-        assert multiply(invert(e), e) == one()
+        # the second element has a Laurent base, a unit q^-1 Phi_2 as its
+        # constant-shift coefficient and shifts that do not commute
+        c = QCoefficient.from_poly([0, 2, -1]) * \
+            QCoefficient.qpochhammer_inverse(2)
+        terms = {(0, 0): QCoefficient.from_poly([1, 1]).mul_q_power(-1),
+                 (1, 0): c, (0, 1): QCoefficient.from_int(3),
+                 (1, 1): c.mul_q_power(2)}
+        for e in (add(one(), Y((1, 0))), TorusElement(A2, N, (1, -1), terms)):
+            assert multiply(e, invert(e)) == one()
+            assert multiply(invert(e), e) == one()
 
     def test_geometric_series_coefficients(self):
         inv = invert(add(one(), Y((1, 0))))
@@ -326,7 +332,7 @@ class TestPsiSeries:
             QCoefficient.qpochhammer_inverse(2)
 
     def test_of_zero_is_one(self):
-        assert psi_series(zero_element(A2, N)) == one()
+        assert psi_series(TorusElement(A2, N, (0, 0), {})) == one()
 
     def test_recursion_at_every_truncation_order(self):
         for order in (2, 4, 6, 8):
