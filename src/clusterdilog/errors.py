@@ -57,7 +57,7 @@ class BranchProximity(ClusterDilogError):
 class QuadratureFailure(ClusterDilogError):
     """Phi_b missed its accuracy budget (`achieved_error`: the gap between two
     Gauss-Legendre rules on the tails, or the rounding of pi s / 24 at b far
-    from 1), needs more tail panels than the cap, or z is out of its reach."""
+    from 1), or z is out of its reach."""
 
     def __init__(self, message, achieved_error=None):
         super().__init__(message)

@@ -5,10 +5,11 @@ the real line that circles the origin from above; continued outside by
 the recurrence in steps of i*b, or of i/b when |b| > 1.  The pole at the
 origin is integrated in closed form, so for real b and z the integral is
 imaginary and Phi_b is unimodular by construction.  The rest is a Taylor
-series on [0, r] and Gauss-Legendre panels on the tails, where a 16-point
-rule beside the 32-point one gives the error estimate.  For Im b^2 > 0,
-Phi_b is also a ratio of two compact quantum dilogarithm products: an
-independent check.
+series on [0, r] and the tails, where each half e^(+-2izx) of sin(2zx)
+runs from r on a ray towards its steepest descent, turned at most half
+way to the nearest pole ray, over Gauss-Legendre panels that triple in
+width; a 16-point rule beside the 32-point one estimates the error.  For
+Im b^2 > 0, Phi_b is also a ratio of two compact q-dilogarithm products.
 """
 
 from __future__ import annotations
@@ -21,22 +22,23 @@ from dataclasses import dataclass
 from .dilog import PI2_6, _bernoulli, li2, log_psiq_numeric
 from .errors import QuadratureFailure
 
-_MAX_PANELS = 4096
-
 
 @functools.cache
 def _tables():
-    """numpy, the nodes of the 32- and 16-point Gauss-Legendre rules side by
-    side with their two weight vectors and, for `_head`, the coefficients
-    in t^2 of t/sinh(t) and of sin(t)/t through t^16 with the odd
-    reciprocals; loaded on the first quadrature rather than at import."""
+    """numpy; the nodes of the 32- and 16-point Gauss-Legendre rules side by
+    side, shifted by 2, with a matrix whose two columns weigh them; and, for
+    `_head`, the coefficients in t^2 of t/sinh(t) and of sin(t)/t through
+    t^16 with the odd reciprocals; loaded on the first quadrature rather
+    than at import."""
     import numpy as np
     t = np.array([float((2 - 4**n) * _bernoulli(2 * n) / math.factorial(2 * n))
                   for n in range(9)])
     sinc = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(9)])
     (x32, w32), (x16, w16) = (np.polynomial.legendre.leggauss(n)
                               for n in (32, 16))
-    return (np, np.concatenate((x32, x16)), w32, w16, t, sinc,
+    weights = np.zeros((48, 2), complex)
+    weights[:32, 0], weights[32:, 1] = w32, w16
+    return (np, np.concatenate((x32, x16)) + 2.0, weights, t, sinc,
             1.0 / np.arange(1, 17, 2))
 
 
@@ -73,21 +75,11 @@ class PhibParams:
         return abs(self.c_b.imag)
 
 
-def _panel_sums(f, edges) -> tuple:
-    """Sums over panels [edges[i], edges[i+1]] of the 32- and of the 16-point
-    Gauss-Legendre rule on f, which is evaluated once on both node sets."""
-    _, nodes, w32, w16 = _tables()[:4]
-    left = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - left)
-    vals = f(left + half * (nodes + 1.0))
-    return (complex((half * w32 * vals[:, :32]).sum()),
-            complex((half * w16 * vals[:, 32:]).sum()))
-
-
 def _head(z, b, r) -> complex:
-    """Integral over [0, r] of sym(x) + 4iz/x^2 = -(4iz/x^2) (sinc(2zx)
-    T(bx) T(x/b) - 1), T(t) = t/sinh(t), term by term in (x/r)^2."""
-    np, _, _, _, t, sinc, odd = _tables()
+    """Integral over [0, r] of the contour integrand at x and -x plus 4iz/x^2,
+    -(4iz/x^2) (sinc(2zx) T(bx) T(x/b) - 1), T(t) = t/sinh(t), term by
+    term in (x/r)^2."""
+    np, _, _, t, sinc, odd = _tables()
     n = np.arange(len(t))
     series = np.convolve(t * (b * r) ** (2 * n), t * (r / b) ** (2 * n))
     series = np.convolve(series[:len(t)], sinc * (2 * z * r) ** (2 * n))
@@ -99,7 +91,7 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
 
     The pole at 0 contributes -i pi z^2 / 2 - i pi s / 24, s = b^2 + b^-2,
     in closed form; the regular rest is the series head on [0, r], the
-    tails on [r, oo) and 4iz/r, the integral of the subtracted 4iz/x^2."""
+    tails from r on and 4iz/r, the integral of the subtracted 4iz/x^2."""
     b = p.b if p.b.real > 0 else -p.b  # the integrand is even under b -> -b
     rate = (b + 1.0 / b).real - 2.0 * abs(z.imag)
     if not (rate > 0 and cmath.isfinite(z)):
@@ -110,30 +102,36 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     if not floor <= 100 * tol:  # the rounding of s alone misses the budget
         raise QuadratureFailure(
             f"b={b}: pi s / 24 rounds off by {floor:.2e}", floor)
-    # a tenth of the series' radius, and short against the period of sin(2zx)
-    r = 0.1 * min(math.pi * m, 1.0 / max(abs(z), 1e-300))
-    upper = max(60.0 / rate, r + 1.0)
-
-    def sym(x):  # the contour integrand at x plus at -x, without overflow
-        return (-8j * np.sin(2 * z * x) * np.exp(-x * (b + 1.0 / b))
-                / (x * np.expm1(-2.0 * b * x) * np.expm1(-2.0 * x / b)))
-
-    # panels double in width from r, where sym falls off like 1/x^2, but stay
-    # below 4/omega, omega the frequency sym oscillates with at large x
-    omega = abs((b + 1.0 / b).imag) + 2.0 * abs(z.real)
-    panels = math.log2(upper / r) + 0.25 * omega * upper + 2
-    if not panels <= _MAX_PANELS:  # counted before building
-        raise QuadratureFailure(
-            f"tails need {panels:.3g} panels at z={z}, over {_MAX_PANELS}")
-    widest = 4.0 / omega if omega else math.inf
-    edges = [r]
-    while edges[-1] < upper:
-        edges.append(min(2.0 * edges[-1], edges[-1] + widest, upper))
-    np = _tables()[0]
-    # sin(2zx) may overflow where exp(-x(b + 1/b)) underflows: the NaN
-    # that follows is refused below, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        tails, coarse = _panel_sums(sym, np.array(edges))
+    # a tenth of the radius of T(bx) T(x/b), and |2zr| <= 1, where the sinc
+    # series misses under 1e-17; each ray carries about 1/(2 r^2) that cancels
+    r = 0.1 * min(math.pi * m, 5.0 / max(abs(z), 1e-300))
+    # the half of sin(2zx) = (e^(2izx) - e^(-2izx)) / 2i with e^(+-2izx)
+    # decays like e^(-wx), w = b + 1/b -+ 2iz; turned at most half way to
+    # the nearest pole ray i pi k / b or i pi k b, its ray passes no pole
+    clip = 0.25 * math.pi - 0.5 * abs(cmath.phase(b))
+    w = [b + 1.0 / b - 2j * z, b + 1.0 / b + 2j * z]
+    turn = [cmath.exp(1j * max(-clip, min(clip, -cmath.phase(v)))) for v in w]
+    decay = min((v * u).real for v, u in zip(w, turn))
+    # panels triple in width from [0, r], so each lies as far from the pole
+    # at 0 as it is wide, out to r (3^n - 1) / 2 = 40 / decay
+    panels = (math.log(80.0 + r * decay) - math.log(r)
+              - math.log(decay)) / math.log(3)
+    if not math.isfinite(panels):  # 2z overflows a float
+        raise QuadratureFailure(f"no panels reach the tails at z={z}")
+    np, nodes, weights = _tables()[:3]
+    # a vanishing decay or a huge z overflows 3^k or underflows x expm1 expm1:
+    # the inf or NaN that follows is refused below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grow = 3.0 ** np.arange(math.ceil(panels))
+        # panel k: t = r (3^k (2 + node) - 1) / 2, dt = r 3^k dnode / 2; the
+        # half with e^(+-2izx) is -+4 e^(-wx) / (x expm1(-2bx) expm1(-2x/b))
+        x = r + np.array(turn)[:, None, None] * (
+            0.5 * r * (grow[:, None] * nodes - 1.0))
+        f = np.exp(-np.array(w)[:, None, None] * x) / (
+            x * np.expm1(-2.0 * b * x) * np.expm1(-2.0 * x / b))
+        plus, minus = (grow @ (f @ weights)).tolist()
+    tails, coarse = (-2.0 * r * (turn[0] * a - turn[1] * c)
+                     for a, c in zip(plus, minus))
     # abs() of a NaN can raise a stale libm ERANGE as OverflowError
     if not (cmath.isfinite(tails) and cmath.isfinite(coarse)):
         raise QuadratureFailure(f"tail sums are not finite at z={z}")
@@ -193,12 +191,13 @@ def unitarity_residual(z: float, p: PhibParams) -> float:
 
 
 def recurrence_residual(z, p: PhibParams, dual: bool = False) -> float:
-    """Relative deviation of Phi_b(z + i s) / Phi_b(z) from
-    1 + q_s e^(2 pi s z), with s = b (or 1/b in the dual direction)."""
-    s = 1.0 / p.b if dual else p.b
-    qs = p.q_dual if dual else p.q
-    lhs = phib(z + 1j * s, p) / phib(z, p)
-    rhs = 1.0 + qs * cmath.exp(2 * math.pi * s * z)
+    """Relative deviation of Phi_b(z + i s/2) / Phi_b(z - i s/2) from
+    1 + e^(2 pi s z), s = b (or 1/b in the dual direction): no step of
+    phib's own reduction maps one point onto the other."""
+    b = p.b if p.b.real > 0 else -p.b  # Phi_b = Phi_{-b}
+    s = 1.0 / b if dual else b
+    lhs = phib(z + 0.5j * s, p) / phib(z - 0.5j * s, p)
+    rhs = 1.0 + cmath.exp(2 * math.pi * s * z)
     return abs(lhs - rhs) / abs(rhs)
 
 

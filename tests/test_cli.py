@@ -346,6 +346,13 @@ class TestPhibCommand:
                              "--z", "0.2")
         assert code == 0 and rep["residual_inverse_b"] < 1e-7
 
+    @pytest.mark.parametrize("b,z", [("1.0", "300"), ("1.0", "1000"),
+                                     ("0.7", "1000")])
+    def test_large_real_z_is_unimodular(self, capsys, b, z):
+        code, rep = run_json(capsys, "phib", "--b", b, "--z", z)
+        assert code == 0
+        assert abs(rep["modulus"] - 1.0) < 1e-12
+
     @pytest.mark.parametrize("z", ["inf", "1e20"])
     def test_unresolvable_z_exit_3(self, capsys, z):
         assert main(["phib", "--z", z]) == 3
@@ -371,9 +378,8 @@ class TestPhibCommand:
 
     @pytest.mark.parametrize("z", ["0,400", "0,100"])
     def test_beyond_double_range_prints_one_error_line(self, z):
-        """At b = 2000, |Phi_b| overflows a float: at Im z = 400 sin(2zx)
-        overflows on the tails too, at Im z = 100 only the final exp.
-        Either way the run exits 3 with the one JSON error line on stdout,
+        """At b = 2000, |Phi_b| overflows a float at Im z = 400 and at
+        Im z = 100: the run exits 3 with the one JSON error line on stdout,
         and no numpy warning reaches stderr."""
         proc = subprocess.run(
             [sys.executable, "-W", "default", "-m", "clusterdilog.cli",

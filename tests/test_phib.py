@@ -53,19 +53,27 @@ class TestParams:
 
 
 def log_phib_mpmath(z, b):
-    """Independent oracle: -1/4 of the contour integral at 30 digits, with
-    mpmath's tanh-sinh rule on the tails out to infinity and on an arc of
-    a different radius than the one phib uses."""
-    with mpmath.workdps(30):
+    """Independent oracle: -1/4 of the contour integral at 40 digits.  The
+    arc over the origin has a radius below 1/|z|, so its factor e^(2|z|r)
+    stays small; each half of the tails, g(x) and g(-x) for x > r, runs on
+    a ray turned by a fixed pi/4 towards its decay, where mpmath's
+    tanh-sinh rule integrates it out to infinity.  No pole lies between
+    the ray and the real axis while |arg b| < pi/4."""
+    with mpmath.workdps(40):
         z, b = mpmath.mpc(z), mpmath.mpc(b)
 
         def g(x):
             return mpmath.exp(-2j * z * x) / (x * mpmath.sinh(x * b) * mpmath.sinh(x / b))
 
-        r = mpmath.pi / 4 * min(abs(b), 1 / abs(b))
-        tails = mpmath.quad(lambda x: g(x) + g(-x), [r, 1, 4, 16, mpmath.inf])
+        r = min(mpmath.pi / 4 * min(abs(b), 1 / abs(b)), 1 / max(abs(z), 1))
         arc = mpmath.quad(lambda t: g(r * mpmath.expj(t)) * 1j * r * mpmath.expj(t),
                           [mpmath.pi, 0])
+        tails = 0
+        for sign in (1, -1):
+            w = b + 1 / b + 2j * sign * z  # g(sign x) decays like e^(-wx)
+            turn = mpmath.expj(-mpmath.pi / 4 if w.imag >= 0 else mpmath.pi / 4)
+            tails += mpmath.quad(lambda t: g(sign * (r + turn * t)) * turn,
+                                 [0, r, 8 / abs(w), mpmath.inf])
         return complex(-(tails + arc) / 4)
 
 
@@ -76,17 +84,34 @@ class TestValues:
         for z in (-0.3, 0.0, 0.15 + 0.1j):
             assert abs(phib(z, p) - cmath.exp(log_phib_mpmath(z, b))) < 1e-13
 
-    # Pairs where the 30-digit oracle itself converges: at (0.7, 60),
-    # (0.7, 100) and (0.3, 300) its arc factor e^(2zr) or its oscillating
-    # tails need more digits than it carries.
     @pytest.mark.parametrize("b,z", [(0.7, 5), (0.7, 20), (0.3, 60), (0.05, 60),
-                                     (0.3, 100), (0.1, 300), (0.05, 300)])
+                                     (0.3, 100), (0.1, 300), (0.05, 300),
+                                     (0.7, 100), (0.3, 300), (1, 1000)])
     def test_large_real_z(self, b, z):
         p = PhibParams(b)
         val = log_phib(z, p)
         ref = log_phib_mpmath(z, b)
         assert abs(val - ref) < 1e-12 * abs(ref)
         assert abs(abs(phib(z, p)) - 1.0) < 1e-12
+
+
+class TestReach:
+    def test_seeded_sweep_resolves(self):
+        """Every point of a seeded sweep over 16 values of b, |z| up to 4000
+        and Im z up to 0.97 of the half-strip resolves at the default
+        tolerance; real-axis tails under a 4096-panel cap resolved 107 of
+        these 128.  Re log Phi_b is exactly 0 for real b and z."""
+        rng = np.random.default_rng(17)
+        for b in (0.05, 0.1, 0.3, 0.7, 1.0, 1.3, 2.0, 5.0, *COMPLEX_BS,
+                  0.8 + 0.3j, 1.5 - 0.2j, 0.5 + 0.4j, 3 + 0.5j, 0.2 - 0.1j, 1 + 0.9j):
+            p = PhibParams(b)
+            for _ in range(8):
+                z = complex(rng.choice((-1, 1)) * 10 ** rng.uniform(-2, math.log10(4000)),
+                            rng.uniform(-0.97, 0.97) * 0.5 * p.strip_height
+                            * rng.integers(0, 2))
+                val = log_phib(z, p)
+                if isinstance(b, float) and z.imag == 0:
+                    assert val.real == 0.0, (b, z)
 
 
 class TestReductionAtLargeB:
@@ -147,6 +172,20 @@ class TestRecurrence:
         for z in (-0.3, 0.0, 0.25):
             assert recurrence_residual(z, p) < 1e-7
             assert recurrence_residual(z, p, dual=True) < 1e-7
+
+    @pytest.mark.parametrize("b", REAL_BS)
+    def test_both_directions_see_a_wrong_integral(self, b, monkeypatch):
+        """With 1e-5 z added to the strip integral, both residuals exceed
+        the tolerance: neither direction is a recurrence step that phib's
+        own reduction undoes exactly."""
+        module = sys.modules["clusterdilog.phib"]
+        strip = module._log_phib_strip
+        monkeypatch.setattr(module, "_log_phib_strip",
+                            lambda z, p, tol: strip(z, p, tol) + 1e-5 * z)
+        p = PhibParams(b)
+        for z in (-0.3, 0.0, 0.25):
+            assert recurrence_residual(z, p) > 1e-7
+            assert recurrence_residual(z, p, dual=True) > 1e-7
 
     def test_deep_strip_reduction(self):
         """Evaluation far outside the strip agrees with the compact
@@ -232,12 +271,16 @@ class TestStripHandling:
             phib(z, PhibParams(1.0))
 
     def test_non_finite_tail_sums_are_guarded(self):
-        """At b = 2000, z = 400i (inside the half-strip) sin(2zx)
-        overflows on the tails, and the NaN sums are refused as such."""
+        """At b = 2000, z = 400i (inside the half-strip) the tails are one
+        exp of a decaying sum and stay finite, so the run ends where
+        |Phi_b| leaves double range.  At z = 1e300 x expm1 expm1
+        underflows to 0 on the rays, and the sums are refused as such."""
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(QuadratureFailure, match="not finite"):
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure, match="beyond double range"):
                 phib(400j, PhibParams(2000.0))
+            with pytest.raises(QuadratureFailure, match="not finite"):
+                phib(1e300, PhibParams(1.0))
 
     @pytest.mark.parametrize("b", [1e-6, 1e-160, 1e200])
     def test_b_past_double_precision_is_guarded(self, b):

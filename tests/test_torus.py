@@ -228,22 +228,28 @@ def in_ring(ring, spec):
 
 @st.composite
 def sparse_triples(draw):
-    """A random skew-symmetric B of rank <= 4, an order N <= 6 and three
-    sparse elements, each with a nonzero constant-shift coefficient and a
-    unit of the exact ring to put in its place."""
-    n = draw(st.integers(1, 4))
-    N = draw(st.integers(1, 6))
+    """A random skew-symmetric B of rank 2 to 4 with b_01 != 0, an order
+    2 <= N <= 6 and three sparse elements, each with a nonzero
+    constant-shift coefficient and a unit of the exact ring to put in its
+    place.  Each element has at least two more shifts, each of total
+    degree <= N // 2, so that the product of any two survives truncation
+    and most pairs of them do not commute."""
+    n = draw(st.integers(2, 4))
+    N = draw(st.integers(2, 6))
     b = np.zeros((n, n), dtype=int)
     for i in range(n):
         for j in range(i + 1, n):
-            b[i, j] = draw(st.integers(-2, 2))
+            b[i, j] = draw(st.sampled_from((-2, -1, 1, 2)) if (i, j) == (0, 1)
+                           else st.integers(-2, 2))
             b[j, i] = -b[i, j]
-    vectors = st.lists(st.integers(0, N), min_size=n, max_size=n)
-    shifts = vectors.filter(lambda d: sum(d) <= N).map(tuple)
+    # a shift is a multiset of 1 to N // 2 coordinates
+    shifts = st.lists(st.integers(0, n - 1), min_size=1, max_size=N // 2).map(
+        lambda idx: tuple(idx.count(i) for i in range(n)))
     elems = []
     for _ in range(3):
         base = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
-        terms = draw(st.dictionaries(shifts, coefficients(), max_size=4))
+        terms = draw(st.dictionaries(shifts, coefficients(), min_size=2,
+                                     max_size=4))
         terms[(0,) * n] = draw(coefficients())
         elems.append((base, terms, draw(units(powers=(0, 1, 2)))))
     return ExchangeMatrix(b), N, elems
