@@ -105,7 +105,6 @@ def _build_parser():
                    choices=("value", "unitarity", "recurrence", "duality",
                             "phipsi", "asymptotics", "psi-asymptotics"),
                    default="value")
-    p.add_argument("--grid", default="default")
     p.add_argument("--format", choices=("json", "md", "csv"), default="json")
     p.set_defaults(run=cmd_phib)
     return top

@@ -170,10 +170,6 @@ def _ring(q0):
     return ratfunc.EXACT if q0 is None else ratfunc.RationalPointField(Fraction(q0))
 
 
-def _mode(ring):
-    return ring.name
-
-
 def _psi_monomial(alpha, eps: int, B: ExchangeMatrix, N: int, ring) -> TorusElement:
     """Psi(Y^alpha)^eps in closed form, with no torus products.
 
@@ -234,7 +230,7 @@ def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
     ss = sign_sequence(B, sched)
     P = _tropical_product(B, ss, N, ring, range(sched.length))
     dev = torus.deviation_from(P, unit(B, N, ring))
-    return Residual("tropical", N, tuple(dev), _mode(ring))
+    return Residual("tropical", N, tuple(dev), ring.name)
 
 
 def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
@@ -249,7 +245,7 @@ def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
     seeds, _, signs = quantum_trajectory(B, sched.sequence, N, ring)
     P = _universal_product(seeds, sched.sequence, signs, B, N, ring)
     dev = torus.deviation_from(P, unit(B, N, ring))
-    return Residual("universal", N, tuple(dev), _mode(ring))
+    return Residual("universal", N, tuple(dev), ring.name)
 
 
 def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
@@ -269,7 +265,7 @@ def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
     seeds, _, signs = quantum_trajectory(B, sched.sequence[:t], N, ring)
     rhs = _universal_product(seeds, sched.sequence, signs, B, N, ring)
     dev = torus.deviation_from(lhs, rhs)
-    return Residual("shuffle", N, tuple(dev), _mode(ring))
+    return Residual("shuffle", N, tuple(dev), ring.name)
 
 
 def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
@@ -291,8 +287,8 @@ def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
     Bop = ExchangeMatrix([[-x for x in r] for r in B.rows])
     P2 = _tropical_product(Bop, ss, N, ring, reversed(range(sched.length)))
     dev2 = torus.deviation_from(P2, unit(Bop, N, ring))
-    return (Residual("dual-q", N, tuple(dev1), _mode(ring)),
-            Residual("dual-qbar", N, tuple(dev2), _mode(ring)))
+    return (Residual("dual-q", N, tuple(dev1), ring.name),
+            Residual("dual-qbar", N, tuple(dev2), ring.name))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +340,5 @@ def classical_series_trajectory(B: ExchangeMatrix, sequence, N: int):
 
 def degenerate_q1(elem: TorusElement) -> dict:
     """Map from total exponent vectors to coefficients evaluated at q = 1."""
-    out = {}
-    for d, c in elem.terms.items():
-        if c.is_zero():
-            continue
-        expo = tuple(b + e for b, e in zip(elem.base, d))
-        v = c.evaluate(Fraction(1))
-        if v:
-            out[expo] = out.get(expo, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
+    return {tuple(b + e for b, e in zip(elem.base, d)): v
+            for d, c in elem.terms.items() if (v := c.evaluate(Fraction(1)))}

@@ -5,10 +5,12 @@ Numerators are integer polynomials stored packed into single Python
 integers (one balanced base-2^k digit per coefficient), so polynomial
 addition and multiplication become big-integer addition and
 multiplication, which CPython does in C.  Denominators are kept factored
-as q^a * prod_m (1 - q^(2m))^{e_m}, which makes common denominators cheap
-and bounded.  The units of R are +-q^j times cyclotomic polynomials Phi_d
-(Phi_d divides 1 - q^(2d)): `inverse` inverts exactly those, and
-`canonical` reduces by trial division by the Phi_d of the denominator.
+as q^a * prod_m (1 - q^(2m))^{e_m}, stored as the exponent vector
+(e_1, e_2, ...) with no trailing zero, so common denominators are
+exponent-wise sums and maxima of short tuples.  The units of R are
++-q^j times cyclotomic polynomials Phi_d (Phi_d divides 1 - q^(2d)):
+`inverse` inverts exactly those, and `canonical` reduces by trial
+division by the Phi_d of the denominator.
 
 Exactness is unconditional: all operations are ring operations on the
 packed values.  Each value carries its own digit width k, taken from
@@ -25,7 +27,7 @@ subtraction.
 A torus product hands all the pair products landing on one of its terms
 to `ExactField.pair_sum` at once.  It multiplies the packed numerators
 as plain ints at one digit width, sums the products that share a
-denominator-factor tuple with their q-powers aligned by shifts, and
+denominator exponent vector with their q-powers aligned by shifts, and
 lifts each such group onto the common denominator once, so no pair
 becomes a coefficient of its own.
 """
@@ -33,6 +35,8 @@ becomes a coefficient of its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add as _plus, sub as _minus
 
 from .errors import NonInvertible
 
@@ -125,18 +129,11 @@ class Poly:
             k = max(k, _width(bound))
         return Poly(a.at(k) * b.at(k), a.nd + b.nd - 1, bound, k)
 
-    def scale(self, c: int) -> "Poly":
-        return self * Poly.const(c)
-
     def shift(self, j: int) -> "Poly":
         """Multiply by q^j (j >= 0)."""
         if self.val == 0:
             return self
         return Poly(self.val << (self.k * j), self.nd + j, self.bound, self.k)
-
-    def q_divisible(self, j: int = 1) -> bool:
-        """True if q^j divides the polynomial."""
-        return self.val & ((1 << (self.k * j)) - 1) == 0
 
     def unshift(self, j: int) -> "Poly":
         """Exact division by q^j."""
@@ -210,30 +207,33 @@ _ZERO_POLY = Poly(0, 0, 0, _MIN_WIDTH)
 _ONE_POLY = Poly(1, 1, 1, _MIN_WIDTH)
 
 def _add_fac(f1, f2):
-    """Exponent-wise sum of two factored denominators."""
-    if not f1 or not f2:
-        return f1 or f2
-    d = dict(f1)
-    for m, e in f2:
-        d[m] = d.get(m, 0) + e
-    return tuple(sorted(d.items()))
+    """Exponent-wise sum of two denominator exponent vectors."""
+    if len(f1) < len(f2):
+        f1, f2 = f2, f1
+    return tuple(map(_plus, f1, f2)) + f1[len(f2):]
 
 
 def _fac_diff(big, small):
     """Exponent-wise difference big - small (assumed nonnegative)."""
     if big == small:
         return ()
-    d = dict(big)
-    for m, e in small:
-        d[m] = d[m] - e
-    return tuple(sorted((m, e) for m, e in d.items() if e > 0))
+    d = tuple(map(_minus, big, small)) + big[len(small):]
+    while d and not d[-1]:
+        d = d[:-1]
+    return d
+
+
+def _max_fac(facs) -> tuple:
+    """Exponent-wise maximum of denominator exponent vectors."""
+    return tuple(map(max, zip_longest(*facs, fillvalue=0)))
 
 
 class QCoefficient:
     """An element of R = Z[q, q^-1][(1 - q^(2m))^-1]: a packed
     integer-polynomial numerator over the factored denominator
-    q^dq * prod (1 - q^(2m))^e, with dfac the sorted (m, e) pairs.  The
-    numerator and q^dq share no power of q."""
+    q^dq * prod_m (1 - q^(2m))^(e_m), with dfac the exponent vector
+    (e_1, e_2, ...) and no trailing zero.  The numerator and q^dq share
+    no power of q."""
 
     __slots__ = ("num", "dq", "dfac")
 
@@ -268,7 +268,7 @@ class QCoefficient:
     @staticmethod
     def qpochhammer_inverse(n: int) -> "QCoefficient":
         """1 / (q^2; q^2)_n."""
-        return QCoefficient(_ONE_POLY, dfac=tuple((m, 1) for m in range(1, n + 1)))
+        return QCoefficient(_ONE_POLY, dfac=(1,) * n)
 
     # ---- predicates ---------------------------------------------------
 
@@ -312,7 +312,7 @@ class QCoefficient:
         return QCoefficient(self.num, self.dq - j, self.dfac)
 
     def scale_int(self, c: int) -> "QCoefficient":
-        return QCoefficient(self.num.scale(c), self.dq, self.dfac)
+        return QCoefficient(self.num * Poly.const(c), self.dq, self.dfac)
 
     def inverse(self) -> "QCoefficient":
         """Inverse of a unit of R, +-q^j times cyclotomic Phi_d, with
@@ -326,11 +326,12 @@ class QCoefficient:
         sign, exps = _unit_factors(self.num.unshift(j).coeffs())
         if sign < 0:
             num = -num
-        for d, a in exps:
-            c = Poly.from_coeffs(_quotient((1,) + (0,) * (2 * d - 1) + (-1,),
-                                           _cyclotomic(d)))
-            for _ in range(a):
-                num = num * c
+        for d, a in enumerate(exps, 1):
+            if a:
+                c = Poly.from_coeffs(_quotient(
+                    (1,) + (0,) * (2 * d - 1) + (-1,), _cyclotomic(d)))
+                for _ in range(a):
+                    num = num * c
         return QCoefficient(num, dq=j, dfac=exps)
 
     def __truediv__(self, other):
@@ -366,21 +367,16 @@ class QCoefficient:
                 phi = Poly.from_coeffs(_cyclotomic(d))
                 for _ in range(e - k):
                     den = den * phi
-        if sum(e for _, e in self.dfac) % 2:  # (1 - q^(2m)) = -(q^(2m) - 1)
+        if sum(self.dfac) % 2:  # (1 - q^(2m)) = -(q^(2m) - 1)
             num = tuple(-c for c in num)
         return num, den.coeffs()
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point q0."""
         q0 = Fraction(q0)
-        den = Fraction(1)
-        if self.dq:
-            den *= q0**self.dq
-        for m, e in self.dfac:
-            f = 1 - q0 ** (2 * m)
-            if f == 0:
-                raise ZeroDivisionError(f"denominator factor 1-q^{2*m} vanishes at q={q0}")
-            den *= f**e
+        den = q0 ** self.dq
+        for m, e in enumerate(self.dfac, 1):
+            den *= (1 - q0 ** (2 * m)) ** e
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q0}")
         return self.num.evaluate(q0) / den
@@ -393,14 +389,14 @@ class QCoefficient:
 
 
 def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
-    """num * q^dq_extra * prod (1 - q^(2m))^e over the (m, e) in
-    fac_extra.  Each factor 1 - q^(2m) is val - (val << 2mk), which
-    doubles the bound: a bound that outgrows the digit is first
-    tightened, then widened on the ladder."""
+    """num * q^dq_extra * prod_m (1 - q^(2m))^(e_m) for the exponent
+    vector fac_extra = (e_1, e_2, ...).  Each factor 1 - q^(2m) is
+    val - (val << 2mk), which doubles the bound: a bound that outgrows
+    the digit is first tightened, then widened on the ladder."""
     if dq_extra:
         num = num.shift(dq_extra)
     val, nd, bound, k = num.val, num.nd, num.bound, num.k
-    for m, e in fac_extra:
+    for m, e in enumerate(fac_extra, 1):
         for _ in range(e):
             if (bound << 1).bit_length() >= k:
                 num = Poly(val, nd, bound, k).tight()
@@ -412,16 +408,6 @@ def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
             nd += 2 * m
             bound <<= 1
     return Poly(val, nd, bound, k)
-
-
-def _max_fac(facs) -> tuple:
-    """Exponent-wise maximum of factored denominators."""
-    out = {}
-    for f in facs:
-        for m, e in f:
-            if e > out.get(m, 0):
-                out[m] = e
-    return tuple(sorted(out.items()))
 
 
 def _common_sum(coefs) -> QCoefficient:
@@ -440,7 +426,7 @@ def _tight(c: QCoefficient) -> QCoefficient:
 
 def _pair_groups(triples, k) -> dict:
     """The products c_d * c_e * q^j of `triples`, summed per
-    denominator-factor tuple: {dfac: [val, low, top, bound]}.
+    denominator exponent vector: {dfac: [val, low, top, bound]}.
     A group is P(q) q^low / prod over dfac, where val = P(2^k) has digits
     below q^(top - low), each within bound once bound < 2^(k-1)."""
     groups = {}
@@ -491,14 +477,6 @@ class ExactField:
         return _ONE_COEF
 
     @staticmethod
-    def from_int(c):
-        return QCoefficient.from_int(c)
-
-    @staticmethod
-    def q_power(j):
-        return QCoefficient.q_power(j)
-
-    @staticmethod
     def sum(coefs):
         """Sum of coefficients over one common denominator."""
         if len(coefs) < 2:
@@ -511,7 +489,7 @@ class ExactField:
         coefficients: the pair products landing on one torus term.
 
         The products are taken on the packed numerators as plain ints, at
-        one digit width, and summed per denominator-factor tuple with
+        one digit width, and summed per denominator exponent vector with
         their q-powers aligned by shifts; each such group is then lifted
         onto the common denominator once.  A lone pair is one
         `mul_shifted`."""
@@ -662,12 +640,6 @@ class RationalPointField:
     def one(self):
         return RationalQ(1, self.q0)
 
-    def from_int(self, c):
-        return RationalQ(c, self.q0)
-
-    def q_power(self, j):
-        return RationalQ(_q0_power(self.q0, j), self.q0)
-
     def sum(self, coefs):
         return RationalQ(sum((c.value for c in coefs), Fraction(0)), self.q0)
 
@@ -778,10 +750,10 @@ def _strip_cyclotomic(p, d, most):
 
 
 def _cyclotomic_exponents(dfac) -> dict:
-    """{d: E_d} with prod (1 - q^(2m))^e = +-prod Phi_d^(E_d): q^(2m) - 1
-    is the product of the Phi_d over d | 2m."""
+    """{d: E_d} with prod_m (1 - q^(2m))^(e_m) = +-prod Phi_d^(E_d):
+    q^(2m) - 1 is the product of the Phi_d over d | 2m."""
     out = {}
-    for m, e in dfac:
+    for m, e in enumerate(dfac, 1):
         for d in range(1, 2 * m + 1):
             if 2 * m % d == 0:
                 out[d] = out.get(d, 0) + e
@@ -789,21 +761,22 @@ def _cyclotomic_exponents(dfac) -> dict:
 
 
 def _unit_factors(p) -> tuple:
-    """(s, ((d, a), ...)) with p = s * prod Phi_d^a, s = +-1, for p(0) != 0;
-    NonInvertible for any other p.  As phi(d) <= deg p for each d and
-    phi(d) >= sqrt(d/2), the search stops at d = 2 deg(p)^2."""
+    """(s, (a_1, a_2, ...)) with p = s * prod_d Phi_d^(a_d), s = +-1, and
+    no trailing zero, for p(0) != 0; NonInvertible for any other p.  As
+    phi(d) <= deg p for each d and phi(d) >= sqrt(d/2), the search stops
+    at d = 2 deg(p)^2."""
     n = 2 * (len(p) - 1) ** 2 if p[0] in (1, -1) and p[-1] in (1, -1) else 0
     phi = list(range(n + 1))
     for i in range(2, n + 1):
         if phi[i] == i:                 # i is prime
             for j in range(i, n + 1, i):
                 phi[j] -= phi[j] // i
-    exps = []
+    exps = [0] * n
     for d in range(1, n + 1):
         if phi[d] < len(p):
-            p, a = _strip_cyclotomic(p, d, len(p))
-            if a:
-                exps.append((d, a))
+            p, exps[d - 1] = _strip_cyclotomic(p, d, len(p))
+    while exps and not exps[-1]:
+        exps.pop()
     if p not in ((1,), (-1,)):
         raise NonInvertible(
             f"{_poly_str(p)} is not a unit of Z[q, 1/q, 1/(1 - q^(2m))]")

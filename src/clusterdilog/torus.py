@@ -41,7 +41,9 @@ def _row_B(alpha, B: ExchangeMatrix) -> tuple:
 
 @dataclass(frozen=True)
 class TorusElement:
-    """Normal form Y^base * sum_delta terms[delta] * Y^delta."""
+    """Normal form Y^base * sum_delta terms[delta] * Y^delta, with only
+    the nonzero coefficients stored: a missing shift has coefficient 0,
+    and the zero element has no terms."""
 
     matrix: ExchangeMatrix
     order: int
@@ -50,28 +52,23 @@ class TorusElement:
     ring: object = ratfunc.EXACT
 
     def __post_init__(self):
-        zero_key = (0,) * self.matrix.n
-        terms = {d: c for d, c in self.terms.items()
-                 if not c.is_zero() or d == zero_key}
-        if zero_key not in terms:
-            terms[zero_key] = self.ring.zero()
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", {d: c for d, c in self.terms.items()
+                                           if not c.is_zero()})
 
     @property
     def n(self) -> int:
         return self.matrix.n
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.terms.values())
+        return not self.terms
 
     def constant_coefficient(self) -> QCoefficient:
         """Coefficient of the delta = 0 shift."""
-        return self.terms[(0,) * self.n]
+        return self.terms.get((0,) * self.n, self.ring.zero())
 
     def degree_floor(self) -> int:
         """Least total shift degree carrying a nonzero coefficient."""
-        degs = [sum(d) for d, c in self.terms.items() if not c.is_zero()]
-        return min(degs) if degs else self.order + 1
+        return min(map(sum, self.terms), default=self.order + 1)
 
     def scale(self, c: QCoefficient) -> "TorusElement":
         """Multiply by a central scalar of the coefficient ring."""
@@ -118,8 +115,6 @@ class TorusElement:
         q0 = Fraction(q0)
         total = 0.0
         for d, c in self.terms.items():
-            if c.is_zero():
-                continue
             mono = 1.0
             for i, e in enumerate(d):
                 mono *= float(yvals[i]) ** (self.base[i] + e)
@@ -130,8 +125,6 @@ class TorusElement:
         bits = []
         for d in sorted(self.terms, key=lambda t: (sum(t), t)):
             c = self.terms[d]
-            if c.is_zero():
-                continue
             mono = "*".join(f"Y{i+1}^{e}" for i, e in enumerate(d) if e)
             bits.append(f"{c!r}{'*' + mono if mono else ''}")
         body = " + ".join(bits) if bits else "0"
@@ -214,11 +207,9 @@ def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     g1, g2 = a.base, b.base
     head = -pairing(g1, g2, B)
     out = {}
-    bterms = sorted(((sum(e), e, ce) for e, ce in b.terms.items()
-                     if not ce.is_zero()), key=itemgetter(0))
+    bterms = sorted(((sum(e), e, ce) for e, ce in b.terms.items()),
+                    key=itemgetter(0))
     for d, cd in a.terms.items():
-        if cd.is_zero():
-            continue
         room = N - sum(d)
         e1 = head + 2 * pairing(g2, d, B)
         row_d = _row_B(d, B)
@@ -266,7 +257,7 @@ def invert(a: TorusElement) -> TorusElement:
     c0_inv = c0.inverse()
     zero_key = (0,) * B.n
     w = sorted(((sum(e), e, -(c * c0_inv), _row_B(e, B))
-                for e, c in a.terms.items() if any(e) and not c.is_zero()),
+                for e, c in a.terms.items() if any(e)),
                key=itemgetter(0))
     levels = [[(zero_key, c0_inv)]]
     for deg in range(1, N + 1):
@@ -284,15 +275,13 @@ def invert(a: TorusElement) -> TorusElement:
     return multiply(v, monomial(tuple(-x for x in a.base), B, N, ring))
 
 
-def psi_series(x: TorusElement, N: int | None = None) -> TorusElement:
+def psi_series(x: TorusElement) -> TorusElement:
     """The quantum dilogarithm series sum_n (-q x)^n / (q^2; q^2)_n.
 
     The argument must push degrees up under powers: its base exponent
     vector is nonnegative and nonzero, or zero with no constant term.
     Anything else cannot truncate and raises NonTruncating.
     """
-    if N is not None and N != x.order:
-        raise IncompatibleContexts("requested order differs from the argument's")
     return _series(x, x.ring.psi_coefficient)
 
 
@@ -330,9 +319,6 @@ def deviation_from(elem: TorusElement, reference: TorusElement) -> list:
     """Nonzero terms of elem - reference, reported as
     (total exponent vector, canonical coefficient) pairs."""
     diff = elem - reference
-    out = []
-    for d, c in sorted(diff.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-        if not c.is_zero():
-            expo = tuple(b + e for b, e in zip(diff.base, d))
-            out.append((expo, c.canonical()))
-    return out
+    return [(tuple(map(_plus, diff.base, d)), c.canonical())
+            for d, c in sorted(diff.terms.items(),
+                               key=lambda t: (sum(t[0]), t[0]))]

@@ -156,11 +156,13 @@ class TestVerify:
         ("shuffle", "--q0", "0"),
         ("quantum-tropical", "--q0", "0"),
         ("dual", "--q0", "0"),
+        ("phib", "--grid", "x"),        # an option that no longer exists
     ])
     def test_parse_error_exit_4_out_of_range(self, capsys, extra):
         mode, *opts = extra
-        command = [mode] if mode == "search" else ["verify", mode]
-        assert main([*command, "--builtin", "A2", *opts]) == 4
+        command = {"search": ["search", "--builtin", "A2"], "phib": ["phib"]}.get(
+            mode, ["verify", mode, "--builtin", "A2"])
+        assert main([*command, *opts]) == 4
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert "_positive_int" not in err

@@ -13,7 +13,10 @@ from clusterdilog.ratfunc import (
     Poly,
     QCoefficient,
     RationalPointField,
+    _add_fac,
+    _fac_diff,
     _lift,
+    _max_fac,
     _quotient,
 )
 
@@ -58,7 +61,7 @@ def units(draw, powers=(0, 1, 70)):
     return u.mul_q_power(draw(st.integers(-3, 3)))
 
 
-# (numerator, dq, dfac) -> canonical(), pinned byte for byte because
+# (numerator, dq, dfac exponent vector) -> canonical(), pinned byte for byte because
 # residual JSON, repr and hash are built from it: the q-power; Phi_1,
 # Phi_2, Phi_3, Phi_4, Phi_6 and Phi_12 cancelled in part, in full or not
 # at all; the sign flip of a negative leading coefficient; wide and
@@ -67,29 +70,29 @@ CANONICAL_TABLE = [
     ((), 0, (), ((0,), (1,))),
     ((5,), 0, (), ((5,), (1,))),
     ((1,), 2, (), ((1,), (0, 0, 1))),
-    ((0, -1), 0, ((1, 1),), ((0, 1), (-1, 0, 1))),
-    ((1, 1), 0, ((1, 1),), ((-1,), (-1, 1))),
-    ((-1, 1), 0, ((1, 1),), ((-1,), (1, 1))),
-    ((-1, 1), 0, ((1, 2),), ((1,), (-1, -1, 1, 1))),
-    ((1, -2, 1), 0, ((1, 1),), ((1, -1), (1, 1))),
-    ((1, 2, 1), 0, ((1, 1), (2, 1)), ((1,), (1, -2, 2, -2, 1))),
-    ((1, 3, 3, 1), 0, ((1, 1), (2, 1)), ((1, 1), (1, -2, 2, -2, 1))),
-    ((1, 0, 1), 0, ((1, 1), (2, 1)), ((1,), (1, 0, -2, 0, 1))),
-    ((1, 0, 1), 0, ((1, 1),), ((-1, 0, -1), (-1, 0, 1))),
-    ((1, -1, 1), 0, ((3, 1),), ((-1,), (-1, -1, 0, 1, 1))),
-    ((1, -1, 1), 0, ((1, 1), (2, 1)),
+    ((0, -1), 0, (1,), ((0, 1), (-1, 0, 1))),
+    ((1, 1), 0, (1,), ((-1,), (-1, 1))),
+    ((-1, 1), 0, (1,), ((-1,), (1, 1))),
+    ((-1, 1), 0, (2,), ((1,), (-1, -1, 1, 1))),
+    ((1, -2, 1), 0, (1,), ((1, -1), (1, 1))),
+    ((1, 2, 1), 0, (1, 1), ((1,), (1, -2, 2, -2, 1))),
+    ((1, 3, 3, 1), 0, (1, 1), ((1, 1), (1, -2, 2, -2, 1))),
+    ((1, 0, 1), 0, (1, 1), ((1,), (1, 0, -2, 0, 1))),
+    ((1, 0, 1), 0, (1,), ((-1, 0, -1), (-1, 0, 1))),
+    ((1, -1, 1), 0, (0, 0, 1), ((-1,), (-1, -1, 0, 1, 1))),
+    ((1, -1, 1), 0, (1, 1),
      ((1, -1, 1), (1, 0, -1, 0, -1, 0, 1))),
-    ((1, 1, 1), 0, ((3, 1),), ((-1,), (-1, 1, 0, -1, 1))),
-    ((1, 0, -1, 0, 1), 0, ((6, 1),),
+    ((1, 1, 1), 0, (0, 0, 1), ((-1,), (-1, 1, 0, -1, 1))),
+    ((1, 0, -1, 0, 1), 0, (0, 0, 0, 0, 0, 1),
      ((-1,), (-1, 0, -1, 0, 0, 0, 1, 0, 1))),
-    ((-1, 1, -1, 1, -1, 1), 0, ((1, 1), (2, 1), (3, 1)),
+    ((-1, 1, -1, 1, -1, 1), 0, (1, 1, 1),
      ((-1,), (1, 1, -1, -1, -1, -1, 1, 1))),
-    ((2, 3), 3, ((1, 1),), ((-2, -3), (0, 0, 0, -1, 0, 1))),
-    ((0, 0, 7, 7), 5, ((1, 1), (2, 1)),
+    ((2, 3), 3, (1,), ((-2, -3), (0, 0, 0, -1, 0, 1))),
+    ((0, 0, 7, 7), 5, (1, 1),
      ((7,), (0, 0, 0, 1, -1, 0, 0, -1, 1))),
-    ((2**100, 2**100), 0, ((1, 1),), ((-2**100,), (-1, 1))),
-    ((6, 0, -6), 0, ((1, 1), (2, 1)), ((-6,), (-1, 0, 0, 0, 1))),
-    ((1, 1, 1, 1), 1, ((2, 1), (3, 1), (4, 1)),
+    ((2**100, 2**100), 0, (1,), ((-2**100,), (-1, 1))),
+    ((6, 0, -6), 0, (1, 1), ((-6,), (-1, 0, 0, 0, 1))),
+    ((1, 1, 1, 1), 1, (0, 1, 1, 1),
      ((-1,), (0, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1, 0, 0, 0, 0, -1, 1))),
 ]
 
@@ -142,8 +145,8 @@ class TestPoly:
     def test_shift_and_divisibility(self):
         p = Poly.from_coeffs([3, -2])
         assert p.shift(2).coeffs() == (0, 0, 3, -2)
-        assert p.shift(2).q_divisible(2)
-        assert not p.q_divisible()
+        assert p.shift(2).q_order() == 2
+        assert p.q_order() == 0
         assert p.shift(2).unshift(2) == p
 
     def test_equality_across_widths(self):
@@ -152,7 +155,7 @@ class TestPoly:
         wide = p + (big - big)          # the same polynomial, packed wider
         assert wide.k > p.k
         assert wide == p and hash(wide) == hash(p)
-        assert wide.shift(2).q_divisible(2) and wide.shift(2).unshift(2) == p
+        assert wide.shift(2).q_order() == 2 and wide.shift(2).unshift(2) == p
         assert wide.coeffs() == (3, -2)
 
     def test_large_coefficient_renormalisation(self):
@@ -215,9 +218,9 @@ class TestQCoefficient:
 
     def test_equality_over_two_denominators(self):
         """(1 + q^2)/(q (1 - q^4)) and 1/(q (1 - q^2)): one value over
-        two factor tuples, neither of which contains the other."""
-        a = QCoefficient(Poly.from_coeffs([1, 0, 1]), 1, ((2, 1),))
-        b = QCoefficient(Poly.const(1), 1, ((1, 1),))
+        two exponent vectors, neither of which dominates the other."""
+        a = QCoefficient(Poly.from_coeffs([1, 0, 1]), 1, (0, 1))
+        b = QCoefficient(Poly.const(1), 1, (1,))
         assert a.dfac != b.dfac
         assert a == b and b == a and hash(a) == hash(b)
         assert a != b.mul_q_power(1) and a != -b
@@ -249,7 +252,7 @@ class TestQCoefficient:
                 assert ev[0] / ev[1] == a.evaluate(x)
             assert den[0] != 0 or num[0] != 0
             with mpmath.workdps(30):
-                for m, _ in a.dfac:
+                for m in range(1, len(a.dfac) + 1):
                     for k in range(2 * m):
                         root = mpmath.expjpi(mpmath.mpf(k) / m)
                         if abs(mpmath.polyval(den[::-1], root)) < 1e-20:
@@ -385,7 +388,7 @@ class TestQStripProperty:
             assert c.num.coeffs() == tuple(sign * v for v in
                                            [0] * max(j - dq, 0) + coeffs)
             if c.dq > 0:
-                assert not c.num.q_divisible()
+                assert c.num.q_order() == 0
             den = x ** dq
             for m in range(1, n + 1):
                 den *= 1 - x ** (2 * m)
@@ -404,7 +407,7 @@ class TestRationalPointField:
 
     def test_arithmetic_tracks_fractions(self):
         ring = RationalPointField(Fraction(1, 2))
-        a, b = ring.q_power(3), ring.from_int(5)
+        a, b = ring.one().mul_q_power(3), ring.one().scale_int(5)
         assert (a * b).value == Fraction(5, 8)
         assert (a + b).inverse().value == Fraction(8, 41)
 
@@ -423,15 +426,44 @@ class TestPolyHelpers:
 
 
 def fac_product(fac):
-    """prod (1 - q^(2m))^e over the (m, e) in fac, each factor expanded
-    by the binomial theorem: the reference for `_lift`."""
+    """prod_m (1 - q^(2m))^(e_m) for the exponent vector fac, each factor
+    expanded by the binomial theorem: the reference for `_lift`."""
     p = [1]
-    for m, e in fac:
+    for m, e in enumerate(fac, 1):
         f = [0] * (2 * m * e + 1)
         for i in range(e + 1):
             f[2 * m * i] = (-1) ** i * math.comb(e, i)
         p = convolve(p, f)
     return p
+
+
+def vector(exps):
+    """The exponent vector of {m: e_m}, with no trailing zero."""
+    top = max((m for m, e in exps.items() if e), default=0)
+    return tuple(exps.get(m, 0) for m in range(1, top + 1))
+
+
+exponent_dicts = st.dictionaries(st.integers(1, 8), st.integers(0, 4),
+                                 max_size=5)
+
+
+class TestExponentVectors:
+    """`_add_fac`, `_fac_diff` and `_max_fac` on trimmed exponent vectors
+    against a dict over the (m, e) pairs; as `vector` trims, equality
+    also says that each result is a trimmed tuple."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=exponent_dicts, b=exponent_dicts, c=exponent_dicts)
+    def test_match_pair_reference(self, a, b, c):
+        fa, fb, fc = vector(a), vector(b), vector(c)
+        ms = range(1, 9)
+        top = {m: max(a.get(m, 0), b.get(m, 0), c.get(m, 0)) for m in ms}
+        assert _add_fac(fa, fb) == vector(
+            {m: a.get(m, 0) + b.get(m, 0) for m in ms})
+        assert _max_fac(f for f in (fa, fb, fc)) == vector(top)
+        assert _fac_diff(vector(top), fb) == vector(
+            {m: top[m] - b.get(m, 0) for m in ms})
+        assert _fac_diff(fa, fa) == () and _max_fac([]) == ()
 
 
 class TestLift:
@@ -440,12 +472,12 @@ class TestLift:
     digits as the doubled bound requires."""
 
     @pytest.mark.parametrize("fac", [
-        ((1, 1),),
-        ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1)),
-        ((2, 3), (7, 2)),
-        ((1, 66),),                 # the bound is tightened, not widened
-        ((1, 70),),                 # C(70, 35) > 2^63: widened part-way
-        ((1, 40), (3, 30), (5, 1)),
+        (1,),
+        (1, 1, 1, 1, 1),
+        (0, 3, 0, 0, 0, 0, 2),
+        (66,),                      # the bound is tightened, not widened
+        (70,),                      # C(70, 35) > 2^63: widened part-way
+        (40, 0, 30, 0, 1),
     ])
     @pytest.mark.parametrize("k", [64, 128, 256])
     @pytest.mark.parametrize("dq", [0, 3])
@@ -466,10 +498,10 @@ class TestLift:
         """After 62 steps the bound 2^62 of (1 - q^2)^62 would double past
         the 64-bit digit, so the loop tightens it to C(62, 31); C(66, 33)
         still fits the digit, while C(70, 35) needs 128 bits."""
-        tightened = _lift(Poly.const(1), 0, ((1, 66),))
+        tightened = _lift(Poly.const(1), 0, (66,))
         assert tightened.k == 64 and tightened.bound < 2**63
         assert tightened.coeffs()[66] == -math.comb(66, 33)
-        out = _lift(Poly.const(1), 0, ((1, 70),))
+        out = _lift(Poly.const(1), 0, (70,))
         assert out.k == 128
         assert out.coeffs()[70] == -math.comb(70, 35) < -2**63
 
@@ -477,4 +509,4 @@ class TestLift:
         one = Poly.const(1)
         assert _lift(one, 0, ()) == one
         assert _lift(one, 2, ()).coeffs() == (0, 0, 1)
-        assert _lift(Poly.const(0), 1, ((1, 3),)).is_zero()
+        assert _lift(Poly.const(0), 1, (3,)).is_zero()
