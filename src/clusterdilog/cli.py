@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -38,6 +39,12 @@ class CLIParseError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option looks like "-<digit>" or "-.", so such a word is a
+        # value: --q0 -2/5, --b -0.8,0.3 and --z -1,0.2 parse
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise CLIParseError(message)
 
@@ -302,9 +309,9 @@ def cmd_verify(args):
     B, sched = _load_seed(args)
     args.N = args.N or (8 if B.n <= 2 else 6)   # default truncation order
     @functools.cache
-    def rng():  # numpy's generator, built by the first mode that draws
-        import numpy as np
-        return np.random.default_rng(args.rng_seed)
+    def rng():  # default_rng's stream, built by the first mode that draws
+        from .pcg64 import PCG64
+        return PCG64(args.rng_seed)
     outcomes = [VERIFIERS[mode](B, sched, args, rng) for mode in args.modes]
     for passed, rep in outcomes:    # the verdict is set here, once
         rep["verdict"] = "PASS" if passed else "FAIL"

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 from .errors import BranchProximity, PoleHit
@@ -148,8 +148,7 @@ def rogers_L_complex(z):
     return li2(z) + 0.5 * cmath.log(z) * cmath.log(1.0 - z)
 
 
-@dataclass(frozen=True)
-class ClassicalIdentityReport:
+class ClassicalIdentityReport(NamedTuple):
     """Evaluation of the Rogers-sum identities along a period.
 
     terms[t] = (t, k_t, eps_t, active y-value, L-argument, L-value) for

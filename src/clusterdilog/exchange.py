@@ -10,7 +10,9 @@ Each rule is written once.  `_step` mutates the rows of B(t) and the
 c-vectors in Python ints, so entries never wrap around; `_walk` runs it
 along a schedule, and `mutate_matrix` and `mutate_tropical` are one step
 each.  `ExchangeMatrix`, `TropicalState` and `NumericSeed` hold Python
-ints or floats; their array views import numpy when read.
+ints or floats; their array views import numpy when read.  The validated
+value types of the package derive from `_Frozen` and its plain records
+are `NamedTuple`s, so no launch loads `dataclasses`.
 `_exchange_values` is the exchange relation on Python floats (or complex
 numbers), saturating an overflowing power at inf; `numeric_trajectory`
 wraps it, and `mutate_y_numeric` is its one-step case.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import MixedSignCVector, NotAPeriod, OutOfRange, ZeroCVector
@@ -47,17 +48,65 @@ def _frozen_array(values, dtype):
     return out
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of a validated value type: its `__slots__` are the fields, set
+    once in `__init__` through `_set`; instances compare, hash and print
+    by the field values, and assigning or deleting a field raises."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return type(self).__name__ + "(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):       # copy and pickle, past __setattr__
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls, values):
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
+class ExchangeMatrix(_Frozen):
     """A skew-symmetric integer matrix B indexed by 1..n, as `rows` of ints."""
 
-    rows: tuple
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = _int_rows(self.rows, "exchange matrix must be square")
+    def __init__(self, rows):
+        rows = _int_rows(rows, "exchange matrix must be square")
         if rows != tuple(tuple(-x for x in c) for c in zip(*rows)):
             raise ValueError("exchange matrix must be skew-symmetric")
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):    # every torus operation compares matrices
+        if type(other) is not ExchangeMatrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    __hash__ = _Frozen.__hash__
 
     @property
     def n(self) -> int:
@@ -91,12 +140,10 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(_step(B.rows, _units(B.n), kk)[0])
 
 
-@dataclass(frozen=True, init=False)
-class NumericSeed:
+class NumericSeed(_Frozen):
     """A y-seed with strictly positive real y-variables `values`."""
 
-    matrix: ExchangeMatrix
-    values: tuple
+    __slots__ = ("matrix", "values")
 
     def __init__(self, matrix: ExchangeMatrix, y):
         values = tuple(map(float, y))
@@ -104,8 +151,8 @@ class NumericSeed:
             raise ValueError("y must have one entry per index")
         if not all(v > 0.0 for v in values):
             raise ValueError("all y-variables must be strictly positive")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "values", values)
+        _set(self, "matrix", matrix)
+        _set(self, "values", values)
 
     @property
     def y(self):
@@ -140,19 +187,17 @@ def tropical_sign(c) -> int:
     raise MixedSignCVector(f"c-vector {c} has entries of both signs")
 
 
-@dataclass(frozen=True, init=False)
-class TropicalState:
+class TropicalState(_Frozen):
     """Tropical y-variables: `columns[t]`, column t of the matrix
     `cvectors`, is the exponent vector of [y_t] in the initial ones."""
 
-    matrix: ExchangeMatrix
-    columns: tuple
+    __slots__ = ("matrix", "columns")
 
     def __init__(self, matrix: ExchangeMatrix, cvectors):
         rows = _int_rows(cvectors, "cvectors must be an n x n integer matrix",
                          matrix.n)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "columns", tuple(zip(*rows)))
+        _set(self, "matrix", matrix)
+        _set(self, "columns", tuple(zip(*rows)))
 
     @classmethod
     def initial(cls, B: ExchangeMatrix) -> "TropicalState":
@@ -180,27 +225,25 @@ def mutate_tropical(state: TropicalState, k: int) -> TropicalState:
     return TropicalState(ExchangeMatrix(rows), tuple(zip(*cols)))
 
 
-@dataclass(frozen=True)
-class MutationSchedule:
+class MutationSchedule(_Frozen):
     """A mutation sequence (k_1, ..., k_L) with a relabeling permutation.
 
     `nu` is the image list [nu(1), ..., nu(n)], all 1-based.
     """
 
-    sequence: tuple
-    nu: tuple
+    __slots__ = ("sequence", "nu")
 
-    def __post_init__(self):
-        seq = tuple(int(k) for k in self.sequence)
-        nu = tuple(int(v) for v in self.nu)
+    def __init__(self, sequence, nu):
+        seq = tuple(int(k) for k in sequence)
+        nu = tuple(int(v) for v in nu)
         n = len(nu)
         if sorted(nu) != list(range(1, n + 1)):
             raise ValueError(f"nu={nu} is not a permutation of 1..{n}")
         for k in seq:
             if not 1 <= k <= n:
                 raise ValueError(f"mutation index {k} out of range 1..{n}")
-        object.__setattr__(self, "sequence", seq)
-        object.__setattr__(self, "nu", nu)
+        _set(self, "sequence", seq)
+        _set(self, "nu", nu)
 
     @property
     def length(self) -> int:
@@ -211,8 +254,7 @@ class MutationSchedule:
         return cls(tuple(sequence), tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class SignSequence:
+class SignSequence(NamedTuple):
     """Tropical sign-sequence of a mutation sequence.
 
     signs[t] is the tropical sign of the active variable y_{k_t}(t) and
@@ -232,8 +274,7 @@ def sign_sequence(B: ExchangeMatrix, sched: MutationSchedule) -> SignSequence:
                         walk.signs.count(-1))
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Outcome of a periodicity check."""
 
     matrix_periodic: bool

@@ -17,10 +17,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 from .dilog import PI2_6, _bernoulli, li2, log_psiq_numeric
 from .errors import QuadratureFailure
+from .exchange import _Frozen, _set
 
 
 @functools.cache
@@ -42,17 +42,16 @@ def _tables():
             1.0 / np.arange(1, 17, 2))
 
 
-@dataclass(frozen=True)
-class PhibParams:
+class PhibParams(_Frozen):
     """Parameter b with its derived constants, recomputed on access."""
 
-    b: complex
+    __slots__ = ("b",)
 
-    def __post_init__(self):
-        b = complex(self.b)
+    def __init__(self, b: complex):
+        b = complex(b)
         if b.real == 0.0 or not cmath.isfinite(b):
             raise ValueError("b must be finite with nonzero real part")
-        object.__setattr__(self, "b", b)
+        _set(self, "b", b)
 
     @property
     def c_b(self) -> complex:

@@ -12,8 +12,8 @@ tropical identity factorizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ratfunc, torus
 from .errors import NonTruncating
@@ -24,8 +24,7 @@ from .torus import (TorusElement, invert, monomial, multiply, power,
                     psi_inverse_series, psi_series, unit)
 
 
-@dataclass(frozen=True)
-class QuantumSeedSeries:
+class QuantumSeedSeries(NamedTuple):
     """A quantum y-seed: current matrix plus the quantum y-variables
     expressed in the initial torus."""
 
@@ -130,8 +129,7 @@ def seed_commutation_residual(s: QuantumSeedSeries) -> list:
 # identity verification
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(NamedTuple):
     """Truncated deviation of an identity's left side from 1."""
 
     identity: str

@@ -24,9 +24,8 @@ principal branches behind an explicit guard.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dilog import li2, rogers_L, rogers_L_complex
 from .errors import BranchProximity, OutOfRange
@@ -106,8 +105,7 @@ def _equations(mats, seq, signs, lam, us, ps, pts, exp, log, first=1):
     return ws, ya, u_eqs, p_eqs
 
 
-@dataclass(frozen=True)
-class SaddleState:
+class SaddleState(NamedTuple):
     """Constructed stationary point of the phase of a period.
 
     Arrays are indexed [t-1][i-1] for t = 1..L; `ys` additionally holds
@@ -215,11 +213,10 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     state = SaddleState(mode, lam, tup(us), tup(ps), tup(pts), tup(ws),
                         tup(ys), tuple(yactive), signs)
     value, _ = _evaluate_action(state)
-    return dataclasses.replace(state, action=value)
+    return state._replace(action=value)
 
 
-@dataclass(frozen=True)
-class SaddleReport:
+class SaddleReport(NamedTuple):
     """Max-norm residuals of the stationarity system plus the phase value.
 
     residual_u_eqs: equations from varying u(t) (momentum-difference
@@ -381,8 +378,7 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     return float(np.max(np.abs(step)))
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(NamedTuple):
     """Integer matrices of the coordinate maps induced by one mutation, as
     rows of Python ints: new = M @ old for u and w.  The momenta p and the
     D-coordinates transform as w does, so `p_map` and `d_map` are `w_map`."""

@@ -15,12 +15,11 @@ is exact; truncation only ever drops whole terms above the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _plus, itemgetter, mul as _times
 
 from .errors import IncompatibleContexts, NonInvertible, NonTruncating
-from .exchange import ExchangeMatrix
+from .exchange import ExchangeMatrix, _Frozen, _set
 from .ratfunc import QCoefficient
 from . import ratfunc
 
@@ -39,21 +38,21 @@ def _row_B(alpha, B: ExchangeMatrix) -> tuple:
     return tuple(-sum(map(_times, row, alpha)) for row in B.rows)
 
 
-@dataclass(frozen=True)
-class TorusElement:
+class TorusElement(_Frozen):
     """Normal form Y^base * sum_delta terms[delta] * Y^delta, with only
     the nonzero coefficients stored: a missing shift has coefficient 0,
     and the zero element has no terms."""
 
-    matrix: ExchangeMatrix
-    order: int
-    base: tuple
-    terms: dict
-    ring: object = ratfunc.EXACT
+    __slots__ = ("matrix", "order", "base", "terms", "ring")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", {d: c for d, c in self.terms.items()
-                                           if not c.is_zero()})
+    def __init__(self, matrix: ExchangeMatrix, order: int, base: tuple,
+                 terms: dict, ring=ratfunc.EXACT):
+        _set(self, "matrix", matrix)
+        _set(self, "order", order)
+        _set(self, "base", base)
+        _set(self, "terms", {d: c for d, c in terms.items()
+                             if not c.is_zero()})
+        _set(self, "ring", ring)
 
     @property
     def n(self) -> int:

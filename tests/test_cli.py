@@ -270,14 +270,17 @@ COLD_LAUNCHES = [
     (["mutate", "--builtin", "A7"], 4, False, EXACT | NUMERIC),
     (["phib", "--check", "value"], 0, True, EXACT | {"saddle"}),
     (["verify", "saddle", "--builtin", "A2"], 0, True, EXACT | {"phib"}),
+    (["verify", "saddle-lambda", "--builtin", "A2"], 0, False,
+     EXACT | {"phib"}),
 ]
 
 
 class TestColdStart:
     """A launch imports numpy only for Phi_b quadrature, the Newton check
-    and the seeded trial points; exact and combinatorial commands, and the
-    early exits, never load it.  Each command loads only the modules it
-    runs."""
+    and the exp and log of the classical trial points; exact and
+    combinatorial commands, saddle-lambda and the early exits never load
+    it.  No launch loads `dataclasses`.  Each command loads only the
+    modules it runs."""
 
     @pytest.mark.parametrize(
         "argv, code, numpy, unloaded", COLD_LAUNCHES,
@@ -292,12 +295,15 @@ class TestColdStart:
                   "code = main(sys.argv[1:])\n"
                   "mods = [m[13:] for m in sys.modules\n"
                   "        if m.startswith('clusterdilog.')]\n"
-                  "print(code, 'numpy' in sys.modules, *mods, file=sys.stderr)")
+                  "print(code, 'numpy' in sys.modules,\n"
+                  "      'dataclasses' in sys.modules, *mods, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True, timeout=60,
                               env=cli_env())
-        got_code, got_numpy, *loaded = proc.stderr.splitlines()[-1].split()
+        got_code, got_numpy, got_dataclasses, *loaded = (
+            proc.stderr.splitlines()[-1].split())
         assert (got_code, got_numpy) == (str(code), str(numpy))
+        assert got_dataclasses == "False"
         assert unloaded.isdisjoint(loaded), sorted(loaded)
 
 
@@ -329,6 +335,28 @@ class TestWideExchangeEntries:
         seed.write_text(json.dumps(WIDE))
         assert quiet_main(["mutate", "--seed-file", str(seed),
                            "--y", "0,1"]) == 4
+
+
+class TestNegativeLookingValues:
+    """No option of the CLI looks like a negative number, so a word that
+    starts with '-<digit>' or '-.' is read as a value."""
+
+    @pytest.mark.parametrize("opt, value, argv", [
+        ("--q0", "-2/5", ["verify", "quantum-tropical", "--builtin", "A2",
+                          "-N", "5"]),
+        ("--b", "-0.8,0.3", ["phib"]),
+        ("--z", "-1,0.2", ["phib"]),
+        ("--z", "-.5", ["phib", "--check", "duality"]),
+    ])
+    def test_negative_looking_value(self, capsys, opt, value, argv):
+        """The value prints what its --opt=value form prints."""
+        code, out = run(capsys, *argv, opt, value)
+        assert (code, out) == run(capsys, *argv, f"{opt}={value}")
+        assert code == 0
+
+    def test_option_like_value_exit_4(self, capsys):
+        assert main(["phib", "--z", "-x"]) == 4
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestPhibCommand:
@@ -377,6 +405,19 @@ class TestPhibCommand:
             assert abs(val - cmath.exp(log_phib_mpmath(0.0, 0.001))) < 1e-12
         else:
             assert all(row["residual"] < 1e-12 for row in rep["rows"])
+
+    def test_tiny_b_off_zero(self):
+        """`phib --b 0.001` away from z = 0, where the tails do not vanish:
+        a finite unimodular value, exit 0 and an empty stderr."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "clusterdilog.cli",
+             "phib", "--b", "0.001", "--z", "0.3"],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rep = json.loads(proc.stdout)
+        val = complex(rep["value"]["re"], rep["value"]["im"])
+        assert cmath.isfinite(val) and abs(abs(val) - 1.0) < 1e-12
+        assert abs(val - cmath.exp(log_phib_mpmath(0.3, 0.001))) < 1e-9
 
     @pytest.mark.parametrize("z", ["0,400", "0,100"])
     def test_beyond_double_range_prints_one_error_line(self, z):

@@ -492,3 +492,70 @@ class TestWalkCache:
         search_periods(A2, 8)
         info = exchange._cached_walk.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def value_type_cases():
+    """Two equal but distinct instances and one unequal instance of each
+    validated value type of the package."""
+    from clusterdilog import ratfunc
+    from clusterdilog.phib import PhibParams
+    from clusterdilog.torus import TorusElement
+    one = ratfunc.EXACT.one()
+    return [
+        (lambda: ExchangeMatrix([[0, -1], [1, 0]]),
+         ExchangeMatrix([[0, 1], [-1, 0]])),
+        (lambda: MutationSchedule([1, 2, 1, 2, 1], [2, 1]),
+         MutationSchedule((1, 2), (2, 1))),
+        (lambda: NumericSeed(A2, [1, 2]), NumericSeed(A2, (2.0, 1.0))),
+        (lambda: TropicalState(A2, [[1, 0], [0, 1]]),
+         TropicalState(A2, [[0, 1], [1, 0]])),
+        (lambda: PhibParams(0.8), PhibParams(complex(0.8, 0.1))),
+        (lambda: TorusElement(A2, 4, (0, 0), {(0, 0): one, (1, 0): one}),
+         TorusElement(A2, 4, (0, 0), {(0, 0): one})),
+    ]
+
+
+VALUE_TYPE_CASES = value_type_cases()
+
+
+@pytest.mark.parametrize("make, other", VALUE_TYPE_CASES,
+                         ids=[type(o).__name__ for _, o in VALUE_TYPE_CASES])
+class TestValueTypes:
+    """The validated records compare and hash by value, cannot be assigned
+    to, and survive copy and pickle."""
+
+    def test_equal_by_value(self, make, other):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert a != other and not a == other
+        assert a != tuple(a._values())
+
+    def test_immutable(self, make, other):
+        a = make()
+        field = type(a).__slots__[0]
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError, match=f"'{field}'"):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.no_such_field = 1
+        assert a == make()
+
+    def test_copy_and_pickle(self, make, other):
+        import copy
+        import pickle
+        a = make()
+        for b in (copy.copy(a), copy.deepcopy(a),
+                  pickle.loads(pickle.dumps(a))):
+            assert type(b) is type(a) and b == a
+
+    def test_repr_names_the_fields(self, make, other):
+        a = make()
+        name, field = type(a).__name__, type(a).__slots__[0]
+        assert repr(a).startswith(f"{name}({field}=")
+
+
+def test_schedule_keywords_and_exchange_matrix_as_key():
+    sched = MutationSchedule(sequence=[1, 2, 1, 2, 1], nu=[2, 1])
+    assert sched == A2_SCHED and sched.sequence == (1, 2, 1, 2, 1)
+    assert {A2: "A2"}[ExchangeMatrix(A2.rows)] == "A2"

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -77,7 +76,7 @@ class TestResiduals:
         st = build_solution(A2, A2_SCHED, [0.3, -0.7])
         u = [list(r) for r in st.u]
         u[1][1] += 0.1
-        pert = dataclasses.replace(st, u=tuple(tuple(r) for r in u))
+        pert = st._replace(u=tuple(tuple(r) for r in u))
         rep = residuals(pert, A2, A2_SCHED)
         assert rep.residual_p_eqs > 1e-3
 
@@ -139,7 +138,7 @@ class TestNewton:
         st = build_solution(A2, A2_SCHED, [0.3, -0.7])
         u = [list(r) for r in st.u]
         u[1][0] += 1e-4
-        pert = dataclasses.replace(st, u=tuple(tuple(r) for r in u))
+        pert = st._replace(u=tuple(tuple(r) for r in u))
         assert newton_refine(pert, A2, A2_SCHED) > 1e-6
 
 
@@ -230,7 +229,7 @@ class TestBatchedJacobian:
         st = build_solution(B, sched, [0.3, -0.7, 0.2][:B.n])
         p = [list(r) for r in st.p]
         p[1][i] += delta
-        pert = dataclasses.replace(st, p=tuple(tuple(r) for r in p))
+        pert = st._replace(p=tuple(tuple(r) for r in p))
         step = newton_refine(pert, B, sched)
         assert 0.1 * delta < step < 10 * delta
         assert step == reference_newton_step(pert, B, sched)
