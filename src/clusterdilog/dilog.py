@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -53,11 +52,15 @@ def li2(x):
     return PI2_6 - log_x * math.log1p(-x) - _bernoulli_series(-log_x, 11)
 
 
-# Bernoulli numbers B_0, B_1, ... (B_1 = -1/2), exact and cached.
-_bernoulli_cache = [Fraction(1), Fraction(-1, 2)]
+# Bernoulli numbers B_0, B_1, ... (B_1 = -1/2), exact and cached on
+# first use; `fractions` (which loads `decimal`) is imported only here.
+_bernoulli_cache = []
 
 
 def _bernoulli(m: int) -> Fraction:
+    from fractions import Fraction
+    if not _bernoulli_cache:
+        _bernoulli_cache.append(Fraction(1))
     while len(_bernoulli_cache) <= m:
         k = len(_bernoulli_cache)
         acc = Fraction(0)

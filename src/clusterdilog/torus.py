@@ -202,6 +202,13 @@ def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     (c_d, c_e, q-exponent) triples and handed to `ring.pair_sum` once per
     shift, which builds and sums their products in one step."""
     _check_context(a, b)
+    return _capped_product(a, b, a.order)
+
+
+def _capped_product(a: TorusElement, b: TorusElement,
+                    cap: int) -> TorusElement:
+    """a * b of one context, keeping only the shifts of total degree at
+    most cap (cap <= the order); no pair above the cap is formed."""
     B, N = a.matrix, a.order
     g1, g2 = a.base, b.base
     head = -pairing(g1, g2, B)
@@ -209,7 +216,9 @@ def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
     bterms = sorted(((sum(e), e, ce) for e, ce in b.terms.items()),
                     key=itemgetter(0))
     for d, cd in a.terms.items():
-        room = N - sum(d)
+        room = cap - sum(d)
+        if room < 0:
+            continue
         e1 = head + 2 * pairing(g2, d, B)
         row_d = _row_B(d, B)
         for we, e, ce in bterms:
@@ -291,14 +300,19 @@ def psi_inverse_series(x: TorusElement) -> TorusElement:
 
 
 def _series(x: TorusElement, coefficient) -> TorusElement:
-    """sum_n coefficient(n) x^n with coefficient(0) = 1, up to the order."""
+    """sum_n coefficient(n) x^n with coefficient(0) = 1, up to the order N.
+
+    With rho = |base| > 0, x^n sits over the base n*base, and only its
+    shifts of degree at most N - n*rho survive the rebase onto base 0;
+    so each power x^n = x^(n-1) x is formed only to that degree.  With
+    rho = 0 every power keeps all shifts up to N."""
     N = x.order
     base = x.base
     if any(e < 0 for e in base):
         raise NonTruncating(
             f"argument base {base} has a negative exponent; powers of the "
             "argument do not raise the total degree")
-    step = sum(base)
+    rho = step = sum(base)
     if step == 0:
         if not x.constant_coefficient().is_zero():
             raise NonTruncating(
@@ -307,7 +321,7 @@ def _series(x: TorusElement, coefficient) -> TorusElement:
     terms = [unit(x.matrix, N, x.ring)]
     xp = None
     for n in range(1, N // step + 1):
-        xp = x if xp is None else multiply(xp, x)
+        xp = x if xp is None else _capped_product(xp, x, N - n * rho)
         if xp.is_zero():
             break
         terms.append(xp.scale(coefficient(n)))

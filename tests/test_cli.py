@@ -255,22 +255,25 @@ NON_PERIOD = {"n": 3, "B": [[0, -1, 0], [1, 0, -1], [0, 1, 0]],
 
 EXACT = {"ratfunc", "torus", "qident"}
 NUMERIC = {"dilog", "phib", "saddle"}
-# argv, exit code, whether numpy loads, clusterdilog modules that must not
+# argv, exit code, whether numpy loads, whether fractions loads,
+# clusterdilog modules that must not
 COLD_LAUNCHES = [
-    (["mutate", "--builtin", "A2"], 0, False, EXACT | NUMERIC),
-    (["search", "--builtin", "A2", "--depth", "5"], 0, False, EXACT | NUMERIC),
-    (["verify", "quantum-tropical", "dual", "--builtin", "A2", "-N", "4"],
-     0, False, NUMERIC),
-    (["verify", "quantum-universal", "shuffle", "--builtin",
-      "A2-principal", "-N", "3"], 0, False, NUMERIC),
-    (["verify", "quantum-universal", "--builtin", "A2", "-N", "12",
-      "--q0", "3/8"], 0, False, NUMERIC),
-    (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False,
+    (["mutate", "--builtin", "A2"], 0, False, False, EXACT | NUMERIC),
+    (["search", "--builtin", "A2", "--depth", "5"], 0, False, False,
      EXACT | NUMERIC),
-    (["mutate", "--builtin", "A7"], 4, False, EXACT | NUMERIC),
-    (["phib", "--check", "value"], 0, True, EXACT | {"saddle"}),
-    (["verify", "saddle", "--builtin", "A2"], 0, True, EXACT | {"phib"}),
-    (["verify", "saddle-lambda", "--builtin", "A2"], 0, False,
+    (["verify", "quantum-tropical", "dual", "--builtin", "A2", "-N", "4"],
+     0, False, True, NUMERIC),
+    (["verify", "quantum-universal", "shuffle", "--builtin",
+      "A2-principal", "-N", "3"], 0, False, True, NUMERIC),
+    (["verify", "quantum-universal", "--builtin", "A2", "-N", "12",
+      "--q0", "3/8"], 0, False, True, NUMERIC),
+    (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False, False,
+     EXACT | NUMERIC),
+    (["mutate", "--builtin", "A7"], 4, False, False, EXACT | NUMERIC),
+    (["phib", "--check", "value"], 0, True, True, EXACT | {"saddle"}),
+    (["verify", "saddle", "--builtin", "A2"], 0, True, False,
+     EXACT | {"phib"}),
+    (["verify", "saddle-lambda", "--builtin", "A2"], 0, False, False,
      EXACT | {"phib"}),
 ]
 
@@ -279,14 +282,15 @@ class TestColdStart:
     """A launch imports numpy only for Phi_b quadrature, the Newton check
     and the exp and log of the classical trial points; exact and
     combinatorial commands, saddle-lambda and the early exits never load
-    it.  No launch loads `dataclasses`.  Each command loads only the
-    modules it runs."""
+    it.  No launch loads `dataclasses`, and only the exact commands and
+    Phi_b load `fractions` (and with it `decimal`).  Each command loads
+    only the modules it runs."""
 
     @pytest.mark.parametrize(
-        "argv, code, numpy, unloaded", COLD_LAUNCHES,
-        ids=[f"{' '.join(a)}-{c}-{n}" for a, c, n, _ in COLD_LAUNCHES])
+        "argv, code, numpy, fractions, unloaded", COLD_LAUNCHES,
+        ids=[f"{' '.join(a)}-{c}-{n}" for a, c, n, *_ in COLD_LAUNCHES])
     def test_numpy_is_imported_only_when_needed(self, tmp_path, argv, code,
-                                                numpy, unloaded):
+                                                numpy, fractions, unloaded):
         seed = tmp_path / "non-period.json"
         seed.write_text(json.dumps(NON_PERIOD))
         argv = [str(seed) if a == "NON_PERIOD" else a for a in argv]
@@ -296,13 +300,15 @@ class TestColdStart:
                   "mods = [m[13:] for m in sys.modules\n"
                   "        if m.startswith('clusterdilog.')]\n"
                   "print(code, 'numpy' in sys.modules,\n"
+                  "      'fractions' in sys.modules,\n"
                   "      'dataclasses' in sys.modules, *mods, file=sys.stderr)")
         proc = subprocess.run([sys.executable, "-c", script, *argv],
                               capture_output=True, text=True, timeout=60,
                               env=cli_env())
-        got_code, got_numpy, got_dataclasses, *loaded = (
+        got_code, got_numpy, got_fractions, got_dataclasses, *loaded = (
             proc.stderr.splitlines()[-1].split())
         assert (got_code, got_numpy) == (str(code), str(numpy))
+        assert got_fractions == str(fractions)
         assert got_dataclasses == "False"
         assert unloaded.isdisjoint(loaded), sorted(loaded)
 

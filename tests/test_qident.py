@@ -375,6 +375,22 @@ class TestUniversalIdentity:
         for B, sched in SMALL_PERIODS:
             assert verify_universal_identity(B, sched, 5).passed, sched
 
+    def test_pair_count_a2_order_11(self, monkeypatch):
+        """Each series power is formed only to the degree its term keeps:
+        the universal check on A2 at N = 11 hands ring.pair_sum at most
+        half of the 7,186 triples that full-order powers took."""
+        pair_sum = ratfunc.ExactField.pair_sum
+        handed = []
+
+        def counting(triples):
+            handed.append(len(triples))
+            return pair_sum(triples)
+
+        monkeypatch.setattr(ratfunc.ExactField, "pair_sum",
+                            staticmethod(counting))
+        assert verify_universal_identity(A2, A2_SCHED, 11).passed
+        assert sum(handed) <= 7186 // 2
+
 
 class TestShuffle:
     def test_a2_all_cuts(self):

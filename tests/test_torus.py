@@ -9,6 +9,7 @@ from clusterdilog import torus
 from clusterdilog.errors import IncompatibleContexts, NonInvertible, NonTruncating
 from clusterdilog.exchange import ExchangeMatrix
 from clusterdilog import ratfunc
+from clusterdilog.qident import quantum_trajectory
 from clusterdilog.ratfunc import QCoefficient, RationalPointField
 from clusterdilog.torus import (
     TorusElement,
@@ -19,6 +20,7 @@ from clusterdilog.torus import (
     multiply,
     pairing,
     power,
+    psi_inverse_series,
     psi_series,
     unit,
 )
@@ -392,6 +394,64 @@ class TestPsiSeries:
         arg = multiply(Y((0, 1)), add(one(), qp(Y((1, 0)), 1)))
         P = psi_series(arg)
         assert P.terms[(0, 0)].is_one()
+
+
+A3 = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
+RINGS = [ratfunc.EXACT, RationalPointField(Fraction(2, 7))]
+
+
+def full_order_series(x, coefficient):
+    """sum_n coefficient(n) x^n with every power built to the full order
+    by plain multiply, the rebase onto base 0 dropping what lies above."""
+    total = xp = unit(x.matrix, x.order, x.ring)
+    for n in range(1, x.order + 1):
+        xp = multiply(xp, x)
+        total = add(total, xp.scale(coefficient(n)))
+    return total
+
+
+def assert_series_match_full_order(x):
+    ring = x.ring
+    assert psi_series(x) == full_order_series(x, ring.psi_coefficient)
+    assert psi_inverse_series(x) == full_order_series(
+        x, ring.psi_inverse_coefficient)
+
+
+def series_arguments(B, sequence, order, ring):
+    """The dense quantum y-variables the universal identity takes series
+    of, each also written over base 0, where its series sums every power
+    to the full order."""
+    seeds, _, signs = quantum_trajectory(B, sequence, order, ring)
+    zero = (0,) * B.n
+    for t, (k, eps) in enumerate(zip(sequence, signs)):
+        y = seeds[t if eps > 0 else t + 1].Y[k - 1]
+        yield y
+        yield TorusElement(B, order, zero, torus._rebase(y, zero), ring)
+
+
+class TestSeriesAgainstFullOrder:
+    """psi_series and psi_inverse_series equal the series whose powers are
+    all formed to the full order, over a zero base (where no power may be
+    cut short) and over a positive one."""
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["exact", "q0=2/7"])
+    @pytest.mark.parametrize("B, sequence, order", [
+        (A2, (1, 2, 1, 2, 1), 6), (A2, (1, 2, 1, 2, 1), 10),
+        (A3, (1, 2, 1, 3, 2, 1, 3, 2, 1), 6),
+        (A3, (1, 2, 1, 3, 2, 1, 3, 2, 1), 8),
+    ], ids=["A2-6", "A2-10", "A3-6", "A3-8"])
+    def test_dense_trajectory_arguments(self, ring, B, sequence, order):
+        for x in series_arguments(B, sequence, order, ring):
+            assert_series_match_full_order(x)
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["exact", "q0=2/7"])
+    def test_monomial_sums(self, ring):
+        def y(alpha):
+            return monomial(alpha, A2, N, ring)
+        for x in (add(y((1, 0)), y((0, 1))),     # zero base, degree floor 1
+                  add(y((2, 0)), y((0, 2))),     # zero base, degree floor 2
+                  y((1, 1)).scale_q_power(1)):  # base (1, 1)
+            assert_series_match_full_order(x)
 
 
 class TestEvaluation:
