@@ -36,8 +36,9 @@ class IncompatibleContexts(ClusterDilogError):
 
 class NonInvertible(ClusterDilogError):
     """Series inversion requested for an element with zero constant-shift
-    coefficient, or an exact coefficient that is not a unit of
-    Z[q, q^-1][(1 - q^(2m))^-1]: not +-q^j times cyclotomic polynomials."""
+    coefficient, or an exact coefficient that is not
+    +-q^j / prod_m (1 - q^(2m))^(e_m), the only divisors the identities
+    produce."""
 
 
 class NonTruncating(ClusterDilogError):

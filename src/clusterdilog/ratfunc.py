@@ -7,10 +7,11 @@ addition and multiplication become big-integer addition and
 multiplication, which CPython does in C.  Denominators are kept factored
 as q^a * prod_m (1 - q^(2m))^{e_m}, stored as the exponent vector
 (e_1, e_2, ...) with no trailing zero, so common denominators are
-exponent-wise sums and maxima of short tuples.  The units of R are
-+-q^j times cyclotomic polynomials Phi_d (Phi_d divides 1 - q^(2d)):
-`inverse` inverts exactly those, and `canonical` reduces by trial
-division by the Phi_d of the denominator.
+exponent-wise sums and maxima of short tuples.  The identities only
+ever divide by a monomial unit, so `inverse` inverts exactly
++-q^j / prod_m (1 - q^(2m))^(e_m); anything else raises NonInvertible.
+`canonical` reduces by trial division by the cyclotomic Phi_d of the
+denominator, and `hash` is the value at q = 2.
 
 Exactness is unconditional: all operations are ring operations on the
 packed values.  Each value carries its own digit width k, taken from
@@ -88,11 +89,6 @@ class Poly:
         k = _width(bound)
         return Poly(_pack(coeffs, k), len(coeffs), bound, k)
 
-    @staticmethod
-    def const(c) -> "Poly":
-        c = int(c)
-        return Poly(c, 1 if c else 0, abs(c), _width(abs(c)))
-
     def is_zero(self) -> bool:
         return self.val == 0
 
@@ -107,12 +103,6 @@ class Poly:
         digits = _decode(self.val, self.nd, self.k)
         return Poly(self.val, len(digits),
                     max((abs(d) for d in digits), default=0), self.k)
-
-    def __add__(self, other):
-        return _poly_sum((self, other))
-
-    def __sub__(self, other):
-        return _poly_sum((self, -other))
 
     def __neg__(self):
         return Poly(-self.val, self.nd, self.bound, self.k)
@@ -251,19 +241,11 @@ class QCoefficient:
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def from_int(c: int) -> "QCoefficient":
-        return QCoefficient(Poly.const(c))
-
-    @staticmethod
     def q_power(j: int) -> "QCoefficient":
         """q^j for any integer j."""
         if j >= 0:
             return QCoefficient(_ONE_POLY.shift(j))
         return QCoefficient(_ONE_POLY, dq=-j)
-
-    @staticmethod
-    def from_poly(coeffs) -> "QCoefficient":
-        return QCoefficient(Poly.from_coeffs(coeffs))
 
     @staticmethod
     def qpochhammer_inverse(n: int) -> "QCoefficient":
@@ -274,9 +256,6 @@ class QCoefficient:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self == _ONE_COEF
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -311,28 +290,27 @@ class QCoefficient:
             return QCoefficient(self.num.shift(j), self.dq, self.dfac)
         return QCoefficient(self.num, self.dq - j, self.dfac)
 
+    # scale_int and __truediv__ have no caller in the package; they stay
+    # because perfbench/spans.py traces them by name
     def scale_int(self, c: int) -> "QCoefficient":
-        return QCoefficient(self.num * Poly.const(c), self.dq, self.dfac)
+        return QCoefficient(self.num * Poly.from_coeffs((c,)), self.dq,
+                            self.dfac)
 
     def inverse(self) -> "QCoefficient":
-        """Inverse of a unit of R, +-q^j times cyclotomic Phi_d, with
-        1/Phi_d = ((1 - q^(2d)) / Phi_d) / (1 - q^(2d)); NonInvertible
-        for anything else."""
+        """Inverse of +-q^j / prod_m (1 - q^(2m))^(e_m), the only
+        divisors the identities produce: a quantum y-variable, a Psi-series
+        and an exchange factor 1 + q^s Y^eps each have such a constant
+        coefficient.  NonInvertible for any other numerator; as the check
+        reads the stored numerator, (1 - q^2) / (1 - q^2) is refused too."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        num = _lift(_ONE_POLY, self.dq, self.dfac)
-        # pull monomial content of the old numerator back into dq
         j = self.num.q_order()
-        sign, exps = _unit_factors(self.num.unshift(j).coeffs())
-        if sign < 0:
-            num = -num
-        for d, a in enumerate(exps, 1):
-            if a:
-                c = Poly.from_coeffs(_quotient(
-                    (1,) + (0,) * (2 * d - 1) + (-1,), _cyclotomic(d)))
-                for _ in range(a):
-                    num = num * c
-        return QCoefficient(num, dq=j, dfac=exps)
+        sign = self.num.unshift(j).val
+        if sign not in (1, -1):
+            raise NonInvertible(
+                f"numerator {_poly_str(self.num.coeffs())} is not +-q^j")
+        num = _lift(_ONE_POLY, self.dq, self.dfac)
+        return QCoefficient(-num if sign < 0 else num, dq=j)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -345,8 +323,9 @@ class QCoefficient:
         return _common_sum((self, -other)).is_zero()
 
     def __hash__(self):
-        num, den = self.canonical()
-        return hash((num, den))
+        # evaluation at q = 2 is a ring homomorphism on all of R, as no
+        # 1 - 4^m vanishes, so equal elements get equal hashes
+        return hash(self.evaluate(2))
 
     # ---- presentation -------------------------------------------------
 
@@ -524,7 +503,7 @@ class ExactField:
     def psi_coefficient(n):
         """Series coefficient (-q)^n / (q^2; q^2)_n."""
         c = QCoefficient.q_power(n) * QCoefficient.qpochhammer_inverse(n)
-        return c.scale_int(-1) if n % 2 else c
+        return -c if n % 2 else c
 
     @staticmethod
     def psi_inverse_coefficient(n):
@@ -588,6 +567,7 @@ class RationalQ:
     def mul_q_power(self, j):
         return RationalQ(self.value * _q0_power(self.q0, j), self.q0)
 
+    # scale_int and __truediv__: see QCoefficient
     def scale_int(self, c):
         return RationalQ(self.value * c, self.q0)
 
@@ -599,9 +579,6 @@ class RationalQ:
 
     def is_zero(self):
         return not self.value
-
-    def is_one(self):
-        return self.value == 1
 
     def evaluate(self, q0=None):
         return self.value
@@ -692,14 +669,7 @@ def _poly_str(coeffs) -> str:
     return s
 
 
-# ---- dense-tuple helpers: cyclotomic factors, for canonical and inverse
-
-
-def poly_trim(p) -> tuple:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
+# ---- dense-tuple helpers: cyclotomic factors, for canonical
 
 
 def _quotient(a, b):
@@ -719,7 +689,9 @@ def _quotient(a, b):
                 a[i - db + j] -= t * c
     if any(a[:db]):
         return None
-    return poly_trim(out)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 _cyclotomics = {}
@@ -758,26 +730,3 @@ def _cyclotomic_exponents(dfac) -> dict:
             if 2 * m % d == 0:
                 out[d] = out.get(d, 0) + e
     return out
-
-
-def _unit_factors(p) -> tuple:
-    """(s, (a_1, a_2, ...)) with p = s * prod_d Phi_d^(a_d), s = +-1, and
-    no trailing zero, for p(0) != 0; NonInvertible for any other p.  As
-    phi(d) <= deg p for each d and phi(d) >= sqrt(d/2), the search stops
-    at d = 2 deg(p)^2."""
-    n = 2 * (len(p) - 1) ** 2 if p[0] in (1, -1) and p[-1] in (1, -1) else 0
-    phi = list(range(n + 1))
-    for i in range(2, n + 1):
-        if phi[i] == i:                 # i is prime
-            for j in range(i, n + 1, i):
-                phi[j] -= phi[j] // i
-    exps = [0] * n
-    for d in range(1, n + 1):
-        if phi[d] < len(p):
-            p, exps[d - 1] = _strip_cyclotomic(p, d, len(p))
-    while exps and not exps[-1]:
-        exps.pop()
-    if p not in ((1,), (-1,)):
-        raise NonInvertible(
-            f"{_poly_str(p)} is not a unit of Z[q, 1/q, 1/(1 - q^(2m))]")
-    return p[0], tuple(exps)

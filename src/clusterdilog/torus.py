@@ -248,7 +248,9 @@ def power(a: TorusElement, m: int) -> TorusElement:
 def invert(a: TorusElement) -> TorusElement:
     """Two-sided inverse up to the truncation order.
 
-    Requires a nonzero delta = 0 coefficient c_0.  As <base, base> = 0,
+    Requires a nonzero delta = 0 coefficient c_0 that the ring can
+    invert: over the exact ring, c_0 = +-q^j / prod_m (1 - q^(2m))^(e_m),
+    and anything else raises NonInvertible.  As <base, base> = 0,
     Y^(-base) a = sum_delta c_delta Y^delta; its inverse v is solved
     degree by degree from v_0 = 1/c_0 and
 

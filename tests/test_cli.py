@@ -167,12 +167,17 @@ class TestVerify:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert "_positive_int" not in err
 
-    @pytest.mark.parametrize("mode", ["quantum-universal", "shuffle"])
-    def test_wide_exponent_exit_4_at_once(self, tmp_path, mode):
-        """A quantum step builds |b_ki| torus factors: an exponent of 10^6
-        is refused at once instead of running on."""
+    @pytest.mark.parametrize("mode, wide", [
+        ("quantum-universal", 10**6), ("shuffle", 10**6),
+        ("quantum-universal", -10**6), ("shuffle", -10**6),
+    ], ids=["quantum-universal", "shuffle", "quantum-universal-negative",
+            "shuffle-negative"])
+    def test_wide_exponent_exit_4_at_once(self, tmp_path, mode, wide):
+        """A quantum step builds |b_ki| torus factors: an exponent of
+        +-10^6 is refused at once instead of running on.  With b_12 < 0
+        the widest entry of row 1 is also its smallest."""
         path = tmp_path / "seed.json"
-        path.write_text(json.dumps({"n": 2, "B": [[0, 10**6], [-10**6, 0]],
+        path.write_text(json.dumps({"n": 2, "B": [[0, wide], [-wide, 0]],
                                     "sequence": [1, 1], "nu": [1, 2]}))
         start = time.perf_counter()
         proc = subprocess.run(

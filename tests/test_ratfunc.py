@@ -13,10 +13,12 @@ from clusterdilog.ratfunc import (
     Poly,
     QCoefficient,
     RationalPointField,
+    RationalQ,
     _add_fac,
     _fac_diff,
     _lift,
     _max_fac,
+    _poly_sum,
     _quotient,
 )
 
@@ -25,44 +27,55 @@ CYCLOTOMIC = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1),
               6: (1, -1, 1), 12: (1, 0, -1, 0, 1)}
 
 
+ONE = EXACT.one()
+
+
+def coef(coeffs):
+    """The integer polynomial with these coefficients, constant term
+    first, as an element of the exact ring."""
+    return QCoefficient(Poly.from_coeffs(coeffs))
+
+
 def random_coeff(rng, max_deg=6):
     num = [int(c) for c in rng.integers(-5, 6, size=rng.integers(1, max_deg))]
     if not any(num):
         num[0] = 1
-    c = QCoefficient.from_poly(num)
+    c = coef(num)
     n = int(rng.integers(0, 4))
     if n:
         c = c * QCoefficient.qpochhammer_inverse(n)
     return c.mul_q_power(int(rng.integers(-4, 5)))
 
 
-def random_unit(rng):
-    """+-q^j prod Phi_d / (q^2; q^2)_n: a unit of the exact ring."""
-    u = QCoefficient.from_int(int(rng.choice([1, -1])))
-    for d in rng.choice(sorted(CYCLOTOMIC), size=int(rng.integers(1, 5))):
-        u = u * QCoefficient.from_poly(CYCLOTOMIC[int(d)])
-    u = u * QCoefficient.qpochhammer_inverse(int(rng.integers(0, 4)))
+def random_unit(rng, max_n=3):
+    """+-q^j / (q^2; q^2)_n with n <= max_n: a unit `inverse` inverts."""
+    u = coef([int(rng.choice([1, -1]))])
+    u = u * QCoefficient.qpochhammer_inverse(int(rng.integers(0, max_n + 1)))
     return u.mul_q_power(int(rng.integers(-3, 4)))
+
+
+def random_cyclotomic(rng):
+    """A product of one to four of the Phi_d of CYCLOTOMIC."""
+    c = ONE
+    for d in rng.choice(sorted(CYCLOTOMIC), size=int(rng.integers(1, 5))):
+        c = c * coef(CYCLOTOMIC[int(d)])
+    return c
 
 
 @st.composite
 def units(draw, powers=(0, 1, 70)):
-    """+-q^j prod Phi_d^a / (q^2; q^2)_n, a unit of the exact ring; with
-    one of `powers` of Phi_1 or Phi_2, whose 70th power has binomial
-    coefficients up to 2^67, so the numerator packs at 64- or 128-bit
-    digits."""
-    u = QCoefficient.from_int(draw(st.sampled_from([1, -1])))
-    for d in draw(st.lists(st.sampled_from(sorted(CYCLOTOMIC)), max_size=4)):
-        u = u * QCoefficient.from_poly(CYCLOTOMIC[d])
-    wide = QCoefficient.from_poly(CYCLOTOMIC[draw(st.sampled_from([1, 2]))])
-    for _ in range(draw(st.sampled_from(powers))):
-        u = u * wide
+    """+-q^j / ((1 - q^2)^p (q^2; q^2)_n), a unit `inverse` inverts, with p
+    one of `powers`: (1 - q^2)^70 has binomial coefficients up to 2^67, so
+    the inverse's numerator packs at 64- or 128-bit digits."""
+    p = draw(st.sampled_from(powers))
+    u = QCoefficient(Poly.from_coeffs([draw(st.sampled_from([1, -1]))]), 0,
+                     (p,) if p else ())
     u = u * QCoefficient.qpochhammer_inverse(draw(st.integers(0, 3)))
     return u.mul_q_power(draw(st.integers(-3, 3)))
 
 
 # (numerator, dq, dfac exponent vector) -> canonical(), pinned byte for byte because
-# residual JSON, repr and hash are built from it: the q-power; Phi_1,
+# residual JSON and repr are built from it: the q-power; Phi_1,
 # Phi_2, Phi_3, Phi_4, Phi_6 and Phi_12 cancelled in part, in full or not
 # at all; the sign flip of a negative leading coefficient; wide and
 # non-primitive numerators
@@ -94,6 +107,12 @@ CANONICAL_TABLE = [
     ((6, 0, -6), 0, (1, 1), ((-6,), (-1, 0, 0, 0, 1))),
     ((1, 1, 1, 1), 1, (0, 1, 1, 1),
      ((-1,), (0, -1, 1, 0, 0, 0, 0, 1, -1, 1, -1, 0, 0, 0, 0, -1, 1))),
+    # 40-coefficient numerators: an odd exponent sum flips the sign, an
+    # even one (after Phi_1 Phi_2 cancels out of (1 - q^2) P) does not
+    (tuple(range(1, 41)), 0, (1,),
+     (tuple(range(-1, -41, -1)), (-1, 0, 1))),
+    ((1, 2) + (2,) * 38 + (-39, -40), 0, (1, 1),
+     (tuple(range(-1, -41, -1)), (-1, 0, 0, 0, 1))),
 ]
 
 # the JSON of a nonzero exact residual, pinned byte for byte
@@ -140,7 +159,7 @@ class TestPoly:
             assert (pa * pb).coeffs() == \
                 Poly.from_coeffs(convolve(a, b)).coeffs()
             add = [x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):]
-            assert (pa + pb).coeffs() == Poly.from_coeffs(add).coeffs()
+            assert _poly_sum((pa, pb)).coeffs() == Poly.from_coeffs(add).coeffs()
 
     def test_shift_and_divisibility(self):
         p = Poly.from_coeffs([3, -2])
@@ -152,7 +171,7 @@ class TestPoly:
     def test_equality_across_widths(self):
         p = Poly.from_coeffs([3, -2])
         big = Poly.from_coeffs([2**100])
-        wide = p + (big - big)          # the same polynomial, packed wider
+        wide = _poly_sum((p, big, -big))  # the same polynomial, packed wider
         assert wide.k > p.k
         assert wide == p and hash(wide) == hash(p)
         assert wide.shift(2).q_order() == 2 and wide.shift(2).unshift(2) == p
@@ -191,21 +210,44 @@ class TestPoly:
 
 class TestQCoefficient:
     def test_field_inverse(self):
+        """+-q^j / (q^2; q^2)_n is inverted on both sides; a numerator
+        other than +-q^j is refused, cyclotomic Phi_2 = 1 + q and Phi_3
+        included."""
         rng = np.random.default_rng(2)
         q0 = Fraction(2, 5)
         for _ in range(30):
             a = random_unit(rng)
-            assert (a * a.inverse()).is_one()
-            assert (a / a).is_one()
-            assert a.inverse().evaluate(q0) == 1 / a.evaluate(q0)
+            inv = a.inverse()
+            assert a * inv == ONE and inv * a == ONE
+            assert inv.evaluate(q0) == 1 / a.evaluate(q0)
             b = random_coeff(rng)
-            assert (b / a) * a == b
-        for num in ([1, 2], [2], [1, 3, 1], [-1, 1, 1], [1, 0, 0, 1, 1]):
+            assert b * inv * a == b
+        for num in ([1, 1], [1, 1, 1], [2], [1, 2], [1, 3, 1], [-1, 1, 1],
+                    [1, 0, 0, 1, 1]):
             with pytest.raises(NonInvertible):
-                QCoefficient.from_poly(num).inverse()
+                coef(num).inverse()
             with pytest.raises(NonInvertible):
-                (QCoefficient.from_poly(num).mul_q_power(-2)
+                (coef(num).mul_q_power(-2)
                  * QCoefficient.qpochhammer_inverse(3)).inverse()
+
+    def test_hash_of_a_deep_denominator(self, monkeypatch):
+        """a' is a with numerator and denominator both multiplied by
+        (1 - q^2)^140, the shape whose canonical() takes 140 trial
+        divisions: equal to a, and hashed alike without canonical()."""
+        rng = np.random.default_rng(7)
+        pairs = []
+        for _ in range(10):
+            a = random_coeff(rng)
+            pairs.append((a, QCoefficient(_lift(a.num, 0, (140,)), a.dq,
+                                          _add_fac(a.dfac, (140,)))))
+
+        def refuse(self):
+            raise AssertionError("hash reached canonical()")
+
+        monkeypatch.setattr(QCoefficient, "canonical", refuse)
+        for a, deep in pairs:
+            assert deep.dfac[0] >= 140
+            assert deep == a and hash(deep) == hash(a)
 
     def test_ring_axioms_random(self):
         rng = np.random.default_rng(3)
@@ -214,17 +256,17 @@ class TestQCoefficient:
             assert (a + b) * c == a * c + b * c
             assert (a * b) * c == a * (b * c)
             assert a + b == b + a
-            assert a - a == QCoefficient.from_int(0)
+            assert a - a == EXACT.zero()
 
     def test_equality_over_two_denominators(self):
         """(1 + q^2)/(q (1 - q^4)) and 1/(q (1 - q^2)): one value over
         two exponent vectors, neither of which dominates the other."""
         a = QCoefficient(Poly.from_coeffs([1, 0, 1]), 1, (0, 1))
-        b = QCoefficient(Poly.const(1), 1, (1,))
+        b = QCoefficient(Poly.from_coeffs([1]), 1, (1,))
         assert a.dfac != b.dfac
         assert a == b and b == a and hash(a) == hash(b)
         assert a != b.mul_q_power(1) and a != -b
-        zero = QCoefficient.from_int(0)
+        zero = EXACT.zero()
         assert zero != a and a != zero
         assert zero == a - b and a - b == zero
 
@@ -244,7 +286,7 @@ class TestQCoefficient:
         for i in range(40):
             a = random_coeff(rng)
             if i % 2:
-                a = a * random_unit(rng)
+                a = a * random_unit(rng) * random_cyclotomic(rng)
             num, den = a.canonical()
             assert den[-1] > 0
             for x in points:
@@ -278,16 +320,16 @@ class TestQCoefficient:
         assert out == RESIDUAL_JSON
 
     def test_canonical_flips_pochhammer_sign(self):
-        c = QCoefficient.from_poly([0, -1]) * QCoefficient.qpochhammer_inverse(1)
+        c = coef([0, -1]) * QCoefficient.qpochhammer_inverse(1)
         assert c.canonical() == ((0, 1), (-1, 0, 1))
 
     def test_partial_cyclotomic_cancellation(self):
-        c = QCoefficient.from_poly([1, 1]) * QCoefficient.qpochhammer_inverse(1)
+        c = coef([1, 1]) * QCoefficient.qpochhammer_inverse(1)
         assert c.canonical() == ((-1,), (-1, 1))
 
     def test_q_power_laurent(self):
-        assert (QCoefficient.q_power(-3) * QCoefficient.q_power(3)).is_one()
-        c = QCoefficient.from_poly([0, 0, 5]).mul_q_power(-2)
+        assert QCoefficient.q_power(-3) * QCoefficient.q_power(3) == ONE
+        c = coef([0, 0, 5]).mul_q_power(-2)
         assert c.canonical() == ((5,), (1,))
 
     def test_evaluate_matches_fraction_oracle(self):
@@ -300,7 +342,7 @@ class TestQCoefficient:
 
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
-            QCoefficient.from_int(0).inverse()
+            EXACT.zero().inverse()
 
 
 @st.composite
@@ -310,8 +352,7 @@ def wide_coefficients(draw):
     bits = draw(st.integers(1, 300))
     num = draw(st.lists(st.integers(-(1 << bits), 1 << bits),
                         min_size=1, max_size=5).filter(any))
-    c = QCoefficient.from_poly(num) * \
-        QCoefficient.qpochhammer_inverse(draw(st.integers(0, 3)))
+    c = coef(num) * QCoefficient.qpochhammer_inverse(draw(st.integers(0, 3)))
     return c.mul_q_power(draw(st.integers(-3, 3)))
 
 
@@ -344,10 +385,10 @@ class TestFieldAxiomsProperty:
     @given(a=wide_coefficients(), b=wide_coefficients(), u=units(), x=points)
     def test_inverse(self, a, b, u, x):
         inv = u.inverse()
-        assert (u * inv).is_one() and (inv * u).is_one()
+        assert u * inv == ONE and inv * u == ONE
         assert inv.evaluate(x) == 1 / u.evaluate(x)
-        # a round trip through a wide unit
-        back = a * u / u
+        # a round trip through a unit with a deep denominator
+        back = a * u * inv
         assert back == a and hash(back) == hash(a)
         assert EXACT.sum([a, b, inv]) == (a + b) + inv
 
@@ -407,7 +448,7 @@ class TestRationalPointField:
 
     def test_arithmetic_tracks_fractions(self):
         ring = RationalPointField(Fraction(1, 2))
-        a, b = ring.one().mul_q_power(3), ring.one().scale_int(5)
+        a, b = ring.one().mul_q_power(3), RationalQ(5, ring.q0)
         assert (a * b).value == Fraction(5, 8)
         assert (a + b).inverse().value == Fraction(8, 41)
 
@@ -498,15 +539,15 @@ class TestLift:
         """After 62 steps the bound 2^62 of (1 - q^2)^62 would double past
         the 64-bit digit, so the loop tightens it to C(62, 31); C(66, 33)
         still fits the digit, while C(70, 35) needs 128 bits."""
-        tightened = _lift(Poly.const(1), 0, (66,))
+        tightened = _lift(Poly.from_coeffs([1]), 0, (66,))
         assert tightened.k == 64 and tightened.bound < 2**63
         assert tightened.coeffs()[66] == -math.comb(66, 33)
-        out = _lift(Poly.const(1), 0, (70,))
+        out = _lift(Poly.from_coeffs([1]), 0, (70,))
         assert out.k == 128
         assert out.coeffs()[70] == -math.comb(70, 35) < -2**63
 
     def test_zero_and_empty_lifts(self):
-        one = Poly.const(1)
+        one = Poly.from_coeffs([1])
         assert _lift(one, 0, ()) == one
         assert _lift(one, 2, ()).coeffs() == (0, 0, 1)
-        assert _lift(Poly.const(0), 1, (3,)).is_zero()
+        assert _lift(Poly.from_coeffs([]), 1, (3,)).is_zero()

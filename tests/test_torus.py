@@ -24,7 +24,7 @@ from clusterdilog.torus import (
     psi_series,
     unit,
 )
-from test_ratfunc import random_unit, units
+from test_ratfunc import ONE, coef, random_unit, units
 
 A2 = ExchangeMatrix(np.array([[0, -1], [1, 0]]))
 N = 6
@@ -50,10 +50,10 @@ def random_sparse(rng, B, order, nterms=3):
         d = tuple(int(x) for x in rng.integers(0, order // 2 + 1, size=n))
         if sum(d) > order:
             continue
-        coeff = QCoefficient.from_poly(
+        coeff = coef(
             [int(c) for c in rng.integers(-3, 4, size=3)]).mul_q_power(int(rng.integers(-2, 3)))
         terms[d] = coeff
-    terms.setdefault((0,) * n, QCoefficient.from_int(int(rng.integers(-2, 3))))
+    terms.setdefault((0,) * n, coef([int(rng.integers(-2, 3))]))
     return TorusElement(B, order, base, terms)
 
 
@@ -167,12 +167,12 @@ class TestInvert:
         assert invert(Y((-2, 1))) == Y((2, -1))
 
     def test_two_sided_inverse_of_series(self):
-        # the second element has a Laurent base, a unit q^-1 Phi_2 as its
-        # constant-shift coefficient and shifts that do not commute
-        c = QCoefficient.from_poly([0, 2, -1]) * \
-            QCoefficient.qpochhammer_inverse(2)
-        terms = {(0, 0): QCoefficient.from_poly([1, 1]).mul_q_power(-1),
-                 (1, 0): c, (0, 1): QCoefficient.from_int(3),
+        # the second element has a Laurent base, a unit -q^-1 / (1 - q^2)
+        # as its constant-shift coefficient and shifts that do not commute
+        c = coef([0, 2, -1]) * QCoefficient.qpochhammer_inverse(2)
+        terms = {(0, 0): -QCoefficient.q_power(-1)
+                 * QCoefficient.qpochhammer_inverse(1),
+                 (1, 0): c, (0, 1): coef([3]),
                  (1, 1): c.mul_q_power(2)}
         for e in (add(one(), Y((1, 0))), TorusElement(A2, N, (1, -1), terms)):
             assert multiply(e, invert(e)) == one()
@@ -182,20 +182,24 @@ class TestInvert:
         inv = invert(add(one(), Y((1, 0))))
         for m in range(N + 1):
             got = inv.terms[(m, 0)]
-            assert got == QCoefficient.from_int((-1) ** m), m
+            assert got == coef([(-1) ** m]), m
 
     def test_involution_up_to_truncation(self):
+        """With c_0 = +-q^j, the inverse's c_0 = +-q^-j is invertible too."""
         rng = np.random.default_rng(4)
         for _ in range(10):
             a = random_sparse(rng, A2, 4)
-            a = TorusElement(A2, 4, a.base, {**a.terms, (0, 0): random_unit(rng)})
+            a = TorusElement(A2, 4, a.base,
+                             {**a.terms, (0, 0): random_unit(rng, max_n=0)})
             assert invert(invert(a)) == a
 
     def test_noninvertible(self):
         with pytest.raises(NonInvertible):
             invert(Y((1, 0)) - Y((1, 0)))
         with pytest.raises(NonInvertible):
-            invert(TorusElement(A2, N, (0, 0), {(1, 0): QCoefficient.from_int(1)}))
+            invert(TorusElement(A2, N, (0, 0), {(1, 0): ONE}))
+        with pytest.raises(NonInvertible):     # 1 + q is no monomial
+            invert(TorusElement(A2, N, (0, 0), {(0, 0): coef([1, 1])}))
 
 
 class TestStoredTerms:
@@ -237,8 +241,7 @@ def coefficients(draw):
     size = draw(st.sampled_from((3, 2**60, 2**120, 2**200)))
     num = draw(st.lists(st.integers(-size, size), min_size=1,
                         max_size=3).filter(any))
-    c = QCoefficient.from_poly(num) * \
-        QCoefficient.qpochhammer_inverse(draw(st.integers(0, 2)))
+    c = coef(num) * QCoefficient.qpochhammer_inverse(draw(st.integers(0, 2)))
     extra = None
     if draw(st.integers(0, 4)) == 0:
         extra = (draw(st.integers(2, 3)), draw(st.integers(-3, 3)))
@@ -338,11 +341,9 @@ class TestProductProperties:
         """(u + c Y1)(v - w Y1) with u w = c v: both pairs landing on Y1
         cancel, although their products carry different denominators."""
         u = QCoefficient.qpochhammer_inverse(1)
-        v = QCoefficient.from_poly([1, 2]).mul_q_power(-3) * \
-            QCoefficient.qpochhammer_inverse(2)
-        c = QCoefficient.from_poly([0, 5, -1]) * \
-            QCoefficient.qpochhammer_inverse(3)
-        w = c * v / u
+        v = coef([1, 2]).mul_q_power(-3) * QCoefficient.qpochhammer_inverse(2)
+        c = coef([0, 5, -1]) * QCoefficient.qpochhammer_inverse(3)
+        w = c * v * u.inverse()
         assert ratfunc.EXACT.pair_sum([(u, -w, 0), (c, v, 0)]).is_zero()
         a = TorusElement(A2, N, (0, 0), {(0, 0): u, (1, 0): c})
         b = TorusElement(A2, N, (0, 0), {(0, 0): v, (1, 0): -w})
@@ -354,23 +355,23 @@ class TestProductProperties:
         """c = ((1 + q) + 2^61) - 2^61 tracks a coefficient bound near
         2^62, so a product's bound overflows 64-bit digits until it is
         tightened; the product then stays at 64 bits."""
-        big = QCoefficient.from_int(2**61)
-        c = (QCoefficient.from_poly([1, 1]) + big) - big
+        big = coef([2**61])
+        c = (coef([1, 1]) + big) - big
         assert c.num.k == 64 and c.num.bound > 2**61
         a = TorusElement(A2, N, (0, 0), {(0, 0): c, (1, 0): c})
         prod = multiply(a, a)
         assert all(coef.num.k == 64 for coef in prod.terms.values())
-        assert prod.terms[(1, 0)] == QCoefficient.from_poly([2, 4, 2])
+        assert prod.terms[(1, 0)] == coef([2, 4, 2])
         assert prod == reference_multiply(a, a)
 
 
 class TestPsiSeries:
     def test_constant_term_and_low_coefficients(self):
         P = psi_series(Y((1, 0), 8))
-        assert P.terms[(0, 0)].is_one()
-        assert P.terms[(1, 0)] == QCoefficient.from_poly([0, -1]) * \
+        assert P.terms[(0, 0)] == ONE
+        assert P.terms[(1, 0)] == coef([0, -1]) * \
             QCoefficient.qpochhammer_inverse(1)
-        assert P.terms[(2, 0)] == QCoefficient.from_poly([0, 0, 1]) * \
+        assert P.terms[(2, 0)] == coef([0, 0, 1]) * \
             QCoefficient.qpochhammer_inverse(2)
 
     def test_of_zero_is_one(self):
@@ -393,7 +394,7 @@ class TestPsiSeries:
     def test_nonnegative_base_with_series_tail_accepted(self):
         arg = multiply(Y((0, 1)), add(one(), qp(Y((1, 0)), 1)))
         P = psi_series(arg)
-        assert P.terms[(0, 0)].is_one()
+        assert P.terms[(0, 0)] == ONE
 
 
 A3 = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
