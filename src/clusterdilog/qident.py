@@ -7,7 +7,10 @@ which are verified here in four presentations: tropical (monomial
 arguments), universal (full y-variable arguments), the shuffle formula
 connecting the two, and the pair of identities (direct and
 order-reversed in the dual parameter) into which the noncompact
-tropical identity factorizes.
+tropical identity factorizes.  The universal check compares its product
+with 1; the tropical and dual checks compare the first half of their
+product P with the inverse of the second half, which has the same
+verdict, and a residual whose lowest-degree terms are those of P - 1.
 """
 
 from __future__ import annotations
@@ -130,7 +133,12 @@ def seed_commutation_residual(s: QuantumSeedSeries) -> list:
 
 
 class Residual(NamedTuple):
-    """Truncated deviation of an identity's left side from 1."""
+    """Truncated deviation of an identity's two sides: the product minus 1
+    for the universal check, the first side minus the second for the
+    shuffle formula, and left - right for the tropical and dual checks,
+    where left is the first half of the product P and right the inverse
+    of its second half.  Then left - right = (P - 1) right with right =
+    1 + (higher terms), so its lowest-degree terms are those of P - 1."""
 
     identity: str
     order: int
@@ -195,11 +203,32 @@ def _product(factors, B, N, ring) -> TorusElement:
     return unit(B, N, ring) if P is None else P
 
 
-def _tropical_product(B, ss, N, ring, steps):
-    """Product of Psi(Y^(eps_t alpha_t))^(eps_t) over the steps t, in order."""
+def _tropical_product(B, ss, N, ring, steps, power=1):
+    """Product of Psi(Y^(eps_t alpha_t))^(power * eps_t) over the steps t,
+    in order; power = -1 gives the factors' inverses."""
     return _product((_psi_monomial(tuple(ss.signs[t] * a for a in ss.cvectors[t]),
-                                   ss.signs[t], B, N, ring) for t in steps),
+                                   power * ss.signs[t], B, N, ring)
+                     for t in steps),
                     B, N, ring)
+
+
+def _tropical_residual(B, ss, N, ring, order) -> tuple:
+    """Check that the product P of Psi(Y^(eps_t alpha_t))^(eps_t) over the
+    steps t of `order` is 1, as its first half against its inverted
+    second half.
+
+    With m = floor(L/2), left is the product of the first m factors and
+    right = Q^-1 the product of the last L - m factors' inverses
+    Psi(Y^(eps_t alpha_t))^(-eps_t), taken last to first; each is a
+    closed form (_psi_monomial).  Then left - right = (P - 1) right, and
+    as right has base 0 and constant term 1, the residual vanishes exactly
+    when P - 1 does, and its lowest-degree terms are those of P - 1.  The
+    two half products stay far sparser than P itself."""
+    order = list(order)
+    m = len(order) // 2
+    left = _tropical_product(B, ss, N, ring, order[:m])
+    right = _tropical_product(B, ss, N, ring, reversed(order[m:]), -1)
+    return tuple(torus.deviation_from(left, right))
 
 
 def _universal_product(seeds, sequence, signs, B, N, ring):
@@ -220,15 +249,17 @@ def _universal_product(seeds, sequence, signs, B, N, ring):
 
 def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
                              N: int, q0=None) -> Residual:
-    """Product over the period of Psi(Y^(eps_t alpha_t))^(eps_t), compared
-    against 1.  Exactly zero residual for every period.  Every factor has
-    a monomial argument and is built in closed form (_psi_monomial)."""
+    """Product P over the period of Psi(Y^(eps_t alpha_t))^(eps_t), which
+    is 1: exactly zero residual for every period.  Every factor has a
+    monomial argument and is built in closed form (_psi_monomial).  The
+    residual is left - right, the first half of the product against the
+    inverse of the second half (_tropical_residual); its lowest-degree
+    terms are those of P - 1."""
     require_period(B, sched)
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
-    P = _tropical_product(B, ss, N, ring, range(sched.length))
-    dev = torus.deviation_from(P, unit(B, N, ring))
-    return Residual("tropical", N, tuple(dev), ring.name)
+    dev = _tropical_residual(B, ss, N, ring, range(sched.length))
+    return Residual("tropical", N, dev, ring.name)
 
 
 def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
@@ -275,18 +306,20 @@ def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
     variable playing qbar = 1/q_dual, the dual generators obey the
     commutation of the opposite matrix -B, and the reversed product of
     the same factors is again 1.  Both products are built from the
-    closed-form monomial factors (_psi_monomial).
+    closed-form monomial factors (_psi_monomial), and each is checked as
+    its first half against the inverse of its second half
+    (_tropical_residual): each residual is left - right, whose
+    lowest-degree terms are those of P - 1.
     """
     require_period(B, sched)
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
-    P1 = _tropical_product(B, ss, N, ring, range(sched.length))
-    dev1 = torus.deviation_from(P1, unit(B, N, ring))
+    L = sched.length
+    dev1 = _tropical_residual(B, ss, N, ring, range(L))
     Bop = ExchangeMatrix([[-x for x in r] for r in B.rows])
-    P2 = _tropical_product(Bop, ss, N, ring, reversed(range(sched.length)))
-    dev2 = torus.deviation_from(P2, unit(Bop, N, ring))
-    return (Residual("dual-q", N, tuple(dev1), ring.name),
-            Residual("dual-qbar", N, tuple(dev2), ring.name))
+    dev2 = _tropical_residual(Bop, ss, N, ring, reversed(range(L)))
+    return (Residual("dual-q", N, dev1, ring.name),
+            Residual("dual-qbar", N, dev2, ring.name))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ multiplication, which CPython does in C.  Denominators are kept factored
 as q^a * prod_m (1 - q^(2m))^{e_m}, stored as the exponent vector
 (e_1, e_2, ...) with no trailing zero, so common denominators are
 exponent-wise sums and maxima of short tuples.  The identities only
-ever divide by a monomial unit, so `inverse` inverts exactly
-+-q^j / prod_m (1 - q^(2m))^(e_m); anything else raises NonInvertible.
+ever divide by a monomial unit, so `inverse` inverts exactly the values
++-q^j / prod_m (1 - q^(2m))^(e_m), however they are stored; anything else
+raises NonInvertible.
 `canonical` reduces by trial division by the cyclotomic Phi_d of the
 denominator, and `hash` is the value at q = 2.
 
@@ -300,15 +301,30 @@ class QCoefficient:
         """Inverse of +-q^j / prod_m (1 - q^(2m))^(e_m), the only
         divisors the identities produce: a quantum y-variable, a Psi-series
         and an exchange factor 1 + q^s Y^eps each have such a constant
-        coefficient.  NonInvertible for any other numerator; as the check
-        reads the stored numerator, (1 - q^2) / (1 - q^2) is refused too."""
+        coefficient.  A value stored with another numerator, such as
+        (1 - q^2) / (1 - q^2) = 1 or (1 + q^2) / (1 - q^4) = 1 / (1 - q^2),
+        is reduced by `canonical` and inverted if it has that form.
+        NonInvertible for any other value, such as (1 + q) / (q^2; q^2)_3."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
         j = self.num.q_order()
         sign = self.num.unshift(j).val
         if sign not in (1, -1):
-            raise NonInvertible(
-                f"numerator {_poly_str(self.num.coeffs())} is not +-q^j")
+            # the reduced denominator is q^dq prod_m (q^(2m) - 1)^(e_m) if
+            # the value has that form; its factor of largest m then holds
+            # the largest Phi_d left, so it divides out first
+            num, den = self.canonical()
+            j = next(i for i, c in enumerate(num) if c)
+            rest = den[self.dq:]
+            for m in range(len(self.dfac), 0, -1):
+                top = (-1,) + (0,) * (2 * m - 1) + (1,)
+                while (quo := _quotient(rest, top)) is not None:
+                    rest = quo
+            if num[j:] not in ((1,), (-1,)) or rest != (1,):
+                raise NonInvertible(f"{self!r} is not +-q^j / "
+                                    "prod_m (1 - q^(2m))^(e_m)")
+            den = Poly.from_coeffs(den)
+            return QCoefficient(-den if num[j] < 0 else den, dq=j)
         num = _lift(_ONE_POLY, self.dq, self.dfac)
         return QCoefficient(-num if sign < 0 else num, dq=j)
 

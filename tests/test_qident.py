@@ -323,6 +323,78 @@ class TestTropicalIdentity:
         assert j["residual_terms"] == []
 
 
+A3_PERIOD = MutationSchedule((1, 2, 1, 3, 2, 1, 3, 2, 1), (3, 2, 1))
+SPLIT_PERIODS = [
+    (A1, A1_SCHED, 8),
+    (A2, A2_SCHED, 8),
+    (principal_extension(A2), extend_schedule(A2_SCHED, 2), 6),
+    (A3_LINEAR, A3_PERIOD, 5),
+]
+
+
+class TestHalfSplit:
+    """The tropical and dual checks compare the first half of the product
+    P with the inverse of its second half; left - right = (P - 1) right
+    with right = 1 + (higher terms), so the verdict is that of P - 1 and
+    the lowest-degree residual terms are P - 1's."""
+
+    @pytest.mark.parametrize("q0", [None, Fraction(3, 8)],
+                             ids=["exact", "q0=3/8"])
+    @pytest.mark.parametrize("case", SPLIT_PERIODS,
+                             ids=["A1", "A2", "A2-principal", "A3"])
+    def test_periods_pass(self, q0, case):
+        B, sched, N = case
+        assert verify_tropical_identity(B, sched, N, q0=q0).passed
+        r1, r2 = verify_dual_pair(B, sched, N, q0=q0)
+        assert r1.passed and r2.passed
+
+    @staticmethod
+    def full_fold(B, ss, N, ring, order):
+        P = unit(B, N, ring)
+        for t in order:
+            eps = ss.signs[t]
+            alpha = tuple(eps * a for a in ss.cvectors[t])
+            P = multiply(P, qident._psi_monomial(alpha, eps, B, N, ring))
+        return P
+
+    @staticmethod
+    def lowest(terms):
+        low = min(sum(expo) for expo, _ in terms)
+        return [(expo, c) for expo, c in terms if sum(expo) == low]
+
+    @pytest.mark.parametrize("ring", [ratfunc.EXACT,
+                                      ratfunc.RationalPointField(Fraction(3, 8))],
+                             ids=["exact", "q0=3/8"])
+    @pytest.mark.parametrize("word", [(1, 2, 1), (1, 2, 1, 2), (2, 1, 2, 1, 2, 1)])
+    @pytest.mark.parametrize("N", [6, 9])
+    def test_fail_report_leads_with_p_minus_one(self, ring, word, N):
+        ss = sign_sequence(A2, MutationSchedule.identity_nu(word, 2))
+        L = len(word)
+        A2op = ExchangeMatrix([[-x for x in r] for r in A2.rows])
+        for B, order in ((A2, range(L)), (A2op, list(reversed(range(L))))):
+            split = qident._tropical_residual(B, ss, N, ring, order)
+            P = self.full_fold(B, ss, N, ring, order)
+            dev = torus.deviation_from(P, unit(B, N, ring))
+            assert split and dev
+            assert self.lowest(split) == self.lowest(dev)
+
+    def test_pair_count_a2_order_16(self, monkeypatch):
+        """Two half products stay sparser than one full fold: the tropical
+        check on A2 at N = 16 hands ring.pair_sum at most 800 triples,
+        about half of the 1,560 the full fold took."""
+        pair_sum = ratfunc.ExactField.pair_sum
+        handed = []
+
+        def counting(triples):
+            handed.append(len(triples))
+            return pair_sum(triples)
+
+        monkeypatch.setattr(ratfunc.ExactField, "pair_sum",
+                            staticmethod(counting))
+        assert verify_tropical_identity(A2, A2_SCHED, 16).passed
+        assert sum(handed) <= 800
+
+
 class TestUniversalIdentity:
     def test_a2_exact(self):
         assert verify_universal_identity(A2, A2_SCHED, 6).passed

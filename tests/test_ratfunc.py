@@ -230,6 +230,56 @@ class TestQCoefficient:
                 (coef(num).mul_q_power(-2)
                  * QCoefficient.qpochhammer_inverse(3)).inverse()
 
+    @pytest.mark.parametrize("dfac, other, times, value", [
+        # 1/(1 - q^2) - q^2/(1 - q^2), stored as (1 - q^2)/(1 - q^2)
+        ((1,), [0, 0, -1], 0, ()),
+        # (1/(1 - q^4) - q^4/(1 - q^4)) / (1 - q^2): 1 + q^2 is left when
+        # 1 - q^2 is divided out of the numerator 1 - q^4
+        ((0, 1), [0, 0, 0, 0, -1], 1, (1,)),
+        # 1/(1 - q^4) + q^2/(1 - q^4): 1 + q^2 has no factor 1 - q^(2m)
+        ((0, 1), [0, 0, 1], 0, (1,)),
+    ])
+    def test_inverse_of_a_unit_stored_with_a_removable_factor(
+            self, dfac, other, times, value):
+        """c = (1 + other) / prod (1 - q^(2m))^dfac, times (1 - q^2)^-times,
+        is stored with a numerator other than +-q^j, but its value is
+        1 / prod (1 - q^(2m))^value, so it inverts, and so does -q^3 c
+        over (q^2; q^2)_2; (1 + q) c is refused."""
+        over = QCoefficient(Poly.from_coeffs([1]), 0, dfac)
+        c = over + coef(other) * over
+        for _ in range(times):
+            c = c * QCoefficient.qpochhammer_inverse(1)
+        assert c.num.coeffs() not in ((1,), (-1,))
+        inv = QCoefficient(_lift(Poly.from_coeffs([1]), 0, value))
+        assert c.inverse() == inv and c.inverse() * c == ONE
+        u = -c.mul_q_power(3) * QCoefficient.qpochhammer_inverse(2)
+        assert u.inverse() * u == ONE
+        assert u.inverse() == -QCoefficient.q_power(-3) * inv \
+            * coef([1, 0, -1]) * coef([1, 0, 0, 0, -1])
+        with pytest.raises(NonInvertible):
+            (c * coef([1, 1])).inverse()
+
+    def test_inverse_of_a_quotient_stored_over_its_dividend(self):
+        """For k | m, k < m, ((1 - q^(2m)) / (1 - q^(2k))) / (1 - q^(2m))
+        is 1 / (1 - q^(2k)); times a unit u it inverts to (1 - q^(2k)) / u.
+        Times 1 + q it is refused: its numerator reduces to 1, but the
+        value, 1 / (1 - q) times a unit of R, has no inverse of the form
+        +-q^j prod_m (1 - q^(2m))^(e_m)."""
+        rng = np.random.default_rng(22)
+        for m in range(2, 7):
+            for k in (k for k in range(1, m) if m % k == 0):
+                # (1 - q^(2m)) / (1 - q^(2k)) = sum_{i < m/k} q^(2ki)
+                quo = coef(([1] + [0] * (2 * k - 1)) * (m // k))
+                c = quo * QCoefficient(Poly.from_coeffs([1]), 0,
+                                       (0,) * (m - 1) + (1,))
+                assert c.num.coeffs() == quo.num.coeffs()
+                u = random_unit(rng)
+                factor = coef([1] + [0] * (2 * k - 1) + [-1])
+                assert (c * u).inverse() == factor * u.inverse()
+                assert (c * u).inverse() * (c * u) == ONE
+                with pytest.raises(NonInvertible):
+                    (c * u * coef([1, 1])).inverse()
+
     def test_hash_of_a_deep_denominator(self, monkeypatch):
         """a' is a with numerator and denominator both multiplied by
         (1 - q^2)^140, the shape whose canonical() takes 140 trial

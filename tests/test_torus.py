@@ -193,6 +193,15 @@ class TestInvert:
                              {**a.terms, (0, 0): random_unit(rng, max_n=0)})
             assert invert(invert(a)) == a
 
+    def test_constant_coefficient_with_a_removable_factor(self):
+        """c_0 = (1 - q^2)/(1 - q^2), stored unreduced, is the unit 1."""
+        one_over = QCoefficient.qpochhammer_inverse(1)
+        c0 = one_over - coef([0, 0, 1]) * one_over
+        assert c0.dfac == (1,)
+        e = TorusElement(A2, N, (0, 0), {(0, 0): c0, (1, 0): coef([2])})
+        assert multiply(e, invert(e)) == one()
+        assert invert(e) == invert(add(one(), Y((1, 0)).scale(coef([2]))))
+
     def test_noninvertible(self):
         with pytest.raises(NonInvertible):
             invert(Y((1, 0)) - Y((1, 0)))
