@@ -52,26 +52,8 @@ def li2(x):
     return PI2_6 - log_x * math.log1p(-x) - _bernoulli_series(-log_x, 11)
 
 
-# Bernoulli numbers B_0, B_1, ... (B_1 = -1/2), exact and cached on
-# first use; `fractions` (which loads `decimal`) is imported only here.
-_bernoulli_cache = []
-
-
-def _bernoulli(m: int) -> Fraction:
-    from fractions import Fraction
-    if not _bernoulli_cache:
-        _bernoulli_cache.append(Fraction(1))
-    while len(_bernoulli_cache) <= m:
-        k = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j, bj in enumerate(_bernoulli_cache):
-            acc += math.comb(k + 1, j) * bj
-        _bernoulli_cache.append(-acc / (k + 1))
-    return _bernoulli_cache[m]
-
-
-# B_2k / (2k+1)! for k = 0..29, written out so that importing does no
-# Fraction arithmetic; the tests check them against `_bernoulli`
+# B_2k / (2k+1)! for k = 0..29; the tests check them against the exact
+# Bernoulli numbers
 _LI2_COEFFS = (
     1.0, 0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
     -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,

@@ -1,15 +1,18 @@
 """Faddeev's noncompact quantum dilogarithm.
 
-Defined inside the strip |Im z| < |Im c_b| by a contour integral over
-the real line that circles the origin from above; continued outside by
-the recurrence in steps of i*b, or of i/b when |b| > 1.  The pole at the
-origin is integrated in closed form, so for real b and z the integral is
-imaginary and Phi_b is unimodular by construction.  The rest is a Taylor
-series on [0, r] and the tails, where each half e^(+-2izx) of sin(2zx)
-runs from r on a ray towards its steepest descent, turned at most half
-way to the nearest pole ray, over Gauss-Legendre panels that triple in
-width; a 16-point rule beside the 32-point one estimates the error.  For
-Im b^2 > 0, Phi_b is also a ratio of two compact q-dilogarithm products.
+Defined inside the strip |Im z| < |Im c_b| by a contour integral over the
+real line that passes above the origin; continued outside by the
+recurrence in steps of i*b, or of i/b when |b| > 1.  The integral is taken
+on the line R + ih, clear of the origin and half way up to the lowest
+poles; for Re z > 0, where e^(-2izw) grows on that line, the reflection
+formula gives the value from Phi_b(-z).  From ih one ray runs right and
+one left, each turned towards its steepest descent but at most half way
+to the nearest pole, over Gauss-Legendre panels that grow geometrically;
+a 16-point rule beside the 32-point one estimates the error.  For real b
+and z only the imaginary part is kept, so Phi_b is unimodular by
+construction, and Phi_b(0) = e^(-i pi s/24), s = b^2 + b^-2, is taken in
+closed form.  For Im b^2 > 0, Phi_b is also a ratio of two compact
+q-dilogarithm products.
 """
 
 from __future__ import annotations
@@ -18,28 +21,24 @@ import cmath
 import functools
 import math
 
-from .dilog import PI2_6, _bernoulli, li2, log_psiq_numeric
+from .dilog import PI2_6, li2, log_psiq_numeric
 from .errors import QuadratureFailure
 from .exchange import _Frozen, _set
+
+_MAX_PANELS = 4096
 
 
 @functools.cache
 def _tables():
     """numpy; the nodes of the 32- and 16-point Gauss-Legendre rules side by
-    side, shifted by 2, with a matrix whose two columns weigh them; and, for
-    `_head`, the coefficients in t^2 of t/sinh(t) and of sin(t)/t through
-    t^16 with the odd reciprocals; loaded on the first quadrature rather
-    than at import."""
+    side, with a matrix whose two columns weigh them; loaded on the first
+    quadrature rather than at import."""
     import numpy as np
-    t = np.array([float((2 - 4**n) * _bernoulli(2 * n) / math.factorial(2 * n))
-                  for n in range(9)])
-    sinc = np.array([(-1) ** n / math.factorial(2 * n + 1) for n in range(9)])
     (x32, w32), (x16, w16) = (np.polynomial.legendre.leggauss(n)
                               for n in (32, 16))
     weights = np.zeros((48, 2), complex)
     weights[:32, 0], weights[32:, 1] = w32, w16
-    return (np, np.concatenate((x32, x16)) + 2.0, weights, t, sinc,
-            1.0 / np.arange(1, 17, 2))
+    return np, np.concatenate((x32, x16)), weights
 
 
 class PhibParams(_Frozen):
@@ -74,23 +73,13 @@ class PhibParams(_Frozen):
         return abs(self.c_b.imag)
 
 
-def _head(z, b, r) -> complex:
-    """Integral over [0, r] of the contour integrand at x and -x plus 4iz/x^2,
-    -(4iz/x^2) (sinc(2zx) T(bx) T(x/b) - 1), T(t) = t/sinh(t), term by
-    term in (x/r)^2."""
-    np, _, _, t, sinc, odd = _tables()
-    n = np.arange(len(t))
-    series = np.convolve(t * (b * r) ** (2 * n), t * (r / b) ** (2 * n))
-    series = np.convolve(series[:len(t)], sinc * (2 * z * r) ** (2 * n))
-    return -4j * z / r * (series[1:len(t)] @ odd)
-
-
 def _log_phib_strip(z, p: PhibParams, tol: float):
-    """-1/4 of the contour integral, for z strictly inside the strip.
+    """-1/4 of the contour integral, for z strictly inside the strip, taken
+    on the line R + ih half way up to the lowest poles i pi b and i pi / b.
 
-    The pole at 0 contributes -i pi z^2 / 2 - i pi s / 24, s = b^2 + b^-2,
-    in closed form; the regular rest is the series head on [0, r], the
-    tails from r on and 4iz/r, the integral of the subtracted 4iz/x^2."""
+    On that line e^(-2izw) has size e^(2h Re z), so for Re z > 0 the value
+    comes from the reflection Phi_b(z) Phi_b(-z) = e^(-i pi (s/12 + z^2)),
+    s = b^2 + b^-2."""
     b = p.b if p.b.real > 0 else -p.b  # the integrand is even under b -> -b
     rate = (b + 1.0 / b).real - 2.0 * abs(z.imag)
     if not (rate > 0 and cmath.isfinite(z)):
@@ -101,46 +90,72 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     if not floor <= 100 * tol:  # the rounding of s alone misses the budget
         raise QuadratureFailure(
             f"b={b}: pi s / 24 rounds off by {floor:.2e}", floor)
-    # a tenth of the radius of T(bx) T(x/b), and |2zr| <= 1, where the sinc
-    # series misses under 1e-17; each ray carries about 1/(2 r^2) that cancels
-    r = 0.1 * min(math.pi * m, 5.0 / max(abs(z), 1e-300))
-    # the half of sin(2zx) = (e^(2izx) - e^(-2izx)) / 2i with e^(+-2izx)
-    # decays like e^(-wx), w = b + 1/b -+ 2iz; turned at most half way to
-    # the nearest pole ray i pi k / b or i pi k b, its ray passes no pole
-    clip = 0.25 * math.pi - 0.5 * abs(cmath.phase(b))
-    w = [b + 1.0 / b - 2j * z, b + 1.0 / b + 2j * z]
+    s = b * b + 1.0 / (b * b)
+    if z == 0:  # the reflection at z = 0: Phi_b(0)^2 = e^(-i pi s / 12)
+        return -1j * math.pi * s / 24
+    reflect = z.real > 0
+    if reflect:
+        shift = math.pi * (s / 12 + z * z)
+        rounding = abs(shift) * 2.0**-53
+        if not rounding <= 100 * tol:
+            raise QuadratureFailure(
+                f"pi (s/12 + z^2) at z={z} " + (
+                    f"rounds off by {rounding:.2e}" if math.isfinite(rounding)
+                    else "is not finite"), rounding)
+    x = -z if reflect else z  # the point integrated
+    # the poles i pi k b and i pi k / b, k >= 1, stand at heights k H; seen
+    # from ih, each lies at least 2 clip above the horizontal, and the
+    # origin and the poles below lie further below it
+    tan_b = abs(b.imag) / b.real
+    heights = (math.pi * b.real, math.pi * b.real / abs(b) ** 2)
+    h = 0.5 * min(heights)
+    clip = 0.5 * min(math.atan2(H - h, H * tan_b) for H in heights)
+    # on the ray from ih to the right the integrand is 4 e^(-wy) /
+    # (y expm1(-2by) expm1(-2y/b)) with w = b + 1/b + 2ix; on the ray to
+    # the left it is minus that at y = -(the contour point), with
+    # w = b + 1/b - 2ix; each ray turns towards the steepest descent of
+    # e^(-wy), by at most clip
+    w = [b + 1.0 / b + 2j * x, b + 1.0 / b - 2j * x]
     turn = [cmath.exp(1j * max(-clip, min(clip, -cmath.phase(v)))) for v in w]
-    decay = min((v * u).real for v, u in zip(w, turn))
-    # panels triple in width from [0, r], so each lies as far from the pole
-    # at 0 as it is wide, out to r (3^n - 1) / 2 = 40 / decay
-    panels = (math.log(80.0 + r * decay) - math.log(r)
-              - math.log(decay)) / math.log(3)
-    if not math.isfinite(panels):  # 2z overflows a float
-        raise QuadratureFailure(f"no panels reach the tails at z={z}")
-    np, nodes, weights = _tables()[:3]
-    # a vanishing decay or a huge z overflows 3^k or underflows x expm1 expm1:
-    # the inf or NaN that follows is refused below, without numpy's warnings
+    # each ray's first panel, no wider than h or one oscillation; the
+    # panels after it grow by 1 + g1, so each lies about as far from the
+    # poles as it is wide, out to 40 decay lengths
+    step = [u * min(h, 1.0 / abs(v)) for v, u in zip(w, turn)]
+    g1 = 2.0 * math.sin(clip)
+    panels = max(math.log1p(40.0 * g1 / (v * d).real)
+                 for v, d in zip(w, step)) / math.log1p(g1)
+    if not panels <= _MAX_PANELS:
+        raise QuadratureFailure(f"the rays need {panels:.3g} panels at z={z} "
+                                f"for b={b}")
+    np, nodes, weights = _tables()
+    # an extreme b or z can overflow a factor: the inf or NaN that
+    # follows is refused below, without numpy's warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grow = 3.0 ** np.arange(math.ceil(panels))
-        # panel k: t = r (3^k (2 + node) - 1) / 2, dt = r 3^k dnode / 2; the
-        # half with e^(+-2izx) is -+4 e^(-wx) / (x expm1(-2bx) expm1(-2x/b))
-        x = r + np.array(turn)[:, None, None] * (
-            0.5 * r * (grow[:, None] * nodes - 1.0))
-        f = np.exp(-np.array(w)[:, None, None] * x) / (
-            x * np.expm1(-2.0 * b * x) * np.expm1(-2.0 * x / b))
-        plus, minus = (grow @ (f @ weights)).tolist()
-    tails, coarse = (-2.0 * r * (turn[0] * a - turn[1] * c)
-                     for a, c in zip(plus, minus))
+        grow = (1.0 + g1) ** np.arange(math.ceil(panels))
+        # panel k: y - y(0) = step ((1 + g1)^k (1 + g1 (1 + node) / 2) - 1)
+        # / g1, dy = step (1 + g1)^k dnode / 2
+        t = (grow[:, None] * (1.0 + 0.5 * g1 * (1.0 + nodes)) - 1.0) / g1
+        y = np.array([1j * h, -1j * h])[:, None, None] + (
+            np.array(step)[:, None, None] * t)
+        f = np.exp(-np.array(w)[:, None, None] * y) / (
+            y * np.expm1(-2.0 * b * y) * np.expm1(-2.0 * y / b))
+        right, left = (grow @ (f @ weights)).tolist()
+    value, coarse = (-0.5 * (step[0] * a - step[1] * c)
+                     for a, c in zip(right, left))
     # abs() of a NaN can raise a stale libm ERANGE as OverflowError
-    if not (cmath.isfinite(tails) and cmath.isfinite(coarse)):
-        raise QuadratureFailure(f"tail sums are not finite at z={z}")
-    achieved = abs(tails - coarse)
+    if not (cmath.isfinite(value) and cmath.isfinite(coarse)):
+        raise QuadratureFailure(f"ray sums are not finite at z={z}")
+    achieved = abs(value - coarse)
     if not achieved <= 100 * tol:
         raise QuadratureFailure(
-            f"tail quadrature error {achieved:.2e} above budget", achieved)
-    s = b * b + 1.0 / (b * b)
-    return (-0.5j * math.pi * z * z - 1j * math.pi * s / 24
-            - 0.25 * (_head(z, b, r) + tails + 4j * z / r))
+            f"ray quadrature error {achieved:.2e} above budget", achieved)
+    if reflect:
+        value = -1j * shift - value
+    if b.imag == 0 and z.imag == 0:
+        # Phi_b is unimodular: the two rays mirror each other node by node,
+        # and this keeps the sum imaginary in whatever order numpy adds
+        value = 1j * value.imag
+    return value
 
 
 def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:

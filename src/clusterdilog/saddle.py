@@ -33,6 +33,8 @@ from .exchange import (ExchangeMatrix, MutationSchedule, _exchange_values,
                        _periodic_walk, _positive, _units, _walk)
 
 _GUARD = 1e-6
+_MAX_IM_LAMBDA = 0.1  # lambda-mode keeps Im lambda within this
+_NEWTON_H = 1e-6  # the central-difference step of newton_refine
 
 
 def _safe_log(z, mode):
@@ -129,8 +131,7 @@ class SaddleState(NamedTuple):
 
 
 def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
-                   mode: str = "b", lam=None,
-                   max_im_lambda: float = 0.1) -> SaddleState:
+                   mode: str = "b", lam=None) -> SaddleState:
     """Solve the stationarity system of a period in closed form.
 
     Steps: the initial u determines w(1) and hence the y-trajectory;
@@ -152,10 +153,10 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
         lam = complex(lam)
         if (lam * lam).imag <= 0:
             raise ValueError(f"lambda={lam} must satisfy Im(lambda^2) > 0")
-        if abs(lam.imag) > max_im_lambda:
+        if abs(lam.imag) > _MAX_IM_LAMBDA:
             raise BranchProximity(
                 f"Im lambda = {lam.imag} exceeds the configured bound "
-                f"{max_im_lambda}")
+                f"{_MAX_IM_LAMBDA}")
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -328,7 +329,7 @@ def _evaluate_action(state: SaddleState):
 
 
 def newton_refine(state: SaddleState, B: ExchangeMatrix,
-                  sched: MutationSchedule, h: float = 1e-6):
+                  sched: MutationSchedule):
     """One Newton step on the stationarity system in the free variables
     (p(1..L-1), u(2..L)); returns the max-norm of the step.
 
@@ -336,8 +337,8 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     must be negligible; this confirms stationarity independently of the
     construction.  The central-difference Jacobian comes from one batched
     residual: every scalar of the system is a row holding its value at x0
-    and at x0 +- h e_j, with exp and log taken element by element by
-    `math`, so each entry equals its unbatched value.
+    and at x0 +- _NEWTON_H e_j, with exp and log taken element by element
+    by `math`, so each entry equals its unbatched value.
     """
     if state.mode != "b":
         raise ValueError("refinement is defined for the real mode")
@@ -371,9 +372,9 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
                   dtype=float)
     m = len(x0)
     col = x0[:, None]
-    dx = h * np.eye(m)
+    dx = _NEWTON_H * np.eye(m)
     res = residual_rows(np.hstack([col, col + dx, col - dx]))
-    jac = (res[:, 1:m + 1] - res[:, m + 1:]) / (2 * h)
+    jac = (res[:, 1:m + 1] - res[:, m + 1:]) / (2 * _NEWTON_H)
     step = np.linalg.solve(jac, -res[:, 0])
     return float(np.max(np.abs(step)))
 

@@ -275,7 +275,7 @@ COLD_LAUNCHES = [
     (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False, False,
      EXACT | NUMERIC),
     (["mutate", "--builtin", "A7"], 4, False, False, EXACT | NUMERIC),
-    (["phib", "--check", "value"], 0, True, True, EXACT | {"saddle"}),
+    (["phib", "--check", "value"], 0, False, False, EXACT | {"saddle"}),
     (["verify", "saddle", "--builtin", "A2"], 0, True, False,
      EXACT | {"phib"}),
     (["verify", "saddle-lambda", "--builtin", "A2"], 0, False, False,
@@ -286,10 +286,10 @@ COLD_LAUNCHES = [
 class TestColdStart:
     """A launch imports numpy only for Phi_b quadrature, the Newton check
     and the exp and log of the classical trial points; exact and
-    combinatorial commands, saddle-lambda and the early exits never load
-    it.  No launch loads `dataclasses`, and only the exact commands and
-    Phi_b load `fractions` (and with it `decimal`).  Each command loads
-    only the modules it runs."""
+    combinatorial commands, saddle-lambda, the early exits and Phi_b(0),
+    which is a closed form, never load it.  No launch loads `dataclasses`,
+    and only the exact commands load `fractions` (and with it `decimal`).
+    Each command loads only the modules it runs."""
 
     @pytest.mark.parametrize(
         "argv, code, numpy, fractions, unloaded", COLD_LAUNCHES,

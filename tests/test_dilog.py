@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from clusterdilog.dilog import (
     _LI2_COEFFS,
     PI2_6,
-    _bernoulli,
     li2,
     log_psiq_numeric,
     psiq_asymptotics,
@@ -84,9 +84,13 @@ class TestBernoulliSeries:
     border between the regions, against 40-digit mpmath."""
 
     def test_literal_coefficients_are_the_exact_values(self):
+        bernoulli = [Fraction(1)]  # B_0, B_1, ... with B_1 = -1/2
+        for k in range(1, 59):
+            bernoulli.append(-sum(math.comb(k + 1, j) * bj
+                                  for j, bj in enumerate(bernoulli)) / (k + 1))
         assert len(_LI2_COEFFS) == 30
         for k, c in enumerate(_LI2_COEFFS):
-            assert c == float(_bernoulli(2 * k) / math.factorial(2 * k + 1))
+            assert c == float(bernoulli[2 * k] / math.factorial(2 * k + 1))
 
     @pytest.mark.parametrize("x", [
         -1.0 - 1e-9, -1.0, -1.0 + 1e-9, -1.5, -0.7,

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 
 import mpmath
@@ -94,6 +95,18 @@ class TestValues:
         assert abs(val - ref) < 1e-12 * abs(ref)
         assert abs(abs(phib(z, p)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("b,z,limit", [
+        (5, -0.85, 4e-15), (0.3, -1.07, 4e-15), (0.05, -20, 4e-15),
+        (0.7, -3, 1e-13), (1, -4, 1e-6), (1, -8, 1e-6)])
+    def test_error_relative_to_the_value_itself(self, b, z, limit):
+        """No term of the line integral is larger than the integrand at ih,
+        of size e^(2h Re z), so where Phi_b is close to 1 the error stays
+        relative to |log Phi_b| itself: 9.3e-7 at (0.7, -3), 5.1e-11 and
+        1.2e-21 at b = 1, z = -4 and -8.  The integrand there is about the
+        square root of the value, so about half the digits remain."""
+        ref = log_phib_mpmath(z, b)
+        assert abs(log_phib(z, PhibParams(b)) - ref) <= limit * abs(ref)
+
 
 class TestReach:
     def test_seeded_sweep_resolves(self):
@@ -112,6 +125,28 @@ class TestReach:
                 val = log_phib(z, p)
                 if isinstance(b, float) and z.imag == 0:
                     assert val.real == 0.0, (b, z)
+
+    def test_far_left_is_exactly_one(self):
+        """At z = -1e6 every term of the line integral underflows, so
+        Phi_b = 1 exactly."""
+        assert log_phib(-1e6, PhibParams(1.0)) == 0.0
+
+    def test_reflection_rounding_is_refused(self):
+        """For Re z > 0 the value carries pi z^2, which rounds off by more
+        than the budget past real z of about 5e4."""
+        assert log_phib(5e4, PhibParams(1.0)).real == 0.0
+        with pytest.raises(QuadratureFailure, match="rounds off") as info:
+            log_phib(6e4, PhibParams(1.0))
+        assert info.value.achieved_error > 1e-6
+
+    def test_panel_cap_refuses_at_once(self):
+        """As arg b nears pi/2 the poles close in on the line, the panels
+        grow ever more slowly, and their count passes the cap: the run is
+        refused before any node is built."""
+        start = time.perf_counter()
+        with pytest.raises(QuadratureFailure, match="panels"):
+            phib(0.1, PhibParams(1e-4 + 1j))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestReductionAtLargeB:
@@ -218,6 +253,17 @@ class TestProductRatio:
         p = PhibParams(b)
         for z in (-0.2, 0.0, 0.3):
             assert phipsi_residual(z, p) < 1e-6
+
+    @pytest.mark.parametrize("b", (0.3 + 1j, 0.05 + 1j, 0.2 + 3j))
+    def test_b_near_the_imaginary_axis(self, b):
+        """With arg b near pi/2 the rays turn by at most half the angle at
+        which the poles stand above the line, and the panels grow more
+        slowly; the product ratio and both recurrence directions agree."""
+        p = PhibParams(b)
+        for z in (-0.2, 0.3):
+            assert phipsi_residual(z, p) < 1e-12
+            assert recurrence_residual(z, p) < 1e-12
+            assert recurrence_residual(z, p, dual=True) < 1e-12
 
     def test_requires_positive_im_b2(self):
         with pytest.raises(ValueError):

@@ -241,7 +241,7 @@ class TestLambdaMode:
             build_solution(A2, A2_SCHED, [0, 0], mode="lambda", lam=1.0)
         with pytest.raises(BranchProximity):
             build_solution(A2, A2_SCHED, [0, 0], mode="lambda",
-                           lam=1 + 0.3j, max_im_lambda=0.1)
+                           lam=1 + 0.3j)
 
     def test_action_vanishes_along_ray(self):
         rng = np.random.default_rng(4)

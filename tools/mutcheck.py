@@ -113,6 +113,44 @@ MUTANTS = [
            equivalent="left - right = (P - 1) right for every split point, "
                       "so verdicts and PASS outputs are unchanged; odd L, "
                       "where the pinned pair count is taken, splits as before"),
+    Mutant("phib-reflection-sign", PKG + "phib.py",
+           "shift = math.pi * (s / 12 + z * z)",
+           "shift = math.pi * (s / 12 - z * z)",
+           "the reflection for Re z > 0 carries +i pi z^2"),
+    Mutant("phib-line-at-poles", PKG + "phib.py",
+           "h = 0.5 * min(heights)",
+           "h = min(heights)",
+           "the line runs at the full height of the lowest poles, through "
+           "them"),
+    Mutant("phib-clip-no-gap", PKG + "phib.py",
+           "clip = 0.5 * min(math.atan2(H - h, H * tan_b) for H in heights)",
+           "clip = 0.25 * math.pi",
+           "the rays turn by up to pi/4 for every b, past the poles of a "
+           "complex b"),
+    Mutant("phib-no-projection", PKG + "phib.py",
+           "value = 1j * value.imag",
+           "value = value",
+           "for real b and z the rounding noise in Re log Phi_b is kept",
+           equivalent="for real b and z the two rays are complex conjugates "
+                      "node by node and numpy sums both in the same order, "
+                      "so Re log Phi_b is already 0.0 exactly; the "
+                      "projection keeps it so under any summation order"),
+    Mutant("dilog-small-z", PKG + "dilog.py",
+           "return _bernoulli_series(-cmath.log(u) * (z / (1.0 - u)), 30)",
+           "return _bernoulli_series(-cmath.log(u), 30)",
+           "complex li2 keeps the rounding of 1 - z at small z"),
+    Mutant("saddle-momentum-sign", PKG + "saddle.py",
+           "return [v[i] + max(eps * b[k][i], 0) * v[k] if i != k else -v[k]",
+           "return [v[i] + max(-eps * b[k][i], 0) * v[k] if i != k else -v[k]",
+           "the momentum map takes [-eps b_ki]_+ copies of v_k"),
+    Mutant("exchange-matrix-sign", PKG + "exchange.py",
+           "x + (abs(r[kk]) * y + r[kk] * abs(y)) // 2",
+           "x + (abs(r[kk]) * y - r[kk] * abs(y)) // 2",
+           "matrix mutation adds (abs(b_ik) b_kj - b_ik abs(b_kj)) / 2"),
+    Mutant("cli-not-a-period-exit", PKG + "cli.py",
+           "code = EXIT_NOT_A_PERIOD",
+           "code = EXIT_NUMERICAL",
+           "a non-period exits 3, not 2"),
 ]
 
 
