@@ -26,6 +26,7 @@ from .errors import QuadratureFailure
 from .exchange import _Frozen, _set
 
 _MAX_PANELS = 4096
+_TOL = 1e-8  # a quadrature or rounding error above 100 * _TOL is refused
 
 
 @functools.cache
@@ -73,7 +74,7 @@ class PhibParams(_Frozen):
         return abs(self.c_b.imag)
 
 
-def _log_phib_strip(z, p: PhibParams, tol: float):
+def _log_phib_strip(z, p: PhibParams):
     """-1/4 of the contour integral, for z strictly inside the strip, taken
     on the line R + ih half way up to the lowest poles i pi b and i pi / b.
 
@@ -87,7 +88,7 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
             f"z={z} is not a finite point of the integrable strip for b={b}")
     m = min(abs(b), 1.0 / abs(b))
     floor = math.pi / 24 * (m * m + 1.0 / m / m) * 2.0**-53
-    if not floor <= 100 * tol:  # the rounding of s alone misses the budget
+    if not floor <= 100 * _TOL:  # the rounding of s alone misses the budget
         raise QuadratureFailure(
             f"b={b}: pi s / 24 rounds off by {floor:.2e}", floor)
     s = b * b + 1.0 / (b * b)
@@ -97,7 +98,7 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     if reflect:
         shift = math.pi * (s / 12 + z * z)
         rounding = abs(shift) * 2.0**-53
-        if not rounding <= 100 * tol:
+        if not rounding <= 100 * _TOL:
             raise QuadratureFailure(
                 f"pi (s/12 + z^2) at z={z} " + (
                     f"rounds off by {rounding:.2e}" if math.isfinite(rounding)
@@ -146,7 +147,7 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     if not (cmath.isfinite(value) and cmath.isfinite(coarse)):
         raise QuadratureFailure(f"ray sums are not finite at z={z}")
     achieved = abs(value - coarse)
-    if not achieved <= 100 * tol:
+    if not achieved <= 100 * _TOL:
         raise QuadratureFailure(
             f"ray quadrature error {achieved:.2e} above budget", achieved)
     if reflect:
@@ -158,7 +159,7 @@ def _log_phib_strip(z, p: PhibParams, tol: float):
     return value
 
 
-def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:
+def phib(z, p: PhibParams) -> complex:
     """Evaluate Phi_b(z), reducing into the strip by the recurrence
     Phi_b(w + i s) = (1 + q_s e^(2 pi s w)) Phi_b(w) when needed.
 
@@ -183,7 +184,7 @@ def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:
         guard += 1
         if guard > 500:
             raise QuadratureFailure("recurrence reduction did not terminate")
-    log_value = _log_phib_strip(z, p, tol)
+    log_value = _log_phib_strip(z, p)
     try:
         return prefactor * cmath.exp(log_value)
     except OverflowError:
@@ -192,11 +193,11 @@ def phib(z, p: PhibParams, tol: float = 1e-8) -> complex:
             "double range") from None
 
 
-def log_phib(z, p: PhibParams, tol: float = 1e-8) -> complex:
+def log_phib(z, p: PhibParams) -> complex:
     """log Phi_b(z) for z inside the strip (no recurrence reduction)."""
     if abs(complex(z).imag) >= 0.5 * p.strip_height:
         raise ValueError("log_phib requires z well inside the strip")
-    return _log_phib_strip(complex(z), p, tol)
+    return _log_phib_strip(complex(z), p)
 
 
 def unitarity_residual(z: float, p: PhibParams) -> float:

@@ -22,9 +22,12 @@ from . import ratfunc, torus
 from .errors import NonTruncating
 from .exchange import (ExchangeMatrix, MutationSchedule, _walk, mutate_matrix,
                        require_period, sign_sequence)
-from .search import MAX_EXPONENT
 from .torus import (TorusElement, invert, monomial, multiply, power,
                     psi_inverse_series, psi_series, unit)
+
+# largest |b_ki| a quantum mutation accepts: the step multiplies in |b_ki|
+# torus factors one by one, whatever the truncation order
+MAX_EXPONENT = 64
 
 
 class QuantumSeedSeries(NamedTuple):

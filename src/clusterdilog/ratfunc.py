@@ -18,13 +18,13 @@ Exactness is unconditional: all operations are ring operations on the
 packed values.  Each value carries its own digit width k, taken from
 the ladder 64, 128, 256, ... and a bound on its coefficients.  Before an
 operation the operands' bounds give a bound for the result; if that
-does not fit a balanced digit, the operands are first renormalised
-(their bounds recomputed from the digits) and, if it still does not
-fit, repacked at a wider digit.  A coefficient therefore never
-outgrows its digit, and a value is only as wide as its coefficients
-have needed.  Lifting onto a larger denominator multiplies by each
-(1 - q^(2m)) in turn, which on a packed value is one shift and one
-subtraction.
+does not fit a balanced digit of the operands' width, the result is
+packed at the narrowest ladder width that holds the bound.  A
+coefficient therefore never outgrows its digit.  Bounds are never
+recomputed from the digits, so a value can be packed wider than its
+coefficients need; the README's design notes give what that costs.
+Lifting onto a larger denominator multiplies by each (1 - q^(2m)) in
+turn, which on a packed value is one shift and one subtraction.
 
 A torus product hands all the pair products landing on one of its terms
 to `ExactField.pair_sum` at once.  It multiplies the packed numerators
@@ -99,26 +99,18 @@ class Poly:
             return self.val
         return _pack(_decode(self.val, self.nd, self.k), k)
 
-    def tight(self) -> "Poly":
-        """The same polynomial with its digit count and bound recomputed."""
-        digits = _decode(self.val, self.nd, self.k)
-        return Poly(self.val, len(digits),
-                    max((abs(d) for d in digits), default=0), self.k)
-
     def __neg__(self):
         return Poly(-self.val, self.nd, self.bound, self.k)
 
     def __mul__(self, other):
         if self.val == 0 or other.val == 0:
             return _ZERO_POLY
-        a, b = self, other
-        k = max(a.k, b.k)
-        bound = min(a.nd, b.nd) * a.bound * b.bound
+        k = max(self.k, other.k)
+        bound = min(self.nd, other.nd) * self.bound * other.bound
         if bound.bit_length() >= k:
-            a, b = a.tight(), b.tight()
-            bound = min(a.nd, b.nd) * a.bound * b.bound
-            k = max(k, _width(bound))
-        return Poly(a.at(k) * b.at(k), a.nd + b.nd - 1, bound, k)
+            k = _width(bound)
+        return Poly(self.at(k) * other.at(k), self.nd + other.nd - 1,
+                    bound, k)
 
     def shift(self, j: int) -> "Poly":
         """Multiply by q^j (j >= 0)."""
@@ -187,9 +179,7 @@ def _poly_sum(polys) -> Poly:
     k = max(p.k for p in polys)
     bound = sum(p.bound for p in polys)
     if bound.bit_length() >= k:
-        polys = [p.tight() for p in polys]
-        bound = sum(p.bound for p in polys)
-        k = max(k, _width(bound))
+        k = _width(bound)
     return Poly(sum(p.at(k) for p in polys), max(p.nd for p in polys),
                 bound, k)
 
@@ -387,18 +377,15 @@ def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
     """num * q^dq_extra * prod_m (1 - q^(2m))^(e_m) for the exponent
     vector fac_extra = (e_1, e_2, ...).  Each factor 1 - q^(2m) is
     val - (val << 2mk), which doubles the bound: a bound that outgrows
-    the digit is first tightened, then widened on the ladder."""
+    the digit widens it on the ladder."""
     if dq_extra:
         num = num.shift(dq_extra)
     val, nd, bound, k = num.val, num.nd, num.bound, num.k
     for m, e in enumerate(fac_extra, 1):
         for _ in range(e):
             if (bound << 1).bit_length() >= k:
-                num = Poly(val, nd, bound, k).tight()
-                val, nd, bound = num.val, num.nd, num.bound
-                if (bound << 1).bit_length() >= k:
-                    k = _width(bound << 1)
-                    val = num.at(k)
+                wide = _width(bound << 1)
+                val, k = _pack(_decode(val, nd, k), wide), wide
             val -= val << (2 * m * k)
             nd += 2 * m
             bound <<= 1
@@ -412,11 +399,6 @@ def _common_sum(coefs) -> QCoefficient:
     dfac = _max_fac(c.dfac for c in coefs)
     nums = [_lift(c.num, dq - c.dq, _fac_diff(dfac, c.dfac)) for c in coefs]
     return QCoefficient(_poly_sum(nums), dq, dfac)
-
-
-def _tight(c: QCoefficient) -> QCoefficient:
-    """c with its numerator's digit count and bound recomputed."""
-    return QCoefficient(c.num.tight(), c.dq, c.dfac)
 
 
 def _pair_groups(triples, k) -> dict:
@@ -496,14 +478,10 @@ class ExactField:
             if c.num.k > k or e.num.k > k:
                 k = max(c.num.k, e.num.k, k)
         groups = _pair_groups(triples, k)
-        if max(g[3] for g in groups.values()).bit_length() >= k:
-            # pessimistic bounds are tightened before the width grows
-            triples = [(_tight(c), _tight(e), j) for c, e, j in triples]
+        bound = max(g[3] for g in groups.values())
+        if bound.bit_length() >= k:
+            k = _width(bound)
             groups = _pair_groups(triples, k)
-            bound = max(g[3] for g in groups.values())
-            if bound.bit_length() >= k:
-                k = _width(bound)
-                groups = _pair_groups(triples, k)
         groups = [(fac, g) for fac, g in groups.items() if g[0]]
         if not groups:
             return _ZERO_COEF

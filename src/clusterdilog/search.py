@@ -14,9 +14,6 @@ from .exchange import (ExchangeMatrix, MutationSchedule, _step, _units,
 
 MAX_RANK = 4
 MAX_DEPTH = 12
-# largest |b_ki| a quantum mutation accepts: the step multiplies in |b_ki|
-# torus factors one by one, whatever the truncation order
-MAX_EXPONENT = 64
 
 
 def search_periods(B: ExchangeMatrix, max_depth: int):

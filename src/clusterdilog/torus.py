@@ -258,7 +258,9 @@ def invert(a: TorusElement) -> TorusElement:
                   q^<eps,zeta> c_eps v_zeta,
 
     where each zeta has lower degree than delta, and the triples of each
-    delta go to `ring.pair_sum` once.  The result is v Y^(-base).
+    delta go to `ring.pair_sum` once.  The result is
+
+        v Y^(-base) = Y^(-base) sum_delta v_delta q^(2<delta,base>) Y^delta.
     """
     c0 = a.constant_coefficient()
     if c0.is_zero():
@@ -280,9 +282,11 @@ def invert(a: TorusElement) -> TorusElement:
                     (cz, ce, sum(map(_times, row_e, z))))
         level = [(d, ring.pair_sum(triples)) for d, triples in out.items()]
         levels.append([(d, c) for d, c in level if not c.is_zero()])
-    v = TorusElement(B, N, zero_key, {d: c for lv in levels for d, c in lv},
-                     ring)
-    return multiply(v, monomial(tuple(-x for x in a.base), B, N, ring))
+    # <delta, base> = -(base^T B) . delta
+    row_base = _row_B(a.base, B)
+    return TorusElement(B, N, tuple(-x for x in a.base),
+                        {d: c.mul_q_power(-2 * sum(map(_times, row_base, d)))
+                         for lv in levels for d, c in lv}, ring)
 
 
 def psi_series(x: TorusElement) -> TorusElement:

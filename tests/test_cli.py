@@ -267,11 +267,11 @@ COLD_LAUNCHES = [
     (["search", "--builtin", "A2", "--depth", "5"], 0, False, False,
      EXACT | NUMERIC),
     (["verify", "quantum-tropical", "dual", "--builtin", "A2", "-N", "4"],
-     0, False, True, NUMERIC),
+     0, False, True, NUMERIC | {"search"}),
     (["verify", "quantum-universal", "shuffle", "--builtin",
-      "A2-principal", "-N", "3"], 0, False, True, NUMERIC),
+      "A2-principal", "-N", "3"], 0, False, True, NUMERIC | {"search"}),
     (["verify", "quantum-universal", "--builtin", "A2", "-N", "12",
-      "--q0", "3/8"], 0, False, True, NUMERIC),
+      "--q0", "3/8"], 0, False, True, NUMERIC | {"search"}),
     (["verify", "classical", "--seed-file", "NON_PERIOD"], 2, False, False,
      EXACT | NUMERIC),
     (["mutate", "--builtin", "A7"], 4, False, False, EXACT | NUMERIC),

@@ -216,7 +216,7 @@ class TestRecurrence:
         module = sys.modules["clusterdilog.phib"]
         strip = module._log_phib_strip
         monkeypatch.setattr(module, "_log_phib_strip",
-                            lambda z, p, tol: strip(z, p, tol) + 1e-5 * z)
+                            lambda z, p: strip(z, p) + 1e-5 * z)
         p = PhibParams(b)
         for z in (-0.3, 0.0, 0.25):
             assert recurrence_residual(z, p) > 1e-7
@@ -304,11 +304,12 @@ class TestStripHandling:
         p = PhibParams(1.0)
         with pytest.raises(QuadratureFailure):
             from clusterdilog.phib import _log_phib_strip
-            _log_phib_strip(1.5j, p, 1e-8)
+            _log_phib_strip(1.5j, p)
 
-    def test_error_estimate_above_budget_is_guarded(self):
+    def test_error_estimate_above_budget_is_guarded(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["clusterdilog.phib"], "_TOL", 1e-20)
         with pytest.raises(QuadratureFailure) as info:
-            phib(0.2, PhibParams(1.0), tol=1e-20)
+            phib(0.2, PhibParams(1.0))
         assert info.value.achieved_error > 1e-18
 
     @pytest.mark.parametrize("z", [1e20, math.inf, math.nan])

@@ -17,6 +17,7 @@ from clusterdilog.exchange import (
     sign_sequence,
 )
 from clusterdilog.qident import (
+    MAX_EXPONENT,
     classical_series_trajectory,
     degenerate_q1,
     initial_quantum_seed,
@@ -28,7 +29,6 @@ from clusterdilog.qident import (
     verify_tropical_identity,
     verify_universal_identity,
 )
-from clusterdilog.search import MAX_EXPONENT
 from clusterdilog.torus import (invert, monomial, multiply, psi_inverse_series,
                                 psi_series, unit)
 

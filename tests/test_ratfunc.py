@@ -20,6 +20,7 @@ from clusterdilog.ratfunc import (
     _max_fac,
     _poly_sum,
     _quotient,
+    _width,
 )
 
 # cyclotomic polynomials Phi_d, constant term first
@@ -186,15 +187,15 @@ class TestPoly:
         assert len(c) == 65
         assert c[32] == 1832624140942590534  # central binomial C(64, 32)
 
-    def test_pessimistic_bound_is_tightened_in_flight(self):
-        import math
-
-        # after seven squarings the tracked bound crosses the digit-safety
-        # limit while the true coefficients still fit; the value must
-        # renormalise rather than fail
+    def test_pessimistic_bound_widens_in_flight(self):
+        # the tracked bound of (1 + q)^(2^j) is min(nd) * bound^2 per
+        # squaring, far above the true C(2^j, 2^(j-1)): the digits widen
+        # to the width of that bound, and the value stays exact
         p = Poly.from_coeffs([1, 1])
         for _ in range(7):
             p = p * p
+            assert p.k == _width(p.bound)
+        assert p.bound > 2**127 and p.k == 256
         assert p.coeffs()[64] == math.comb(128, 64)
 
     def test_oversized_coefficients_widen_the_digits(self):
@@ -209,6 +210,20 @@ class TestPoly:
 
 
 class TestQCoefficient:
+    def test_widened_value_is_the_same_value(self):
+        """A value packed at 64 bits and the same value widened to 128
+        bits by a pessimistic bound compare equal, hash alike and print
+        the same canonical form."""
+        c = (coef([1, -2, 0, 5]).mul_q_power(-3)
+             * QCoefficient.qpochhammer_inverse(2))
+        big = coef([2**62])
+        wide = (c + big) - big
+        assert (c.num.k, wide.num.k) == (64, 128)
+        assert (c.dq, c.dfac) == (wide.dq, wide.dfac)
+        assert wide == c and c == wide and hash(wide) == hash(c)
+        assert wide.canonical() == c.canonical() and repr(wide) == repr(c)
+        assert (wide - c).is_zero() and (c - wide).is_zero()
+
     def test_field_inverse(self):
         """+-q^j / (q^2; q^2)_n is inverted on both sides; a numerator
         other than +-q^j is refused, cyclotomic Phi_2 = 1 + q and Phi_3
@@ -559,15 +574,16 @@ class TestExponentVectors:
 
 class TestLift:
     """`_lift` multiplies a packed numerator by q^dq and by each factor
-    1 - q^(2m) with a shift and a subtraction, tightening and widening the
-    digits as the doubled bound requires."""
+    1 - q^(2m) with a shift and a subtraction; each factor doubles the
+    tracked bound, and the digits widen to `_width` of the doubled bound
+    as soon as it outgrows them."""
 
     @pytest.mark.parametrize("fac", [
         (1,),
         (1, 1, 1, 1, 1),
         (0, 3, 0, 0, 0, 0, 2),
-        (66,),                      # the bound is tightened, not widened
-        (70,),                      # C(70, 35) > 2^63: widened part-way
+        (66,),                      # at k = 64, widened part-way
+        (70,),                      # C(70, 35) > 2^63
         (40, 0, 30, 0, 1),
     ])
     @pytest.mark.parametrize("k", [64, 128, 256])
@@ -582,19 +598,24 @@ class TestLift:
         assert out.coeffs() == tuple(expected)
         assert out.bound >= max(map(abs, expected))
         assert out.bound.bit_length() < out.k
-        # widened only as far as the coefficients need
-        assert out.k == max(num.k, Poly.from_coeffs(expected).k)
+        # the tracked bound doubles per factor; the width is the
+        # operand's, or the width of that bound once it outgrows it
+        assert out.bound == num.bound << sum(fac)
+        assert out.k == max(num.k, _width(out.bound))
 
     def test_bound_crosses_the_digit_mid_loop(self):
-        """After 62 steps the bound 2^62 of (1 - q^2)^62 would double past
-        the 64-bit digit, so the loop tightens it to C(62, 31); C(66, 33)
-        still fits the digit, while C(70, 35) needs 128 bits."""
-        tightened = _lift(Poly.from_coeffs([1]), 0, (66,))
-        assert tightened.k == 64 and tightened.bound < 2**63
-        assert tightened.coeffs()[66] == -math.comb(66, 33)
-        out = _lift(Poly.from_coeffs([1]), 0, (70,))
-        assert out.k == 128
+        """The bound of (1 - q^2)^62 is 2^62, which fits a 64-bit digit;
+        the 63rd factor doubles it to 2^63, which does not, so the value
+        is widened to 128 bits before that factor, although C(63, 31) <
+        2^63.  C(66, 33) fits 64 bits too and is widened all the same,
+        while C(70, 35) needs 128 bits."""
+        one = Poly.from_coeffs([1])
+        for e, k in ((62, 64), (63, 128), (66, 128), (70, 128)):
+            out = _lift(one, 0, (e,))
+            assert (out.bound, out.k) == (2**e, k) and k == _width(2**e)
+            assert out.coeffs() == tuple(fac_product((e,)))
         assert out.coeffs()[70] == -math.comb(70, 35) < -2**63
+        assert _lift(one, 0, (66,)).coeffs()[66] == -math.comb(66, 33)
 
     def test_zero_and_empty_lifts(self):
         one = Poly.from_coeffs([1])

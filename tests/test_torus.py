@@ -360,18 +360,24 @@ class TestProductProperties:
         assert (1, 0) not in prod.terms
         assert prod == reference_multiply(a, b)
 
-    def test_pessimistic_bounds_keep_64_bit_digits(self):
+    def test_pessimistic_bounds_set_the_width(self):
         """c = ((1 + q) + 2^61) - 2^61 tracks a coefficient bound near
-        2^62, so a product's bound overflows 64-bit digits until it is
-        tightened; the product then stays at 64 bits."""
+        2^62, so a product's bound overflows 64-bit digits: every product
+        term is packed at `_width` of its tracked bound, although its
+        coefficients would fit 64 bits.  Products of d = 2^40 + q need
+        the wider digit; they are exact there too."""
         big = coef([2**61])
         c = (coef([1, 1]) + big) - big
         assert c.num.k == 64 and c.num.bound > 2**61
-        a = TorusElement(A2, N, (0, 0), {(0, 0): c, (1, 0): c})
-        prod = multiply(a, a)
-        assert all(coef.num.k == 64 for coef in prod.terms.values())
-        assert prod.terms[(1, 0)] == coef([2, 4, 2])
-        assert prod == reference_multiply(a, a)
+        d = coef([2**40, 1])
+        for x, middle in ((c, [2, 4, 2]), (d, [2**81, 2**42, 2])):
+            a = TorusElement(A2, N, (0, 0), {(0, 0): x, (1, 0): x})
+            prod = multiply(a, a)
+            assert len(prod.terms) == 3
+            for term in prod.terms.values():
+                assert term.num.k == ratfunc._width(term.num.bound) == 128
+            assert prod.terms[(1, 0)] == coef(middle)
+            assert prod == reference_multiply(a, a)
 
 
 class TestPsiSeries:

@@ -54,6 +54,20 @@ MUTANTS = [
            "val -= val << (2 * m * k)",
            "val -= val << (2 * min(m, 8) * k)",
            "_lift multiplies by 1 - q^16 in place of 1 - q^(2m) for m >= 9"),
+    Mutant("lift-width-late", PKG + "ratfunc.py",
+           "if (bound << 1).bit_length() >= k:",
+           "if bound.bit_length() >= k:",
+           "_lift checks the bound before it doubles, so the digits widen "
+           "one factor late"),
+    Mutant("pair-sum-narrow", PKG + "ratfunc.py",
+           "k = _width(bound)\n            groups = _pair_groups(",
+           "k = _width(bound) >> 1\n            groups = _pair_groups(",
+           "pair_sum widens one rung too narrow for its tracked bound"),
+    Mutant("invert-rebase-sign", PKG + "torus.py",
+           "c.mul_q_power(-2 * sum(map(_times, row_base, d)))",
+           "c.mul_q_power(2 * sum(map(_times, row_base, d)))",
+           "invert re-bases v onto Y^(-base) with the q-power of the "
+           "wrong sign"),
     Mutant("mutate-qpower", PKG + "qident.py",
            "elem = elem.scale_q_power(b[i][kk] * a)",
            "elem = elem.scale_q_power(b[i][kk] * a + 1)",
@@ -62,7 +76,7 @@ MUTANTS = [
            "for n in range(1, N // step + 1):",
            "for n in range(1, N // step):",
            "_series stops one power early"),
-    Mutant("max-exponent-3", PKG + "search.py",
+    Mutant("max-exponent-3", PKG + "qident.py",
            "MAX_EXPONENT = 64",
            "MAX_EXPONENT = 3",
            "exchange exponents above 3 are refused"),
