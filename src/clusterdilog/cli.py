@@ -49,14 +49,20 @@ class _Parser(argparse.ArgumentParser):
         raise CLIParseError(message)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0               # not an integer: reported as below
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _positive(kind, what):
+    """An argparse type: a finite positive `kind`, else a one-line error."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0           # not a number of this kind: reported below
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a {what}, got {text}")
+        return value
+    return parse
+
+
+_positive_int = _positive(int, "positive integer")
 
 
 def _rational_point(text):
@@ -88,7 +94,7 @@ def _build_parser():
     p.add_argument("modes", nargs="+", choices=VERIFY_MODES)
     add_seed_opts(p)
     p.add_argument("-N", type=_positive_int, default=None, help="truncation order")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive(float, "finite positive number"),
                    help="tolerance (default 1e-10; 1e-6 for saddle-lambda)")
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--cut", type=_positive_int, default=None,
@@ -182,6 +188,8 @@ def cmd_mutate(args):
     from .fixtures import seed_to_dict
     B, sched = _load_seed(args)
     y0 = [float(v) for v in args.y.split(",")] if args.y else [1.0] * B.n
+    if not all(map(math.isfinite, y0)):
+        raise ValueError(f"--y must be finite, got {args.y}")
     if len(y0) != B.n:
         raise ValueError(f"--y needs {B.n} entries")
     traj = numeric_trajectory(B, sched.sequence, y0)

@@ -166,24 +166,27 @@ def phib(z, p: PhibParams) -> complex:
     The step s is b, with q_s = q, for |b| <= 1, and 1/b, with q_s =
     q_dual, for |b| > 1 (Phi_b = Phi_{1/b}): the shorter of the two is
     under the strip's height, so the last step lands in the half-strip."""
-    z = complex(z)
+    z0 = z = complex(z)
     b = p.b if p.b.real > 0 else -p.b
     s, q = (b, p.q) if abs(b) <= 1 else (1.0 / b, p.q_dual)
     thresh = 0.5 * p.strip_height
     prefactor = 1.0 + 0.0j
-    guard = 0
-    while z.imag > thresh:
-        z = z - 1j * s
-        prefactor *= 1.0 + q * cmath.exp(2 * math.pi * s * z)
-        guard += 1
-        if guard > 500:
-            raise QuadratureFailure("recurrence reduction did not terminate")
-    while z.imag < -thresh:
-        z = z + 1j * s
-        prefactor /= 1.0 + cmath.exp(2 * math.pi * s * z) / q
-        guard += 1
-        if guard > 500:
-            raise QuadratureFailure("recurrence reduction did not terminate")
+    steps = 0
+    for up in (False, True):    # down while above the half-strip, then up
+        while z.imag < -thresh if up else z.imag > thresh:
+            steps += 1
+            if steps > 500:
+                raise QuadratureFailure("recurrence reduction did not terminate")
+            try:
+                if up:
+                    z = z + 1j * s
+                    prefactor /= 1.0 + cmath.exp(2 * math.pi * s * z) / q
+                else:
+                    z = z - 1j * s
+                    prefactor *= 1.0 + q * cmath.exp(2 * math.pi * s * z)
+            except OverflowError:
+                raise QuadratureFailure(f"a recurrence factor at z={z0} is "
+                                        "beyond double range") from None
     log_value = _log_phib_strip(z, p)
     try:
         return prefactor * cmath.exp(log_value)

@@ -26,12 +26,13 @@ coefficients need; the README's design notes give what that costs.
 Lifting onto a larger denominator multiplies by each (1 - q^(2m)) in
 turn, which on a packed value is one shift and one subtraction.
 
-A torus product hands all the pair products landing on one of its terms
-to `ExactField.pair_sum` at once.  It multiplies the packed numerators
-as plain ints at one digit width, sums the products that share a
-denominator exponent vector with their q-powers aligned by shifts, and
-lifts each such group onto the common denominator once, so no pair
-becomes a coefficient of its own.
+Every sum is one `ExactField.pair_sum` of c_d * c_e * q^j triples: the
+pairs of a torus product landing on one term, the re-based terms of a
+torus sum or series with their scalars, or two coefficients with +-1.
+It multiplies the packed numerators as plain ints at one digit width,
+sums the products sharing a denominator exponent vector with q-powers
+aligned by shifts, and lifts each such group onto the common denominator
+once, so no pair becomes a coefficient of its own.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def _add_fac(f1, f2):
     """Exponent-wise sum of two denominator exponent vectors."""
     if len(f1) < len(f2):
         f1, f2 = f2, f1
-    return tuple(map(_plus, f1, f2)) + f1[len(f2):]
+    return tuple(map(_plus, f1, f2)) + f1[len(f2):] if f2 else f1
 
 
 def _fac_diff(big, small):
@@ -251,11 +252,8 @@ class QCoefficient:
     # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        return _common_sum((self, other))
+        return ExactField.pair_sum(((self, _ONE_COEF, 0),
+                                    (other, _ONE_COEF, 0)))
 
     def __neg__(self):
         return QCoefficient(-self.num, self.dq, self.dfac)
@@ -326,7 +324,8 @@ class QCoefficient:
     def __eq__(self, other):
         if not isinstance(other, QCoefficient):
             return NotImplemented
-        return _common_sum((self, -other)).is_zero()
+        return ExactField.pair_sum(((self, _ONE_COEF, 0),
+                                    (other, -_ONE_COEF, 0))).is_zero()
 
     def __hash__(self):
         # evaluation at q = 2 is a ring homomorphism on all of R, as no
@@ -392,15 +391,6 @@ def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
     return Poly(val, nd, bound, k)
 
 
-def _common_sum(coefs) -> QCoefficient:
-    """Sum of coefficients: each numerator is lifted once onto the common
-    denominator."""
-    dq = max(c.dq for c in coefs)
-    dfac = _max_fac(c.dfac for c in coefs)
-    nums = [_lift(c.num, dq - c.dq, _fac_diff(dfac, c.dfac)) for c in coefs]
-    return QCoefficient(_poly_sum(nums), dq, dfac)
-
-
 def _pair_groups(triples, k) -> dict:
     """The products c_d * c_e * q^j of `triples`, summed per
     denominator exponent vector: {dfac: [val, low, top, bound]}.
@@ -454,16 +444,9 @@ class ExactField:
         return _ONE_COEF
 
     @staticmethod
-    def sum(coefs):
-        """Sum of coefficients over one common denominator."""
-        if len(coefs) < 2:
-            return coefs[0] if coefs else _ZERO_COEF
-        return _common_sum(coefs)
-
-    @staticmethod
     def pair_sum(triples):
-        """Sum of c_d * c_e * q^j over (c_d, c_e, j) triples of nonzero
-        coefficients: the pair products landing on one torus term.
+        """Sum of c_d * c_e * q^j over (c_d, c_e, j) triples, the ring's
+        only accumulation call: see the module docstring.
 
         The products are taken on the packed numerators as plain ints, at
         one digit width, and summed per denominator exponent vector with
@@ -610,9 +593,6 @@ class RationalPointField:
 
     def one(self):
         return RationalQ(1, self.q0)
-
-    def sum(self, coefs):
-        return RationalQ(sum((c.value for c in coefs), Fraction(0)), self.q0)
 
     def pair_sum(self, triples):
         """Sum of c_d * c_e * q0^j over (c_d, c_e, j) triples."""

@@ -151,6 +151,8 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
         if lam is None:
             raise ValueError("lambda-mode needs the deformation parameter")
         lam = complex(lam)
+        if not cmath.isfinite(lam):
+            raise ValueError(f"lambda={lam} must be finite")
         if (lam * lam).imag <= 0:
             raise ValueError(f"lambda={lam} must satisfy Im(lambda^2) > 0")
         if abs(lam.imag) > _MAX_IM_LAMBDA:

@@ -69,6 +69,8 @@ class TorusElement(_Frozen):
         """Least total shift degree carrying a nonzero coefficient."""
         return min(map(sum, self.terms), default=self.order + 1)
 
+    # scale has no caller in the package, as sums take their scalars as
+    # pair_sum partners; it stays because perfbench/spans.py traces it
     def scale(self, c: QCoefficient) -> "TorusElement":
         """Multiply by a central scalar of the coefficient ring."""
         return TorusElement(self.matrix, self.order, self.base,
@@ -87,7 +89,8 @@ class TorusElement(_Frozen):
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, -other)
+        _check_context(self, other)
+        return _sum(((self, self.ring.one()), (other, -self.ring.one())))
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -152,8 +155,9 @@ def unit(B: ExchangeMatrix, N: int, ring=ratfunc.EXACT) -> TorusElement:
     return monomial((0,) * B.n, B, N, ring)
 
 
-def _rebase(elem: TorusElement, newbase: tuple) -> dict:
-    """Terms of elem re-expressed over a lower base (entrywise <=).
+def _rebase(elem: TorusElement, scalar, newbase: tuple, out: dict) -> None:
+    """Append the terms of scalar * elem, re-expressed over a lower base
+    (entrywise <=), to out as (c_d, scalar, q-exponent) triples per shift.
 
     Y^g sum c_d Y^d = Y^g' sum c_d q^(<g',s> - <s,d>) Y^(s+d), s = g-g'.
     Terms pushed above the order are dropped, consistently with the
@@ -162,37 +166,37 @@ def _rebase(elem: TorusElement, newbase: tuple) -> dict:
     g = elem.base
     s = tuple(a - b for a, b in zip(g, newbase))
     if not any(s):
-        return dict(elem.terms)
+        for d, c in elem.terms.items():
+            out.setdefault(d, []).append((c, scalar, 0))
+        return
     B, N = elem.matrix, elem.order
     head = pairing(newbase, s, B)
     row_s = _row_B(s, B)
-    out = {}
     for d, c in elem.terms.items():
         nd = tuple(si + di for si, di in zip(s, d))
         if sum(nd) > N:
             continue
         e = head - sum(r * di for r, di in zip(row_s, d))
-        out[nd] = c.mul_q_power(e)
-    return out
+        out.setdefault(nd, []).append((c, scalar, e))
 
 
 def add(a: TorusElement, b: TorusElement) -> TorusElement:
     _check_context(a, b)
-    return _sum((a, b))
+    return _sum(((a, a.ring.one()), (b, a.ring.one())))
 
 
-def _sum(elems) -> TorusElement:
-    """Sum of torus elements of one context over their lowest base: the
-    coefficients landing on each term are summed in one `ring.sum`."""
-    first = elems[0]
-    newbase = tuple(map(min, zip(*(e.base for e in elems))))
+def _sum(pairs) -> TorusElement:
+    """Sum of c * x over (x, c) pairs of torus elements of one context and
+    central scalars, over the lowest base: the triples `_rebase` gathers
+    on each shift go to `ring.pair_sum` once."""
+    first = pairs[0][0]
+    newbase = tuple(map(min, zip(*(x.base for x, _ in pairs))))
     out = {}
-    for e in elems:
-        for d, c in _rebase(e, newbase).items():
-            out.setdefault(d, []).append(c)
-    total = first.ring.sum
+    for x, c in pairs:
+        _rebase(x, c, newbase, out)
+    pair_sum = first.ring.pair_sum
     return TorusElement(first.matrix, first.order, newbase,
-                        {d: total(cs) for d, cs in out.items()}, first.ring)
+                        {d: pair_sum(t) for d, t in out.items()}, first.ring)
 
 
 def multiply(a: TorusElement, b: TorusElement) -> TorusElement:
@@ -311,7 +315,8 @@ def _series(x: TorusElement, coefficient) -> TorusElement:
     With rho = |base| > 0, x^n sits over the base n*base, and only its
     shifts of degree at most N - n*rho survive the rebase onto base 0;
     so each power x^n = x^(n-1) x is formed only to that degree.  With
-    rho = 0 every power keeps all shifts up to N."""
+    rho = 0 every power keeps all shifts up to N.  The powers go to `_sum`
+    with their series coefficients as scalars."""
     N = x.order
     base = x.base
     if any(e < 0 for e in base):
@@ -324,14 +329,14 @@ def _series(x: TorusElement, coefficient) -> TorusElement:
             raise NonTruncating(
                 "argument has a degree-0 component; the series does not truncate")
         step = x.degree_floor()
-    terms = [unit(x.matrix, N, x.ring)]
+    pairs = [(unit(x.matrix, N, x.ring), x.ring.one())]
     xp = None
     for n in range(1, N // step + 1):
         xp = x if xp is None else _capped_product(xp, x, N - n * rho)
         if xp.is_zero():
             break
-        terms.append(xp.scale(coefficient(n)))
-    return _sum(terms)
+        pairs.append((xp, coefficient(n)))
+    return _sum(pairs)
 
 
 def deviation_from(elem: TorusElement, reference: TorusElement) -> list:

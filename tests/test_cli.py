@@ -157,10 +157,20 @@ class TestVerify:
         ("quantum-tropical", "--q0", "0"),
         ("dual", "--q0", "0"),
         ("phib", "--grid", "x"),        # an option that no longer exists
+        # a tolerance must be finite and positive, a lambda or y finite
+        ("classical", "--tol", "inf"),
+        ("classical", "--tol", "nan"),
+        ("classical", "--tol", "0"),
+        ("classical", "--tol", "-1"),
+        ("saddle-lambda", "--lambda", "inf,0.05"),
+        ("saddle-lambda", "--lambda", "1,nan"),
+        ("mutate", "--y", "inf,1"),
+        ("mutate", "--y", "1,nan"),
     ])
     def test_parse_error_exit_4_out_of_range(self, capsys, extra):
         mode, *opts = extra
-        command = {"search": ["search", "--builtin", "A2"], "phib": ["phib"]}.get(
+        command = {"search": ["search", "--builtin", "A2"], "phib": ["phib"],
+                   "mutate": ["mutate", "--builtin", "A2"]}.get(
             mode, ["verify", mode, "--builtin", "A2"])
         assert main([*command, *opts]) == 4
         err = capsys.readouterr().err
@@ -398,6 +408,11 @@ class TestPhibCommand:
     def test_unresolvable_z_exit_3(self, capsys, z):
         assert main(["phib", "--z", z]) == 3
         assert main(["phib", "--check", "duality", "--z", z]) == 3
+
+    def test_overflowing_reduction_is_a_quadrature_failure(self, capsys):
+        code, rep = run_json(capsys, "phib", "--b", "1", "--z", "1e300,1e300")
+        assert code == 3 and rep["error"] == "QuadratureFailure"
+        assert "z=(1e+300+1e+300j)" in rep["detail"]
 
     @pytest.mark.parametrize("check", ["value", "unitarity"])
     def test_tiny_b_prints_a_unimodular_value(self, check):

@@ -232,6 +232,16 @@ class TestRecurrence:
             psiq_numeric(cmath.exp(2 * math.pi * z / p.b), p.q_bar)
         assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
+    @pytest.mark.parametrize("z", [1e300 + 1e300j, 1e300 - 1e300j,
+                                   400 + 2j])
+    def test_overflowing_reduction_is_a_domain_error(self, z):
+        """A recurrence factor e^(2 pi s z) beyond double range is a
+        QuadratureFailure naming z, in either step direction."""
+        with pytest.raises(QuadratureFailure, match="beyond double range") \
+                as info:
+            phib(z, PhibParams(1.0))
+        assert str(z) in str(info.value)
+
 
 class TestDuality:
     def test_b_equal_one_trivial(self):

@@ -439,7 +439,9 @@ class TestFieldAxiomsProperty:
         assert ev(a + b) == ev(a) + ev(b)
         assert ev(a - b) == ev(a) - ev(b)
         assert ev(a * b) == ev(a) * ev(b)
-        assert ev(EXACT.sum([a, b, c])) == ev(a) + ev(b) + ev(c)
+        assert (ev(EXACT.pair_sum([(a, c, 3), (b, c, -2), (c, a, 1)]))
+                == ev(a) * ev(c) * x**3 + ev(b) * ev(c) / x**2
+                + ev(c) * ev(a) * x)
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a and hash(a + b) == hash(b + a)
@@ -455,7 +457,9 @@ class TestFieldAxiomsProperty:
         # a round trip through a unit with a deep denominator
         back = a * u * inv
         assert back == a and hash(back) == hash(a)
-        assert EXACT.sum([a, b, inv]) == (a + b) + inv
+        total = EXACT.pair_sum([(a, u, 2), (b, inv, -1)])
+        assert total.evaluate(x) == (a.evaluate(x) * u.evaluate(x) * x**2
+                                     + b.evaluate(x) * inv.evaluate(x) / x)
 
 
 @st.composite

@@ -243,6 +243,12 @@ class TestLambdaMode:
             build_solution(A2, A2_SCHED, [0, 0], mode="lambda",
                            lam=1 + 0.3j)
 
+    @pytest.mark.parametrize("lam", [complex(math.inf, 0.05),
+                                     complex(1, math.nan)])
+    def test_rejects_non_finite_parameter(self, lam):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_solution(A2, A2_SCHED, [0, 0], mode="lambda", lam=lam)
+
     def test_action_vanishes_along_ray(self):
         rng = np.random.default_rng(4)
         u1 = rng.uniform(-0.5, 0.5, size=2)

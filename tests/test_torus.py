@@ -380,6 +380,29 @@ class TestProductProperties:
             assert prod == reference_multiply(a, a)
 
 
+class TestSumProperties:
+    @pytest.mark.parametrize("ring", [ratfunc.EXACT,
+                                      RationalPointField(Fraction(3, 8))],
+                             ids=["exact", "q0=3/8"])
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    @given(case=sparse_triples(), scalars=st.lists(coefficients(),
+                                                   min_size=3, max_size=3))
+    def test_scalar_sum_is_scale_then_add(self, ring, case, scalars):
+        """_sum of (element, scalar) pairs over different bases hands each
+        term its scalar and re-base q-power as one pair_sum triple; it
+        equals scaling each element and adding them."""
+        B, order, specs = case
+        elems = [TorusElement(B, order, base,
+                              {d: in_ring(ring, v) for d, v in terms.items()},
+                              ring)
+                 for base, terms, _ in specs]
+        scalars = [in_ring(ring, s) for s in scalars]
+        total = torus._sum(list(zip(elems, scalars)))
+        a, b, c = (x.scale(s) for x, s in zip(elems, scalars))
+        assert total == add(add(a, b), c)
+        assert total.base == tuple(map(min, zip(*(x.base for x in elems))))
+
+
 class TestPsiSeries:
     def test_constant_term_and_low_coefficients(self):
         P = psi_series(Y((1, 0), 8))
@@ -442,7 +465,9 @@ def series_arguments(B, sequence, order, ring):
     for t, (k, eps) in enumerate(zip(sequence, signs)):
         y = seeds[t if eps > 0 else t + 1].Y[k - 1]
         yield y
-        yield TorusElement(B, order, zero, torus._rebase(y, zero), ring)
+        over_zero = add(y, TorusElement(B, order, zero, {}, ring))
+        assert over_zero.base == zero
+        yield over_zero
 
 
 class TestSeriesAgainstFullOrder:

@@ -63,6 +63,18 @@ MUTANTS = [
            "k = _width(bound)\n            groups = _pair_groups(",
            "k = _width(bound) >> 1\n            groups = _pair_groups(",
            "pair_sum widens one rung too narrow for its tracked bound"),
+    Mutant("sum-unit-scalars", PKG + "torus.py",
+           "_rebase(x, c, newbase, out)",
+           "_rebase(x, first.ring.one(), newbase, out)",
+           "_sum pairs every element with ring.one(), dropping its scalar"),
+    Mutant("pair-sum-lone-qexp", PKG + "ratfunc.py",
+           "return c.mul_shifted(e, j)",
+           "return c.mul_shifted(e, 0)",
+           "pair_sum's lone-triple path drops the q-exponent"),
+    Mutant("eq-plus-one", PKG + "ratfunc.py",
+           "(other, -_ONE_COEF, 0)",
+           "(other, _ONE_COEF, 0)",
+           "QCoefficient.__eq__ pairs other with +1, testing a + b == 0"),
     Mutant("invert-rebase-sign", PKG + "torus.py",
            "c.mul_q_power(-2 * sum(map(_times, row_base, d)))",
            "c.mul_q_power(2 * sum(map(_times, row_base, d)))",
@@ -119,7 +131,8 @@ MUTANTS = [
            "m = len(order) // 2",
            "m = (len(order) + 1) // 2",
            "the tropical split takes ceil(L/2) factors on the left; verdicts "
-           "are unchanged, the A2 N = 16 check hands pair_sum 1,203 triples"),
+           "are unchanged, the products of the A2 N = 16 check hand pair_sum "
+           "1,203 triples"),
     Mutant("split-lower-even", PKG + "qident.py",
            "m = len(order) // 2",
            "m = (len(order) - 1) // 2",
