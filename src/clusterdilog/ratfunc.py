@@ -4,13 +4,17 @@ coefficient the quantum identities produce.
 Numerators are integer polynomials stored packed into single Python
 integers (one balanced base-2^k digit per coefficient), so polynomial
 addition and multiplication become big-integer addition and
-multiplication, which CPython does in C.  Denominators are kept factored
-as q^a * prod_m (1 - q^(2m))^{e_m}, stored as the exponent vector
-(e_1, e_2, ...) with no trailing zero, so common denominators are
-exponent-wise sums and maxima of short tuples.  The identities only
-ever divide by a monomial unit, so `inverse` inverts exactly the values
-+-q^j / prod_m (1 - q^(2m))^(e_m), however they are stored; anything else
-raises NonInvertible.
+multiplication, which CPython does in C.  A coefficient is
+q^lo * P(q) / prod_m (1 - q^(2m))^{e_m}: the power of q is one signed
+integer lo, never zero digits of P nor a factor of the denominator, so
+multiplying by q^j adds j to lo.  The other denominator factors are
+stored as the exponent vector (e_1, e_2, ...) with no trailing zero, so
+common denominators are exponent-wise sums and maxima of short tuples.
+Nothing is normalised on construction: P and q^lo may share a power of
+q, which `inverse`, `canonical` and `evaluate` split off.  The
+identities only ever divide by a monomial unit, so `inverse` inverts
+exactly the values +-q^j / prod_m (1 - q^(2m))^(e_m), however they are
+stored; anything else raises NonInvertible.
 `canonical` reduces by trial division by the cyclotomic Phi_d of the
 denominator, and `hash` is the value at q = 2.
 
@@ -31,8 +35,9 @@ pairs of a torus product landing on one term, the re-based terms of a
 torus sum or series with their scalars, or two coefficients with +-1.
 It multiplies the packed numerators as plain ints at one digit width,
 sums the products sharing a denominator exponent vector with q-powers
-aligned by shifts, and lifts each such group onto the common denominator
-once, so no pair becomes a coefficient of its own.
+aligned by shifts above the lowest, and lifts each such group onto the
+common denominator once, so no pair becomes a coefficient of its own;
+the result's lo is the lowest q-power of the groups.
 """
 
 from __future__ import annotations
@@ -211,23 +216,18 @@ def _max_fac(facs) -> tuple:
 
 
 class QCoefficient:
-    """An element of R = Z[q, q^-1][(1 - q^(2m))^-1]: a packed
-    integer-polynomial numerator over the factored denominator
-    q^dq * prod_m (1 - q^(2m))^(e_m), with dfac the exponent vector
-    (e_1, e_2, ...) and no trailing zero.  The numerator and q^dq share
-    no power of q."""
+    """An element of R = Z[q, q^-1][(1 - q^(2m))^-1]: the value
+    q^lo * num / prod_m (1 - q^(2m))^(e_m), with num a packed integer
+    polynomial, lo any integer, and dfac the exponent vector (e_1, e_2,
+    ...) with no trailing zero.  num and q^lo may share a power of q."""
 
-    __slots__ = ("num", "dq", "dfac")
+    __slots__ = ("num", "lo", "dfac")
 
-    def __init__(self, num: Poly, dq: int = 0, dfac: tuple = ()):
+    def __init__(self, num: Poly, lo: int = 0, dfac: tuple = ()):
         if num.is_zero():
-            num, dq, dfac = _ZERO_POLY, 0, ()
-        elif dq:
-            j = min(dq, num.q_order())
-            if j:
-                num, dq = num.unshift(j), dq - j
+            num, lo, dfac = _ZERO_POLY, 0, ()
         self.num = num
-        self.dq = dq
+        self.lo = lo
         self.dfac = dfac
 
     # ---- constructors -------------------------------------------------
@@ -235,9 +235,7 @@ class QCoefficient:
     @staticmethod
     def q_power(j: int) -> "QCoefficient":
         """q^j for any integer j."""
-        if j >= 0:
-            return QCoefficient(_ONE_POLY.shift(j))
-        return QCoefficient(_ONE_POLY, dq=-j)
+        return QCoefficient(_ONE_POLY, j)
 
     @staticmethod
     def qpochhammer_inverse(n: int) -> "QCoefficient":
@@ -256,7 +254,7 @@ class QCoefficient:
                                     (other, _ONE_COEF, 0)))
 
     def __neg__(self):
-        return QCoefficient(-self.num, self.dq, self.dfac)
+        return QCoefficient(-self.num, self.lo, self.dfac)
 
     def __sub__(self, other):
         return self + (-other)
@@ -266,23 +264,16 @@ class QCoefficient:
 
     def mul_shifted(self, other, j: int) -> "QCoefficient":
         """self * other * q^j, built as one coefficient."""
-        num = self.num * other.num
-        dq = self.dq + other.dq - j
-        if dq < 0:
-            num, dq = num.shift(-dq), 0
-        return QCoefficient(num, dq, _add_fac(self.dfac, other.dfac))
+        return QCoefficient(self.num * other.num, self.lo + other.lo + j,
+                            _add_fac(self.dfac, other.dfac))
 
     def mul_q_power(self, j: int) -> "QCoefficient":
-        if j == 0 or self.is_zero():
-            return self
-        if j > 0:
-            return QCoefficient(self.num.shift(j), self.dq, self.dfac)
-        return QCoefficient(self.num, self.dq - j, self.dfac)
+        return QCoefficient(self.num, self.lo + j, self.dfac)
 
     # scale_int and __truediv__ have no caller in the package; they stay
     # because perfbench/spans.py traces them by name
     def scale_int(self, c: int) -> "QCoefficient":
-        return QCoefficient(self.num * Poly.from_coeffs((c,)), self.dq,
+        return QCoefficient(self.num * Poly.from_coeffs((c,)), self.lo,
                             self.dfac)
 
     def inverse(self) -> "QCoefficient":
@@ -295,15 +286,14 @@ class QCoefficient:
         NonInvertible for any other value, such as (1 + q) / (q^2; q^2)_3."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero rational function")
-        j = self.num.q_order()
-        sign = self.num.unshift(j).val
-        if sign not in (1, -1):
-            # the reduced denominator is q^dq prod_m (q^(2m) - 1)^(e_m) if
+        num, lo = self._q_split()
+        if num.val not in (1, -1):
+            # the reduced denominator is q^a prod_m (q^(2m) - 1)^(e_m) if
             # the value has that form; its factor of largest m then holds
             # the largest Phi_d left, so it divides out first
             num, den = self.canonical()
             j = next(i for i, c in enumerate(num) if c)
-            rest = den[self.dq:]
+            rest = den[max(-lo, 0):]
             for m in range(len(self.dfac), 0, -1):
                 top = (-1,) + (0,) * (2 * m - 1) + (1,)
                 while (quo := _quotient(rest, top)) is not None:
@@ -312,9 +302,9 @@ class QCoefficient:
                 raise NonInvertible(f"{self!r} is not +-q^j / "
                                     "prod_m (1 - q^(2m))^(e_m)")
             den = Poly.from_coeffs(den)
-            return QCoefficient(-den if num[j] < 0 else den, dq=j)
-        num = _lift(_ONE_POLY, self.dq, self.dfac)
-        return QCoefficient(-num if sign < 0 else num, dq=j)
+            return QCoefficient(-den if num[j] < 0 else den, -j)
+        den = _lift(_ONE_POLY, 0, self.dfac)
+        return QCoefficient(-den if num.val < 0 else den, -lo)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -334,17 +324,25 @@ class QCoefficient:
 
     # ---- presentation -------------------------------------------------
 
+    def _q_split(self) -> tuple:
+        """(P, e) with self = q^e P / prod_m (1 - q^(2m))^(e_m) and q not
+        dividing P; self is nonzero."""
+        j = self.num.q_order()
+        return self.num.unshift(j), self.lo + j
+
     def canonical(self) -> tuple:
         """Fully reduced (numerator, denominator) coefficient tuples.
 
-        The denominator q^dq prod (1 - q^(2m))^e is +-q^dq prod Phi_d^E,
-        and the numerator shares no q with it: each Phi_d is divided out
-        of the numerator as often as it divides it, at most E times.  The
-        denominator left is the monic product of the other factors."""
-        num = self.num.coeffs()
-        if not num:
+        With self = q^e P / prod (1 - q^(2m))^e_m and q not dividing P,
+        the numerator is q^e P for e >= 0, and P over q^-e otherwise; the
+        rest of the denominator is +-prod Phi_d^E.  Each Phi_d is divided
+        out of the numerator as often as it divides it, at most E times.
+        The denominator left is the monic product of the other factors."""
+        if self.is_zero():
             return (0,), (1,)
-        den = _ONE_POLY.shift(self.dq)
+        num, lo = self._q_split()
+        num = (0,) * lo + num.coeffs()      # no zeros when lo < 0
+        den = _ONE_POLY.shift(max(-lo, 0))
         for d, e in _cyclotomic_exponents(self.dfac).items():
             num, k = _strip_cyclotomic(num, d, e)
             if k < e:
@@ -357,13 +355,16 @@ class QCoefficient:
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point q0."""
+        if self.is_zero():
+            return Fraction(0)
         q0 = Fraction(q0)
-        den = q0 ** self.dq
+        num, lo = self._q_split()
+        den = q0 ** max(-lo, 0)
         for m, e in enumerate(self.dfac, 1):
             den *= (1 - q0 ** (2 * m)) ** e
         if den == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q0}")
-        return self.num.evaluate(q0) / den
+        return num.evaluate(q0) * q0 ** max(lo, 0) / den
 
     def __repr__(self):
         num, den = self.canonical()
@@ -372,13 +373,13 @@ class QCoefficient:
         return f"({_poly_str(num)})/({_poly_str(den)})"
 
 
-def _lift(num: Poly, dq_extra: int, fac_extra: tuple) -> Poly:
-    """num * q^dq_extra * prod_m (1 - q^(2m))^(e_m) for the exponent
-    vector fac_extra = (e_1, e_2, ...).  Each factor 1 - q^(2m) is
+def _lift(num: Poly, shift: int, fac_extra: tuple) -> Poly:
+    """num * q^shift * prod_m (1 - q^(2m))^(e_m), shift >= 0, for the
+    exponent vector fac_extra = (e_1, e_2, ...).  Each factor 1 - q^(2m) is
     val - (val << 2mk), which doubles the bound: a bound that outgrows
     the digit widens it on the ladder."""
-    if dq_extra:
-        num = num.shift(dq_extra)
+    if shift:
+        num = num.shift(shift)
     val, nd, bound, k = num.val, num.nd, num.bound, num.k
     for m, e in enumerate(fac_extra, 1):
         for _ in range(e):
@@ -402,7 +403,7 @@ def _pair_groups(triples, k) -> dict:
         a, b = c.num, e.num
         val = ((a.val if a.k == k else a.at(k))
                * (b.val if b.k == k else b.at(k)))
-        s = j - c.dq - e.dq
+        s = j + c.lo + e.lo
         top = s + a.nd + b.nd - 1
         bound = min(a.nd, b.nd) * a.bound * b.bound
         key = (c.dfac, e.dfac)
@@ -468,24 +469,23 @@ class ExactField:
         groups = [(fac, g) for fac, g in groups.items() if g[0]]
         if not groups:
             return _ZERO_COEF
-        dq = max(0, -min(g[1] for _, g in groups))
+        lo = min(g[1] for _, g in groups)
         dfac = _max_fac(fac for fac, _ in groups)
-        nums = [_lift(Poly(val, top - low, bound, k), low + dq,
+        nums = [_lift(Poly(val, top - low, bound, k), low - lo,
                       _fac_diff(dfac, fac))
                 for fac, (val, low, top, bound) in groups]
         return QCoefficient(nums[0] if len(nums) == 1 else _poly_sum(nums),
-                            dq, dfac)
+                            lo, dfac)
 
     @staticmethod
     def psi_coefficient(n):
         """Series coefficient (-q)^n / (q^2; q^2)_n."""
-        c = QCoefficient.q_power(n) * QCoefficient.qpochhammer_inverse(n)
-        return -c if n % 2 else c
+        return QCoefficient(-_ONE_POLY if n % 2 else _ONE_POLY, n, (1,) * n)
 
     @staticmethod
     def psi_inverse_coefficient(n):
         """Series coefficient q^(n^2) / (q^2; q^2)_n of 1/Psi (Euler)."""
-        return QCoefficient.q_power(n * n) * QCoefficient.qpochhammer_inverse(n)
+        return QCoefficient(_ONE_POLY, n * n, (1,) * n)
 
     def __eq__(self, other):
         return isinstance(other, ExactField)

@@ -244,6 +244,17 @@ class TestSearch:
         for sched in search_periods(B, 6):
             assert check_period(B, sched).periodic
 
+    def test_a3_period_with_a_three_cycle(self):
+        """Linear A3 has a period of length 8 whose nu is a 3-cycle, so nu
+        must be read off the c-vectors (the columns): their transpose
+        gives nu^-1, which is not a period."""
+        from clusterdilog.exchange import MutationSchedule, check_period
+        B = ExchangeMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+        seq = (1, 2, 1, 2, 3, 1, 3, 1)
+        found = {(s.sequence, s.nu) for s in search_periods(B, 8)}
+        assert (seq, (2, 3, 1)) in found
+        assert not check_period(B, MutationSchedule(seq, (3, 1, 2))).periodic
+
 
 class TestClosedStdout:
     def test_no_traceback_when_reader_is_gone(self):

@@ -75,7 +75,8 @@ def units(draw, powers=(0, 1, 70)):
     return u.mul_q_power(draw(st.integers(-3, 3)))
 
 
-# (numerator, dq, dfac exponent vector) -> canonical(), pinned byte for byte because
+# (numerator, dq, dfac exponent vector) -> canonical() of the numerator over
+# q^dq prod_m (1 - q^(2m))^(e_m), pinned byte for byte because
 # residual JSON and repr are built from it: the q-power; Phi_1,
 # Phi_2, Phi_3, Phi_4, Phi_6 and Phi_12 cancelled in part, in full or not
 # at all; the sign flip of a negative leading coefficient; wide and
@@ -210,6 +211,20 @@ class TestPoly:
 
 
 class TestQCoefficient:
+    def test_pair_sum_widens_a_group_past_64_bits(self):
+        """Each product (2^31 - 1)^2 (1 + q) q^j / (1 - q^2) fits 64-bit
+        digits, but four of the five overlap at q^0, where the group sums
+        to about 2^64: pair_sum packs it wider, and the sum evaluates
+        exactly."""
+        x, big = Fraction(2, 5), 2**31 - 1
+        a = coef([big]) * QCoefficient.qpochhammer_inverse(1)
+        b = coef([big, big]).mul_q_power(-1)
+        triples = [(a, b, 0), (a, b, 1), (b, a, 1), (a, b, 0), (a, b, 2)]
+        total = EXACT.pair_sum(triples)
+        assert total.evaluate(x) == sum(c.evaluate(x) * e.evaluate(x) * x**j
+                                        for c, e, j in triples)
+        assert max(map(abs, total.num.coeffs())) > 2**63
+
     def test_widened_value_is_the_same_value(self):
         """A value packed at 64 bits and the same value widened to 128
         bits by a pessimistic bound compare equal, hash alike and print
@@ -219,7 +234,7 @@ class TestQCoefficient:
         big = coef([2**62])
         wide = (c + big) - big
         assert (c.num.k, wide.num.k) == (64, 128)
-        assert (c.dq, c.dfac) == (wide.dq, wide.dfac)
+        assert (c.lo, c.dfac) == (wide.lo, wide.dfac)
         assert wide == c and c == wide and hash(wide) == hash(c)
         assert wide.canonical() == c.canonical() and repr(wide) == repr(c)
         assert (wide - c).is_zero() and (c - wide).is_zero()
@@ -303,7 +318,7 @@ class TestQCoefficient:
         pairs = []
         for _ in range(10):
             a = random_coeff(rng)
-            pairs.append((a, QCoefficient(_lift(a.num, 0, (140,)), a.dq,
+            pairs.append((a, QCoefficient(_lift(a.num, 0, (140,)), a.lo,
                                           _add_fac(a.dfac, (140,)))))
 
         def refuse(self):
@@ -326,8 +341,8 @@ class TestQCoefficient:
     def test_equality_over_two_denominators(self):
         """(1 + q^2)/(q (1 - q^4)) and 1/(q (1 - q^2)): one value over
         two exponent vectors, neither of which dominates the other."""
-        a = QCoefficient(Poly.from_coeffs([1, 0, 1]), 1, (0, 1))
-        b = QCoefficient(Poly.from_coeffs([1]), 1, (1,))
+        a = QCoefficient(Poly.from_coeffs([1, 0, 1]), -1, (0, 1))
+        b = QCoefficient(Poly.from_coeffs([1]), -1, (1,))
         assert a.dfac != b.dfac
         assert a == b and b == a and hash(a) == hash(b)
         assert a != b.mul_q_power(1) and a != -b
@@ -367,7 +382,7 @@ class TestQCoefficient:
 
     @pytest.mark.parametrize("num, dq, dfac, expected", CANONICAL_TABLE)
     def test_canonical_table(self, num, dq, dfac, expected):
-        c = QCoefficient(Poly.from_coeffs(num), dq, dfac)
+        c = QCoefficient(Poly.from_coeffs(num), -dq, dfac)
         assert c.canonical() == expected
 
     def test_residual_json_with_denominators(self):
@@ -464,10 +479,11 @@ class TestFieldAxiomsProperty:
 
 @st.composite
 def q_multiples(draw):
-    """(width, coeffs, j, dq, n): the numerator coeffs * q^j over
-    q^dq (q^2; q^2)_n, with j below, equal to or above dq.  The leading
-    coefficient is large enough that the numerator packs at the drawn
-    width, and the low and leading coefficients take either sign."""
+    """(width, coeffs, j, lo, n): the numerator coeffs * q^j times q^lo over
+    (q^2; q^2)_n, with lo of either sign and the net power j + lo below,
+    at or above zero.  The leading coefficient is large enough that the
+    numerator packs at the drawn width, and the low and leading
+    coefficients take either sign."""
     width = draw(st.sampled_from([64, 128, 256]))
     top = (1 << (width - 1)) - 1
     digit = st.integers(-top, top)
@@ -475,35 +491,57 @@ def q_multiples(draw):
     lead = draw(st.integers(1 if width == 64 else 1 << (width // 2), top))
     lead *= draw(st.sampled_from([1, -1]))
     coeffs = [low] + draw(st.lists(digit, max_size=3)) + [lead]
-    dq = draw(st.integers(1, 5))
-    j = draw(st.one_of(st.integers(0, dq - 1), st.just(dq),
-                       st.integers(dq + 1, dq + 4)))
-    return width, coeffs, j, dq, draw(st.integers(0, 2))
+    j = draw(st.integers(0, 5))
+    lo = draw(st.one_of(st.integers(-j - 4, -j - 1), st.just(-j),
+                        st.integers(-j + 1, 5)))
+    return width, coeffs, j, lo, draw(st.integers(0, 2))
 
 
 class TestQStripProperty:
-    """QCoefficient strips the common power of q from numerator and dq
-    in one step, at every packing width and for negative values."""
+    """A coefficient keeps the numerator and lo it is built with, at
+    every packing width and for both signs of lo and of the value;
+    canonical() and evaluate cancel the power of q the numerator shares
+    with q^lo in one step."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=q_multiples(), x=points)
     def test_one_step_strip(self, case, x):
-        width, coeffs, j, dq, n = case
+        width, coeffs, j, lo, n = case
         num = Poly.from_coeffs([0] * j + coeffs)
         assert num.k == width and num.q_order() == j
         dfac = QCoefficient.qpochhammer_inverse(n).dfac
+        e = j + lo
+        den = 1
+        for m in range(1, n + 1):
+            den *= 1 - x ** (2 * m)
         for sign in (1, -1):
-            c = QCoefficient(-num if sign < 0 else num, dq, dfac)
-            assert c.dq == max(dq - j, 0)
-            assert c.num.coeffs() == tuple(sign * v for v in
-                                           [0] * max(j - dq, 0) + coeffs)
-            if c.dq > 0:
-                assert c.num.q_order() == 0
-            den = x ** dq
-            for m in range(1, n + 1):
-                den *= 1 - x ** (2 * m)
-            value = sum(v * x ** i for i, v in enumerate(coeffs)) * x ** j
-            assert c.evaluate(x) == sign * value / den
+            c = QCoefficient(-num if sign < 0 else num, lo, dfac)
+            assert c.lo == lo and c.num == (-num if sign < 0 else num)
+            value = sign * sum(v * x ** i for i, v in enumerate(coeffs))
+            assert c.evaluate(x) == value * x ** e / den
+            top, bottom = c.canonical()
+            assert [next(i for i, v in enumerate(p) if v)
+                    for p in (top, bottom)] == [max(e, 0), max(-e, 0)]
+            assert (Poly.from_coeffs(top).evaluate(x)
+                    / Poly.from_coeffs(bottom).evaluate(x)) == c.evaluate(x)
+            if e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    c.evaluate(0)
+            else:
+                assert c.evaluate(0) == (sign * coeffs[0] if e == 0 else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=wide_coefficients(), a=st.integers(-10**6, 10**6),
+           b=st.integers(-10**6, 10**6), x=points)
+    def test_q_powers_add_exponents(self, c, a, b, x):
+        """q^a then q^b is q^(a + b), and it moves only lo: q^j is one
+        digit for every j."""
+        assert c.mul_q_power(a).mul_q_power(b) == c.mul_q_power(a + b)
+        assert c.mul_q_power(a).num is c.num
+        assert all(QCoefficient.q_power(j).num.nd == 1 for j in (a, b, 0))
+        j = a % 13 - 6
+        assert c.mul_q_power(j).evaluate(x) == c.evaluate(x) * x ** j
+        assert QCoefficient.q_power(j).evaluate(x) == x ** j
 
 
 class TestRationalPointField:

@@ -178,6 +178,37 @@ MUTANTS = [
            "code = EXIT_NOT_A_PERIOD",
            "code = EXIT_NUMERICAL",
            "a non-period exits 3, not 2"),
+    Mutant("qpower-minus", PKG + "ratfunc.py",
+           "return QCoefficient(self.num, self.lo + j, self.dfac)",
+           "return QCoefficient(self.num, self.lo - j, self.dfac)",
+           "QCoefficient.mul_q_power multiplies by q^-j"),
+    Mutant("q-split-no-order", PKG + "ratfunc.py",
+           "j = self.num.q_order()\n",
+           "j = 0\n",
+           "the q-split behind inverse, canonical and evaluate ignores the "
+           "numerator's q-order"),
+    Mutant("psi-inverse-qn", PKG + "ratfunc.py",
+           "return QCoefficient(_ONE_POLY, n * n, (1,) * n)",
+           "return QCoefficient(_ONE_POLY, n, (1,) * n)",
+           "the 1/Psi series coefficient carries q^n in place of q^(n^2)"),
+    Mutant("pcg64-mix-constant", PKG + "pcg64.py",
+           "_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715",
+           "_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F717",
+           "one of SeedSequence's mix constants is off by two"),
+    Mutant("seed-accepts-bool", PKG + "fixtures.py",
+           "if not isinstance(v, int) or isinstance(v, bool):",
+           "if not isinstance(v, int):",
+           "seed documents accept true and false as integers"),
+    Mutant("search-nu-rows", PKG + "search.py",
+           "where = {c: j + 1 for j, c in enumerate(new[1])}",
+           "where = {c: j + 1 for j, c in enumerate(zip(*new[1]))}",
+           "search reads nu off the rows of the c-matrix, not its columns "
+           "(the c-vectors), so it finds nu^-1"),
+    Mutant("cli-quadrature-exit", PKG + "cli.py",
+           "code = EXIT_NUMERICAL\n",
+           "code = (EXIT_PARSE if type(exc).__name__ == 'QuadratureFailure'"
+           "\n                else EXIT_NUMERICAL)\n",
+           "a QuadratureFailure exits 4, not 3"),
 ]
 
 
