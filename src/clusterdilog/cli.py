@@ -231,8 +231,7 @@ def _verify_classical(B, sched, args, rng):
 
 
 def _exact(name, B, sched, args, rng):
-    from . import qident
-    rep = getattr(qident, name)(B, sched, args.N, q0=args.q0)
+    rep = args.exact(name)
     return rep.passed, rep.to_json()
 
 
@@ -248,7 +247,8 @@ def _verify_shuffle(B, sched, args, rng):
 
 def _verify_dual(B, sched, args, rng):
     from .qident import verify_dual_pair
-    r1, r2 = verify_dual_pair(B, sched, args.N, q0=args.q0)
+    r1, r2 = verify_dual_pair(B, sched, args.N, q0=args.q0,
+                              tropical=args.exact("verify_tropical_identity"))
     passed = r1.passed and r2.passed
     return passed, {"identity": "dual", "order": args.N,
                     "direct": r1.to_json(), "reversed": r2.to_json()}
@@ -320,6 +320,12 @@ def cmd_verify(args):
     def rng():  # default_rng's stream, built by the first mode that draws
         from .pcg64 import PCG64
         return PCG64(args.rng_seed)
+
+    @functools.cache
+    def exact(name):    # each exact check once: dual reuses the tropical one
+        from . import qident
+        return getattr(qident, name)(B, sched, args.N, q0=args.q0)
+    args.exact = exact
     outcomes = [VERIFIERS[mode](B, sched, args, rng) for mode in args.modes]
     for passed, rep in outcomes:    # the verdict is set here, once
         rep["verdict"] = "PASS" if passed else "FAIL"

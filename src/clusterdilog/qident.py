@@ -16,6 +16,7 @@ verdict, and a residual whose lowest-degree terms are those of P - 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from . import ratfunc, torus
@@ -105,15 +106,21 @@ def quantum_trajectory(B: ExchangeMatrix, sequence, N: int, ring=ratfunc.EXACT):
     Returns (seeds, actives, signs): the L+1 seeds, the active variable
     Y_{k_t}(t) at each step, and the tropical sign-sequence.
     """
+    seeds, ks, signs = map(list, zip(*_quantum_walk(B, sequence, N, ring)))
+    return seeds, [s.Y[k - 1] for s, k in zip(seeds, ks[:-1])], signs[:-1]
+
+
+def _quantum_walk(B: ExchangeMatrix, sequence, N: int, ring):
+    """Yield (seed, k, eps) before each step of `sequence`, eps the
+    tropical sign, then (last seed, None, None).  A step's mutation runs
+    only when the next item is asked for, so a caller that stops early
+    never builds a seed it does not read."""
     signs = sign_sequence(B, MutationSchedule.identity_nu(sequence, B.n)).signs
     seed = initial_quantum_seed(B, N, ring)
-    seeds = [seed]
-    actives = []
     for k, eps in zip(sequence, signs):
-        actives.append(seed.Y[k - 1])
+        yield seed, k, eps
         seed = quantum_mutate(seed, k, eps)
-        seeds.append(seed)
-    return seeds, actives, list(signs)
+    yield seed, None, None
 
 
 def seed_commutation_residual(s: QuantumSeedSeries) -> list:
@@ -234,20 +241,27 @@ def _tropical_residual(B, ss, N, ring, order) -> tuple:
     return tuple(torus.deviation_from(left, right))
 
 
-def _universal_product(seeds, sequence, signs, B, N, ring):
+def _universal_product(B, sequence, N, ring):
     """Reverse-ordered product of Psi(Y_t^eps_t)^(eps_t) at the active
-    quantum y-variables Y_t = Y_{k_t}(t) of the trajectory `seeds`.
+    quantum y-variables Y_t = Y_{k_t}(t) along `sequence`.
 
     eps_t > 0 takes psi_series of Y_t.  eps_t < 0 takes Euler's series
     for 1/Psi (psi_inverse_series) of Y_t^-1, which quantum_mutate
-    already stored as Y_{k_t}(t+1); so no factor calls invert."""
-    def factor(t):
-        k = sequence[t] - 1
-        if signs[t] > 0:
-            return psi_series(seeds[t].Y[k])
-        return psi_inverse_series(seeds[t + 1].Y[k])
+    already stored as Y_{k_t}(t+1).  The walk stops before the last
+    step, as no later step reads the seed it would build: there Y_t^-1
+    is one invert, and a positive sign reads Y_t alone.  So a sequence of
+    L steps makes L - 1 mutations."""
+    L = len(sequence)
+    walk = list(islice(_quantum_walk(B, sequence, N, ring), L))
 
-    return _product(map(factor, reversed(range(len(signs)))), B, N, ring)
+    def factor(t):
+        seed, k, eps = walk[t]
+        if eps > 0:
+            return psi_series(seed.Y[k - 1])
+        return psi_inverse_series(walk[t + 1][0].Y[k - 1] if t + 1 < L
+                                  else invert(seed.Y[k - 1]))
+
+    return _product(map(factor, reversed(range(L))), B, N, ring)
 
 
 def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
@@ -274,8 +288,7 @@ def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
     where it is negative (see _universal_product)."""
     require_period(B, sched)
     ring = _ring(q0)
-    seeds, _, signs = quantum_trajectory(B, sched.sequence, N, ring)
-    P = _universal_product(seeds, sched.sequence, signs, B, N, ring)
+    P = _universal_product(B, sched.sequence, N, ring)
     dev = torus.deviation_from(P, unit(B, N, ring))
     return Residual("universal", N, tuple(dev), ring.name)
 
@@ -285,40 +298,43 @@ def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
     """Shuffle formula at cut t: the first t tropical factors equal the
     first t universal factors in reverse order.  Holds with or without
     periodicity.  The tropical side uses the closed form for monomial
-    arguments; the universal side uses psi_series for positive signs and
-    Euler's series for 1/Psi at the trajectory's own inverses for
-    negative ones, as in verify_universal_identity."""
+    arguments; the universal side is _universal_product over the first t
+    steps, which mutates the seed t - 1 times: the last factor reads only
+    Y_{k_t}(t) or its inverse."""
     L = sched.length
     if not 1 <= t <= L:
         raise ValueError(f"cut index t={t} outside 1..{L}")
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
     lhs = _tropical_product(B, ss, N, ring, range(t))
-    seeds, _, signs = quantum_trajectory(B, sched.sequence[:t], N, ring)
-    rhs = _universal_product(seeds, sched.sequence, signs, B, N, ring)
+    rhs = _universal_product(B, sched.sequence[:t], N, ring)
     dev = torus.deviation_from(lhs, rhs)
     return Residual("shuffle", N, tuple(dev), ring.name)
 
 
 def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
-                     N: int, q0=None):
+                     N: int, q0=None, tropical=None):
     """The two scalar identities behind the noncompact tropical form.
 
-    The first is the tropical identity itself.  The second is its
-    order-reversed twin for the dual generators: with the coefficient
-    variable playing qbar = 1/q_dual, the dual generators obey the
-    commutation of the opposite matrix -B, and the reversed product of
-    the same factors is again 1.  Both products are built from the
-    closed-form monomial factors (_psi_monomial), and each is checked as
-    its first half against the inverse of its second half
-    (_tropical_residual): each residual is left - right, whose
-    lowest-degree terms are those of P - 1.
+    The first is the tropical identity itself: `tropical` may pass
+    verify_tropical_identity's Residual for the same arguments, whose
+    residual is reused.  The second is its order-reversed twin for the
+    dual generators: with the coefficient variable playing qbar =
+    1/q_dual, they obey the commutation of the opposite matrix -B, and
+    the reversed product of the same factors is again 1.  It is the
+    image of the B-side product under the anti-isomorphism Y^a -> Y^a
+    from the B-torus to the -B-torus, so its verdict equals dual-q's;
+    it stays as a check on orientation handling.  Both products are
+    built from the closed-form monomial factors (_psi_monomial) and
+    checked as left - right (_tropical_residual), whose lowest-degree
+    terms are those of P - 1.
     """
     require_period(B, sched)
     ring = _ring(q0)
     ss = sign_sequence(B, sched)
     L = sched.length
-    dev1 = _tropical_residual(B, ss, N, ring, range(L))
+    dev1 = (_tropical_residual(B, ss, N, ring, range(L)) if tropical is None
+            else tropical.residual_terms)
     Bop = ExchangeMatrix([[-x for x in r] for r in B.rows])
     dev2 = _tropical_residual(Bop, ss, N, ring, reversed(range(L)))
     return (Residual("dual-q", N, dev1, ring.name),

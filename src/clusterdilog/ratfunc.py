@@ -36,8 +36,9 @@ torus sum or series with their scalars, or two coefficients with +-1.
 It multiplies the packed numerators as plain ints at one digit width,
 sums the products sharing a denominator exponent vector with q-powers
 aligned by shifts above the lowest, and lifts each such group onto the
-common denominator once, so no pair becomes a coefficient of its own;
-the result's lo is the lowest q-power of the groups.
+common denominator once, so no pair becomes a coefficient of its own.
+A lone group, as in every sum with no denominator, is the result as it
+stands.  The numerator's zero low digits then move into lo.
 """
 
 from __future__ import annotations
@@ -451,9 +452,11 @@ class ExactField:
 
         The products are taken on the packed numerators as plain ints, at
         one digit width, and summed per denominator exponent vector with
-        their q-powers aligned by shifts; each such group is then lifted
-        onto the common denominator once.  A lone pair is one
-        `mul_shifted`."""
+        their q-powers aligned by shifts.  A lone nonzero group is the
+        result; several are each lifted onto the common denominator once
+        and summed.  The result's lo is the lowest q-power of its groups
+        plus the numerator's q-order, shifted out of the digits.  A lone
+        pair is one `mul_shifted`."""
         if len(triples) == 1:
             c, e, j = triples[0]
             return c.mul_shifted(e, j)
@@ -469,13 +472,17 @@ class ExactField:
         groups = [(fac, g) for fac, g in groups.items() if g[0]]
         if not groups:
             return _ZERO_COEF
-        lo = min(g[1] for _, g in groups)
-        dfac = _max_fac(fac for fac, _ in groups)
-        nums = [_lift(Poly(val, top - low, bound, k), low - lo,
-                      _fac_diff(dfac, fac))
-                for fac, (val, low, top, bound) in groups]
-        return QCoefficient(nums[0] if len(nums) == 1 else _poly_sum(nums),
-                            lo, dfac)
+        if len(groups) == 1:
+            (dfac, (val, lo, top, bound)), = groups
+            num = Poly(val, top - lo, bound, k)
+        else:
+            lo = min(g[1] for _, g in groups)
+            dfac = _max_fac(fac for fac, _ in groups)
+            num = _poly_sum([_lift(Poly(val, top - low, bound, k), low - lo,
+                                   _fac_diff(dfac, fac))
+                             for fac, (val, low, top, bound) in groups])
+        j = num.q_order() if num.val else 0
+        return QCoefficient(num.unshift(j) if j else num, lo + j, dfac)
 
     @staticmethod
     def psi_coefficient(n):

@@ -170,8 +170,8 @@ def _rebase(elem: TorusElement, scalar, newbase: tuple, out: dict) -> None:
             out.setdefault(d, []).append((c, scalar, 0))
         return
     B, N = elem.matrix, elem.order
-    head = pairing(newbase, s, B)
     row_s = _row_B(s, B)
+    head = -sum(map(_times, row_s, newbase))    # <newbase, s>
     for d, c in elem.terms.items():
         nd = tuple(si + di for si, di in zip(s, d))
         if sum(nd) > N:
@@ -223,8 +223,8 @@ def _capped_product(a: TorusElement, b: TorusElement,
         room = cap - sum(d)
         if room < 0:
             continue
-        e1 = head + 2 * pairing(g2, d, B)
         row_d = _row_B(d, B)
+        e1 = head - 2 * sum(map(_times, row_d, g2))     # + 2 <g2, d>
         for we, e, ce in bterms:
             if we > room:
                 break

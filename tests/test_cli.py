@@ -98,6 +98,33 @@ class TestVerify:
         assert code == 0
         assert len(rep["results"]) == 2
 
+    @pytest.mark.parametrize("modes", [("quantum-tropical", "dual"),
+                                       ("dual", "quantum-tropical")])
+    def test_dual_reuses_the_tropical_check(self, capsys, monkeypatch,
+                                            modes):
+        """The dual pair's dual-q residual is the tropical check's, so a
+        launch running both builds the B-side half products once: two
+        residuals and six multiplies on A2 at N = 6, in either order."""
+        from clusterdilog import qident
+        counts = {"residual": 0, "multiply": 0}
+
+        def counted(name, f):
+            def wrapper(*a):
+                counts[name] += 1
+                return f(*a)
+            return wrapper
+
+        monkeypatch.setattr(qident, "_tropical_residual",
+                            counted("residual", qident._tropical_residual))
+        monkeypatch.setattr(qident, "multiply",
+                            counted("multiply", qident.multiply))
+        code, rep = run_json(capsys, "verify", *modes, "--builtin", "A2",
+                             "-N", "6")
+        assert code == 0 and rep["verdict"] == "PASS"
+        assert counts == {"residual": 2, "multiply": 6}
+        dual = rep["results"][modes.index("dual")]
+        assert dual["direct"]["identity"] == "dual-q"
+
     def test_saddle(self, capsys):
         code, rep = run_json(capsys, "verify", "saddle", "--builtin", "A2",
                              "--trials", "10")

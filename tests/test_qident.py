@@ -505,6 +505,60 @@ class TestShuffle:
             assert verify_shuffle(B3, sched, t, 4).passed, t
 
 
+class TestTrimmedWalk:
+    """The universal product walks the quantum trajectory only as far as
+    its factors read: the seed after the last step is never built, so L
+    steps make L - 1 mutations, and the last factor reads Y_{k_t}(t) or
+    inverts it.  Its factors are those built from the full trajectory."""
+
+    CASES = [
+        (A2, A2_SCHED.sequence, 6),
+        (principal_extension(A2), A2_SCHED.sequence, 5),
+        (A3_LINEAR, A3_PERIOD.sequence, 4),
+        (A3_LINEAR, (2, 3, 1, 2, 3, 1), 4),   # not a period
+    ]
+
+    @staticmethod
+    def record(monkeypatch):
+        """Lists that fill with the factors multiplied by `_product` and
+        with the steps `quantum_mutate` makes."""
+        factors, steps = [], []
+        product, mutate = qident._product, qident.quantum_mutate
+
+        def recording(fs, *rest):
+            fs = list(fs)
+            factors.extend(fs)
+            return product(fs, *rest)
+
+        def counting(seed, k, eps=1):
+            steps.append(k)
+            return mutate(seed, k, eps)
+
+        monkeypatch.setattr(qident, "_product", recording)
+        monkeypatch.setattr(qident, "quantum_mutate", counting)
+        return factors, steps
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=["A2", "A2-principal", "A3", "A3-word"])
+    def test_factors_match_full_trajectory(self, monkeypatch, case):
+        B, word, N = case
+        seeds, actives, signs = quantum_trajectory(B, word, N)
+        assert signs[-1] < 0    # the last factor inverts its argument
+        expected = [psi_series(actives[t]) if signs[t] > 0
+                    else psi_inverse_series(seeds[t + 1].Y[k - 1])
+                    for t, k in reversed(list(enumerate(word)))]
+        factors, steps = self.record(monkeypatch)
+        qident._universal_product(B, word, N, ratfunc.EXACT)
+        assert factors == expected
+        assert steps == list(word[:-1])
+
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_shuffle_cut_mutates_t_minus_one_times(self, monkeypatch, t):
+        _, steps = self.record(monkeypatch)
+        assert verify_shuffle(A2, A2_SCHED, t, 6).passed
+        assert steps == list(A2_SCHED.sequence[:t - 1])
+
+
 class TestRankThreePeriods:
     """Genuinely three-dimensional periods of the linear rank-3 quiver,
     including the length-9 source sequence; every identity form must
@@ -554,6 +608,22 @@ class TestDualPair:
         r1, r2 = verify_dual_pair(A2, A2_SCHED, 6)
         assert r1.passed and r2.passed
         assert r1.identity == "dual-q" and r2.identity == "dual-qbar"
+
+    def test_reuses_a_given_tropical_residual(self, monkeypatch):
+        """Given the tropical check's Residual, the pair reports the same
+        as without it, and builds only the -B side."""
+        tropical = verify_tropical_identity(A2, A2_SCHED, 6)
+        plain = verify_dual_pair(A2, A2_SCHED, 6)
+        orders = []
+        residual = qident._tropical_residual
+
+        def recording(B, ss, N, ring, order):
+            orders.append(list(order))
+            return residual(B, ss, N, ring, orders[-1])
+
+        monkeypatch.setattr(qident, "_tropical_residual", recording)
+        assert verify_dual_pair(A2, A2_SCHED, 6, tropical=tropical) == plain
+        assert orders == [[4, 3, 2, 1, 0]]
 
     def test_a1_trivial(self):
         r1, r2 = verify_dual_pair(A1, A1_SCHED, 6)

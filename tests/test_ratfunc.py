@@ -477,6 +477,88 @@ class TestFieldAxiomsProperty:
                                      + b.evaluate(x) * inv.evaluate(x) / x)
 
 
+# denominator exponent vectors: none, (1 - q^2), (1 - q^4), and a deeper one
+DENOMINATORS = [(), (1,), (0, 1), (2, 0, 1)]
+
+
+@st.composite
+def pair_sums(draw):
+    """(kind, triples): two to six (c_d, c_e, j) triples whose products
+    carry no denominator, all one denominator exponent vector, or
+    several.  Coefficients of up to 2^34 make products whose group sums
+    outgrow 64-bit digits.  A product and its negation are sometimes
+    added below all the others, so that the sum's low digits vanish."""
+    kind = draw(st.sampled_from(["none", "one", "several"]))
+    big = draw(st.sampled_from([5, 2**34]))
+    shared = draw(st.sampled_from(DENOMINATORS[1:]))
+
+    def coefficient(fac):
+        num = draw(st.lists(st.integers(-big, big), min_size=1,
+                            max_size=4).filter(any))
+        return QCoefficient(Poly.from_coeffs(num), draw(st.integers(-3, 3)),
+                            fac)
+
+    triples = []
+    for _ in range(draw(st.integers(2, 6))):
+        if kind == "several":
+            facs = draw(st.sampled_from(DENOMINATORS)), draw(
+                st.sampled_from(DENOMINATORS))
+        else:
+            facs = (shared if kind == "one" else ()), ()
+        c, e = map(coefficient, facs)
+        triples.append((c, e, draw(st.integers(-4, 4))))
+    if draw(st.booleans()):
+        c, e, _ = triples[0]
+        j = min(j + a.lo + b.lo for a, b, j in triples) - c.lo - e.lo - 1
+        triples += [(c, e, j), (-c, e, j)]
+    return kind, triples
+
+
+class TestPairSumProperty:
+    """`pair_sum` over drawn triples against the same products added one
+    at a time and against exact evaluation: a lone group is returned as
+    it stands, several are lifted and summed, and either way the
+    numerator's zero low digits move into lo."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pair_sums(), x=points)
+    def test_matches_products_added_one_at_a_time(self, case, x):
+        kind, triples = case
+        total = EXACT.pair_sum(triples)
+        acc = EXACT.zero()
+        for c, e, j in triples:
+            acc = acc + c.mul_shifted(e, j)
+        expected = sum(c.evaluate(x) * e.evaluate(x) * x**j
+                       for c, e, j in triples)
+        assert total.evaluate(x) == acc.evaluate(x) == expected
+        assert total == acc and hash(total) == hash(acc)
+        if kind == "none":
+            assert total.dfac == ()
+        if not total.is_zero():
+            num = total.num
+            assert num.q_order() == 0
+            assert num.bound.bit_length() < num.k
+            assert all(abs(v) <= num.bound for v in num.coeffs())
+
+    def test_cancelled_low_digits_move_into_lo(self):
+        """((1 + 2q) - 1 + 3q^2) q^-1 / (1 - q^2) is (2 + 3q) / (1 - q^2):
+        one group, whose lowest digit cancels and moves into lo."""
+        a = QCoefficient(Poly.from_coeffs([1, 2]), -1, (1,))
+        b = QCoefficient(Poly.from_coeffs([1]), -1, (1,))
+        total = EXACT.pair_sum([(a, ONE, 0), (b, coef([-1]), 0),
+                                (b, coef([3]), 2)])
+        assert (total.num.coeffs(), total.lo, total.dfac) == ((2, 3), 0, (1,))
+
+    def test_no_denominator_stays_lone(self):
+        """A sum with no denominator factor at 128-bit digits: the group is
+        the result, with no lift, and its width is that of its bound."""
+        big = coef([2**40, 1])
+        total = EXACT.pair_sum([(big, big, 0), (big, big, 1), (big, ONE, 3)])
+        assert total.dfac == () and total.num.k == 128
+        assert total.num.coeffs() == (2**80, 2**80 + 2**41, 2**41 + 1,
+                                      2**40 + 1, 1)
+
+
 @st.composite
 def q_multiples(draw):
     """(width, coeffs, j, lo, n): the numerator coeffs * q^j times q^lo over
@@ -627,6 +709,7 @@ class TestLift:
         (66,),                      # at k = 64, widened part-way
         (70,),                      # C(70, 35) > 2^63
         (40, 0, 30, 0, 1),
+        (1,) * 10,                  # (q^2; q^2)_10, up to 1 - q^20
     ])
     @pytest.mark.parametrize("k", [64, 128, 256])
     @pytest.mark.parametrize("dq", [0, 3])

@@ -6,8 +6,11 @@ Each mutant below is a named text replacement (file, old, new) in the
 package sources.  For each one, one at a time, the repository is copied
 to a temporary directory, the mutant is applied there (its old text must
 occur exactly once), and tier-1 runs in the copy with `-x` under a
-timeout of FACTOR (3) times a clean run of the same copy.  The result is
-one of:
+timeout of FACTOR (3) times a clean run of the same copy.  The mutated
+module's own test file (tests/test_<module>.py), if there is one, runs
+first and the rest of tier-1 after it, so a mutant dies as soon as its
+module's tests catch it; together the two runs are all of tier-1.  The
+result is one of:
 
   killed      a test failed;
   survived    every test passed;
@@ -71,6 +74,26 @@ MUTANTS = [
            "return c.mul_shifted(e, j)",
            "return c.mul_shifted(e, 0)",
            "pair_sum's lone-triple path drops the q-exponent"),
+    Mutant("lone-group-no-low", PKG + "ratfunc.py",
+           "(dfac, (val, lo, top, bound)), = groups\n"
+           "            num = Poly(val, top - lo, bound, k)",
+           "(dfac, (val, low, top, bound)), = groups\n"
+           "            num, lo = Poly(val, top - low, bound, k), 0",
+           "pair_sum returns a lone group without its lowest q-power"),
+    Mutant("lone-group-top-nd", PKG + "ratfunc.py",
+           "num = Poly(val, top - lo, bound, k)",
+           "num = Poly(val, top, bound, k)",
+           "pair_sum takes a lone group's top q-power as its digit count"),
+    Mutant("q-order-not-in-lo", PKG + "ratfunc.py",
+           "return QCoefficient(num.unshift(j) if j else num, lo + j, dfac)",
+           "return QCoefficient(num.unshift(j) if j else num, lo, dfac)",
+           "pair_sum shifts the zero low digits out of a result without "
+           "adding their count to lo"),
+    Mutant("last-step-wrong-seed", PKG + "qident.py",
+           "else invert(seed.Y[k - 1]))",
+           "else invert(walk[t - 1][0].Y[k - 1]))",
+           "the universal product's last step with eps < 0 inverts Y_k of "
+           "the seed before its own"),
     Mutant("eq-plus-one", PKG + "ratfunc.py",
            "(other, -_ONE_COEF, 0)",
            "(other, _ONE_COEF, 0)",
@@ -212,25 +235,32 @@ MUTANTS = [
 ]
 
 
-def tier1(root: Path, timeout: float):
-    """(status, seconds, last line of output) of tier-1 with -x in root."""
+def tier1(root: Path, timeout: float, first=None):
+    """(status, seconds, last line of output) of tier-1 with -x in root:
+    the test file `first` (relative to root), if given, then the rest."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, (str(root / "src"),
                                  os.environ.get("PYTHONPATH")))))
-    start = time.perf_counter()
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "--continue-on-collection-errors"],
-            cwd=root, env=env, capture_output=True, text=True,
-            timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timed out", time.perf_counter() - start, ""
-    lines = proc.stdout.strip().splitlines()
-    last = lines[-1] if lines else proc.stderr.strip()[-200:]
-    status = "survived" if proc.returncode == 0 else "killed"
-    return status, time.perf_counter() - start, last
+    stages = [[]] if first is None else [[first], [f"--ignore={first}"]]
+    start, lasts = time.perf_counter(), []
+    for args in stages:
+        left = None if timeout is None else timeout - (time.perf_counter()
+                                                       - start)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", "--continue-on-collection-errors",
+                 *args],
+                cwd=root, env=env, capture_output=True, text=True,
+                timeout=left)
+        except subprocess.TimeoutExpired:
+            return "timed out", time.perf_counter() - start, ""
+        lines = proc.stdout.strip().splitlines()
+        lasts.append(lines[-1] if lines else proc.stderr.strip()[-200:])
+        if proc.returncode != 0:
+            return "killed", time.perf_counter() - start, lasts[-1]
+    return "survived", time.perf_counter() - start, "; ".join(lasts)
 
 
 def copy_with(mutant, workdir: Path) -> Path:
@@ -252,9 +282,18 @@ def copy_with(mutant, workdir: Path) -> Path:
     return root
 
 
+def module_tests(mutant):
+    """The mutated module's own test file, relative to the root, or None."""
+    if mutant is None:
+        return None
+    path = f"tests/test_{Path(mutant.path).stem}.py"
+    return path if (ROOT / path).exists() else None
+
+
 def run(mutant, timeout: float):
     with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
-        return tier1(copy_with(mutant, Path(tmp)), timeout)
+        return tier1(copy_with(mutant, Path(tmp)), timeout,
+                     module_tests(mutant))
 
 
 def main(argv=None):
