@@ -100,7 +100,9 @@ def _build_parser():
     p.add_argument("--cut", type=_positive_int, default=None,
                    help="shuffle cut index (default: every cut)")
     p.add_argument("--q0", type=_rational_point, default=None,
-                   help="rational point for the probabilistic fast mode, e.g. 3/8")
+                   help="rational point q0, e.g. 3/8: a probabilistic "
+                   "cross-check in Fraction arithmetic, independent of the "
+                   "packed numerators (slower than the exact check)")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="deformation parameter as 're,im'")
     p.add_argument("--rng-seed", type=int, default=20111101)
@@ -279,7 +281,7 @@ def _verify_saddle(B, sched, args, rng):
 
 
 def _verify_saddle_lambda(B, sched, args, rng):
-    from .saddle import action, build_solution, residuals
+    from .saddle import build_solution, residuals
     tol = args.tol if args.tol is not None else 1e-6
     if args.lam:
         lams = [_parse_complex(args.lam)]
@@ -291,8 +293,9 @@ def _verify_saddle_lambda(B, sched, args, rng):
     for lam in lams:
         u1 = rng().uniform(-0.5, 0.5, size=B.n)
         st = build_solution(B, sched, u1, mode="lambda", lam=lam)
-        val, cross = action(st, B, sched)
-        ok = abs(val) < tol and residuals(st, B, sched).max_residual < 1e-9
+        rep = residuals(st, B, sched)
+        val, cross = rep.action_value, rep.cross_check_value
+        ok = abs(val) < tol and rep.max_residual < 1e-9
         passed = passed and ok
         rows.append({"lambda": str(lam), "abs_action": abs(val),
                      "abs_action_minus_cross": abs(val - cross)})

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import BranchProximity, PoleHit
 from .exchange import (ExchangeMatrix, MutationSchedule, NumericSeed,
-                       _exchange_values, _periodic_walk, _positive)
+                       _y_path, require_period)
 
 PI2_6 = math.pi**2 / 6
 
@@ -184,17 +184,13 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
     """Follow the y-variables from y0 > 0 along the period and evaluate
     the three Rogers sums attached to it.
 
-    One integer walk gives B(t) and the tropical signs; the exchange
-    relation of `mutate_y_numeric` then runs on Python floats, rejecting
-    y0 as `NumericSeed` does and every later y as `numeric_trajectory`
-    does (OutOfRange).
+    One integer walk gives B(t) and the tropical signs, and the y-path of
+    `numeric_trajectory` the y(t), rejecting y0 as `NumericSeed` does and
+    every later y as `numeric_trajectory` does (OutOfRange).
     """
-    rows, _, signs, _, _ = _periodic_walk(B, sched)
+    rows, _, signs, _, _ = require_period(B, sched)
     seq = sched.sequence
-    ys = [NumericSeed(B, y0).values]
-    for t, k in enumerate(seq):
-        ys.append(_positive(_exchange_values(ys[t], rows[t][k - 1], k - 1),
-                            t + 2))
+    ys = _y_path(rows, seq, NumericSeed(B, y0).values)
     terms = []
     s_signed = 0.0
     s_di = 0.0

@@ -13,9 +13,10 @@ each.  `ExchangeMatrix`, `TropicalState` and `NumericSeed` hold Python
 ints or floats; their array views import numpy when read.  The validated
 value types of the package derive from `_Frozen` and its plain records
 are `NamedTuple`s, so no launch loads `dataclasses`.
-`_exchange_values` is the exchange relation on Python floats (or complex
-numbers), saturating an overflowing power at inf; `numeric_trajectory`
-wraps it, and `mutate_y_numeric` is its one-step case.
+`_y_path` is the one loop of the exchange relation, on Python floats
+(or complex numbers) along the rows of B(t) from the walk, saturating an
+overflowing power at inf; `numeric_trajectory` wraps it, and
+`mutate_y_numeric` is its one-step case.
 """
 
 from __future__ import annotations
@@ -295,8 +296,17 @@ def check_period(B: ExchangeMatrix, sched: MutationSchedule) -> PeriodReport:
     return _walk(B, sched).report
 
 
-def require_period(B: ExchangeMatrix, sched: MutationSchedule) -> None:
-    _periodic_walk(B, sched)
+def require_period(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
+    """The walk of sched (B(t), the tropical signs and the active
+    c-vectors), raising NotAPeriod unless sched is a period."""
+    walk = _walk(B, sched)
+    report = walk.report
+    if not report.periodic:
+        raise NotAPeriod(
+            f"sequence {sched.sequence} with nu={sched.nu} is not a period "
+            f"(matrix={report.matrix_periodic}, tropical={report.tropical_periodic})"
+        )
+    return walk
 
 
 class _Walk(NamedTuple):
@@ -371,36 +381,29 @@ def _cached_walk(b0: tuple, sequence: tuple, nu: tuple) -> _Walk:
     return _Walk(tuple(rows), cols, tuple(signs), tuple(alphas), report)
 
 
-def _periodic_walk(B: ExchangeMatrix, sched: MutationSchedule):
-    """`_walk`, raising NotAPeriod unless sched is a period."""
-    walk = _walk(B, sched)
-    report = walk.report
-    if not report.periodic:
-        raise NotAPeriod(
-            f"sequence {sched.sequence} with nu={sched.nu} is not a period "
-            f"(matrix={report.matrix_periodic}, tropical={report.tropical_periodic})"
-        )
-    return walk
-
-
-def _exchange_values(y, row, kk):
-    """The exchange relation of `mutate_y_numeric` at 0-based kk on a list
-    of values (float or complex), reading row kk of B(t) as ints."""
-    yk = y[kk]
-    out = [v * _power(yk, c if c > 0 else 0) * _power(1.0 + yk, -c)
-           for v, c in zip(y, row)]
-    out[kk] = 1.0 / yk
-    return out
-
-
-def _positive(y, t):
-    """y = y(t), unless one of its values is not strictly positive: a
-    float under- or overflow on the way, raised as OutOfRange."""
-    for i, v in enumerate(y, 1):
-        if not v > 0.0:
-            raise OutOfRange(f"t = {t}, index {i}: y = {v} is not strictly "
-                             "positive (a float under- or overflow)")
-    return y
+def _y_path(rows, sequence, y) -> list:
+    """y(1) = y, ..., y(L+1) along sequence, as lists: the exchange
+    relation of `mutate_y_numeric` at k_t, reading row k_t of B(t) =
+    rows[t - 1] (Python ints).  The values are floats, or complex numbers
+    in lambda-mode; a real y(t) that is not strictly positive, a float
+    under- or overflow on the way, raises OutOfRange before the next step
+    divides by it or a caller takes its logarithm."""
+    L = len(sequence)
+    ys = [list(y)]
+    for t in range(L + 1):
+        for i, v in enumerate(ys[t], 1):
+            if not (isinstance(v, complex) or v > 0.0):
+                raise OutOfRange(f"t = {t + 1}, index {i}: y = {v} is not "
+                                 "strictly positive (a float under- or "
+                                 "overflow)")
+        if t < L:
+            kk = sequence[t] - 1
+            yk = ys[t][kk]
+            nxt = [v * _power(yk, c if c > 0 else 0) * _power(1.0 + yk, -c)
+                   for v, c in zip(ys[t], rows[t][kk])]
+            nxt[kk] = 1.0 / yk
+            ys.append(nxt)
+    return ys
 
 
 def _power(x, c: int):
@@ -429,17 +432,16 @@ def extend_schedule(sched: MutationSchedule, n: int) -> MutationSchedule:
 
 
 def numeric_trajectory(B: ExchangeMatrix, sequence, y0) -> list:
-    """Seeds (B(t), y(t)) for t = 1..L+1 along a mutation sequence.  A y0
-    that is not strictly positive is a ValueError; a later y that is not
-    raises OutOfRange naming t and the index."""
-    seed = NumericSeed(B, y0)
-    out = [seed]
-    for t, k in enumerate(sequence, 2):
-        kk = seed.matrix.check_index(k)
-        y = _exchange_values(seed.values, seed.matrix.rows[kk], kk)
-        seed = NumericSeed(mutate_matrix(seed.matrix, k), _positive(y, t))
-        out.append(seed)
-    return out
+    """Seeds (B(t), y(t)) for t = 1..L+1 along a mutation sequence, B(t)
+    read off the walk.  A y0 that is not strictly positive is a
+    ValueError and an index outside 1..n an IndexError; a later y that is
+    not strictly positive raises OutOfRange naming t and the index."""
+    y0 = NumericSeed(B, y0).values
+    sched = MutationSchedule.identity_nu(
+        [B.check_index(k) + 1 for k in sequence], B.n)
+    rows = _walk(B, sched).rows
+    return [NumericSeed(ExchangeMatrix(b), y)
+            for b, y in zip(rows, _y_path(rows, sched.sequence, y0))]
 
 
 def numeric_period_residual(B: ExchangeMatrix, sched: MutationSchedule, y0) -> float:

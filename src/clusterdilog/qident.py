@@ -22,7 +22,7 @@ from typing import NamedTuple
 from . import ratfunc, torus
 from .errors import NonTruncating
 from .exchange import (ExchangeMatrix, MutationSchedule, _walk, mutate_matrix,
-                       require_period, sign_sequence)
+                       require_period)
 from .torus import (TorusElement, invert, monomial, multiply, power,
                     psi_inverse_series, psi_series, unit)
 
@@ -106,16 +106,16 @@ def quantum_trajectory(B: ExchangeMatrix, sequence, N: int, ring=ratfunc.EXACT):
     Returns (seeds, actives, signs): the L+1 seeds, the active variable
     Y_{k_t}(t) at each step, and the tropical sign-sequence.
     """
-    seeds, ks, signs = map(list, zip(*_quantum_walk(B, sequence, N, ring)))
-    return seeds, [s.Y[k - 1] for s, k in zip(seeds, ks[:-1])], signs[:-1]
+    signs = _walk(B, MutationSchedule.identity_nu(sequence, B.n)).signs
+    seeds, ks, _ = map(list, zip(*_quantum_walk(B, sequence, signs, N, ring)))
+    return seeds, [s.Y[k - 1] for s, k in zip(seeds, ks[:-1])], list(signs)
 
 
-def _quantum_walk(B: ExchangeMatrix, sequence, N: int, ring):
+def _quantum_walk(B: ExchangeMatrix, sequence, signs, N: int, ring):
     """Yield (seed, k, eps) before each step of `sequence`, eps the
-    tropical sign, then (last seed, None, None).  A step's mutation runs
-    only when the next item is asked for, so a caller that stops early
-    never builds a seed it does not read."""
-    signs = sign_sequence(B, MutationSchedule.identity_nu(sequence, B.n)).signs
+    tropical sign from `signs`, then (last seed, None, None).  A step's
+    mutation runs only when the next item is asked for, so a caller that
+    stops early never builds a seed it does not read."""
     seed = initial_quantum_seed(B, N, ring)
     for k, eps in zip(sequence, signs):
         yield seed, k, eps
@@ -213,16 +213,18 @@ def _product(factors, B, N, ring) -> TorusElement:
     return unit(B, N, ring) if P is None else P
 
 
-def _tropical_product(B, ss, N, ring, steps, power=1):
+def _tropical_product(B, walk, N, ring, steps, power=1):
     """Product of Psi(Y^(eps_t alpha_t))^(power * eps_t) over the steps t,
-    in order; power = -1 gives the factors' inverses."""
-    return _product((_psi_monomial(tuple(ss.signs[t] * a for a in ss.cvectors[t]),
-                                   power * ss.signs[t], B, N, ring)
+    in order, with eps_t and alpha_t read off the walk; power = -1 gives
+    the factors' inverses."""
+    return _product((_psi_monomial(tuple(walk.signs[t] * a
+                                         for a in walk.alphas[t]),
+                                   power * walk.signs[t], B, N, ring)
                      for t in steps),
                     B, N, ring)
 
 
-def _tropical_residual(B, ss, N, ring, order) -> tuple:
+def _tropical_residual(B, walk, N, ring, order) -> tuple:
     """Check that the product P of Psi(Y^(eps_t alpha_t))^(eps_t) over the
     steps t of `order` is 1, as its first half against its inverted
     second half.
@@ -236,14 +238,15 @@ def _tropical_residual(B, ss, N, ring, order) -> tuple:
     two half products stay far sparser than P itself."""
     order = list(order)
     m = len(order) // 2
-    left = _tropical_product(B, ss, N, ring, order[:m])
-    right = _tropical_product(B, ss, N, ring, reversed(order[m:]), -1)
+    left = _tropical_product(B, walk, N, ring, order[:m])
+    right = _tropical_product(B, walk, N, ring, reversed(order[m:]), -1)
     return tuple(torus.deviation_from(left, right))
 
 
-def _universal_product(B, sequence, N, ring):
+def _universal_product(B, sequence, signs, N, ring):
     """Reverse-ordered product of Psi(Y_t^eps_t)^(eps_t) at the active
-    quantum y-variables Y_t = Y_{k_t}(t) along `sequence`.
+    quantum y-variables Y_t = Y_{k_t}(t) along `sequence`, eps_t the
+    tropical signs `signs`.
 
     eps_t > 0 takes psi_series of Y_t.  eps_t < 0 takes Euler's series
     for 1/Psi (psi_inverse_series) of Y_t^-1, which quantum_mutate
@@ -252,7 +255,7 @@ def _universal_product(B, sequence, N, ring):
     is one invert, and a positive sign reads Y_t alone.  So a sequence of
     L steps makes L - 1 mutations."""
     L = len(sequence)
-    walk = list(islice(_quantum_walk(B, sequence, N, ring), L))
+    walk = list(islice(_quantum_walk(B, sequence, signs, N, ring), L))
 
     def factor(t):
         seed, k, eps = walk[t]
@@ -272,10 +275,9 @@ def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
     residual is left - right, the first half of the product against the
     inverse of the second half (_tropical_residual); its lowest-degree
     terms are those of P - 1."""
-    require_period(B, sched)
+    walk = require_period(B, sched)
     ring = _ring(q0)
-    ss = sign_sequence(B, sched)
-    dev = _tropical_residual(B, ss, N, ring, range(sched.length))
+    dev = _tropical_residual(B, walk, N, ring, range(sched.length))
     return Residual("tropical", N, dev, ring.name)
 
 
@@ -286,9 +288,9 @@ def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
     each factor is a torus series: psi_series where the tropical sign is
     positive, Euler's series for 1/Psi at the trajectory's own inverse
     where it is negative (see _universal_product)."""
-    require_period(B, sched)
+    walk = require_period(B, sched)
     ring = _ring(q0)
-    P = _universal_product(B, sched.sequence, N, ring)
+    P = _universal_product(B, sched.sequence, walk.signs, N, ring)
     dev = torus.deviation_from(P, unit(B, N, ring))
     return Residual("universal", N, tuple(dev), ring.name)
 
@@ -305,9 +307,9 @@ def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
     if not 1 <= t <= L:
         raise ValueError(f"cut index t={t} outside 1..{L}")
     ring = _ring(q0)
-    ss = sign_sequence(B, sched)
-    lhs = _tropical_product(B, ss, N, ring, range(t))
-    rhs = _universal_product(B, sched.sequence[:t], N, ring)
+    walk = _walk(B, sched)
+    lhs = _tropical_product(B, walk, N, ring, range(t))
+    rhs = _universal_product(B, sched.sequence[:t], walk.signs[:t], N, ring)
     dev = torus.deviation_from(lhs, rhs)
     return Residual("shuffle", N, tuple(dev), ring.name)
 
@@ -329,14 +331,13 @@ def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,
     checked as left - right (_tropical_residual), whose lowest-degree
     terms are those of P - 1.
     """
-    require_period(B, sched)
+    walk = require_period(B, sched)
     ring = _ring(q0)
-    ss = sign_sequence(B, sched)
     L = sched.length
-    dev1 = (_tropical_residual(B, ss, N, ring, range(L)) if tropical is None
+    dev1 = (_tropical_residual(B, walk, N, ring, range(L)) if tropical is None
             else tropical.residual_terms)
     Bop = ExchangeMatrix([[-x for x in r] for r in B.rows])
-    dev2 = _tropical_residual(Bop, ss, N, ring, reversed(range(L)))
+    dev2 = _tropical_residual(Bop, walk, N, ring, reversed(range(L)))
     return (Residual("dual-q", N, dev1, ring.name),
             Residual("dual-qbar", N, dev2, ring.name))
 

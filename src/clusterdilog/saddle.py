@@ -13,7 +13,8 @@ and the equations from varying u(t) and p(t) (`_equations`, which takes
 exp and log as arguments).  `build_solution` solves the system in
 closed form, `residuals` evaluates it on scalars, `newton_refine` on
 batched numpy rows (numpy imported there only), and `coordinate_maps`
-is the momentum map and its transpose as integer matrices.
+is the momentum map and its transpose as integer matrices.  `action` is
+the one evaluation of the phase; `residuals` reports its value.
 
 Two modes: "b" works with real u(1) and the positive real trajectory;
 "lambda" deforms the exponent by a complex unit-like parameter with
@@ -29,8 +30,8 @@ from typing import NamedTuple
 
 from .dilog import li2, rogers_L, rogers_L_complex
 from .errors import BranchProximity, OutOfRange
-from .exchange import (ExchangeMatrix, MutationSchedule, _exchange_values,
-                       _periodic_walk, _positive, _units, _walk)
+from .exchange import (ExchangeMatrix, MutationSchedule, _units, _walk,
+                       _y_path, require_period)
 
 _GUARD = 1e-6
 _MAX_IM_LAMBDA = 0.1  # lambda-mode keeps Im lambda within this
@@ -123,7 +124,6 @@ class SaddleState(NamedTuple):
     ys: tuple
     yactive: tuple
     signs: tuple
-    action: complex = 0.0
 
     @property
     def length(self) -> int:
@@ -140,7 +140,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
     through the monomial maps.  Every stationarity equation then holds
     identically.
     """
-    mats, _, signs, _, _ = _periodic_walk(B, sched)
+    mats, _, signs, _, _ = require_period(B, sched)
     n, L = B.n, sched.length
     seq = sched.sequence
     if L == 0:
@@ -176,11 +176,7 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
         except OverflowError:
             raise OutOfRange(f"t = 1, index {i}: y = exp({2 * w}) "
                              "overflows") from None
-    ys = [y]
-    for t in range(L):
-        if mode == "b":     # before 1 / y_k and the logarithms of y(t)
-            _positive(ys[t], t + 1)
-        ys.append(_exchange_values(ys[t], mats[t][seq[t] - 1], seq[t] - 1))
+    ys = _y_path(mats, seq, y)
     yactive = [ys[t][seq[t] - 1] for t in range(L)]
 
     # (ii) u(t) by the half-logarithmic exchange rule
@@ -213,10 +209,8 @@ def build_solution(B: ExchangeMatrix, sched: MutationSchedule, u1,
           for t in range(L - 1)] + [_closing_row(mats, sched, signs, w1)]
 
     tup = lambda rows: tuple(tuple(r) for r in rows)
-    state = SaddleState(mode, lam, tup(us), tup(ps), tup(pts), tup(ws),
-                        tup(ys), tuple(yactive), signs)
-    value, _ = _evaluate_action(state)
-    return state._replace(action=value)
+    return SaddleState(mode, lam, tup(us), tup(ps), tup(pts), tup(ws),
+                       tup(ys), tuple(yactive), signs)
 
 
 class SaddleReport(NamedTuple):
@@ -259,9 +253,16 @@ def _max_abs(rows):
     return max([0.0] + [abs(r) for row in rows for r in row])
 
 
+def _require_match(state: SaddleState, B: ExchangeMatrix,
+                   sched: MutationSchedule) -> None:
+    if B.n != len(state.u[0]) or sched.length != state.length:
+        raise ValueError("state does not match the given seed and schedule")
+
+
 def residuals(state: SaddleState, B: ExchangeMatrix,
               sched: MutationSchedule) -> SaddleReport:
     """Evaluate every stationarity equation at the state."""
+    _require_match(state, B, sched)
     n, L = B.n, sched.length
     seq = sched.sequence
     lam = state.lam
@@ -301,13 +302,8 @@ def action(state: SaddleState, B: ExchangeMatrix,
     cross = -(1/2) sum_t eps_t L(y_a^eps / (1 + y_a^eps)); both vanish
     on a period.
     """
-    if B.n != len(state.u[0]) or sched.length != state.length:
-        raise ValueError("state does not match the given seed and schedule")
-    return _evaluate_action(state)
-
-
-def _evaluate_action(state: SaddleState):
-    n, L = len(state.u[0]), state.length
+    _require_match(state, B, sched)
+    n, L = B.n, sched.length
     lam = state.lam
     value = 0.0 + 0.0j
     cross = 0.0 + 0.0j
@@ -315,10 +311,8 @@ def _evaluate_action(state: SaddleState):
         eps = state.signs[t]
         ya = state.yactive[t] if eps > 0 else 1.0 / state.yactive[t]
         if state.mode == "b":
-            value += 0.5 * eps * li2(-ya.real if isinstance(ya, complex) else -ya)
-            cross += -0.5 * eps * rogers_L(
-                (ya / (1.0 + ya)).real if isinstance(ya, complex)
-                else ya / (1.0 + ya))
+            value += 0.5 * eps * li2(-ya)
+            cross += -0.5 * eps * rogers_L(ya / (1.0 + ya))
         else:
             value += 0.5 * eps * li2(complex(-ya))
             cross += -0.5 * eps * rogers_L_complex(ya / (1.0 + ya))
@@ -342,6 +336,7 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
     and at x0 +- _NEWTON_H e_j, with exp and log taken element by element
     by `math`, so each entry equals its unbatched value.
     """
+    _require_match(state, B, sched)
     if state.mode != "b":
         raise ValueError("refinement is defined for the real mode")
     import numpy as np

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clusterdilog import exchange, qident
-from clusterdilog.errors import MixedSignCVector, NotAPeriod, ZeroCVector
+from clusterdilog.errors import (MixedSignCVector, NotAPeriod, OutOfRange,
+                                 ZeroCVector)
 from clusterdilog.exchange import (
     ExchangeMatrix,
     MutationSchedule,
@@ -113,6 +114,14 @@ class TestMutateYNumeric:
         y = rng.uniform(0.1, 10.0, size=2)
         traj = numeric_trajectory(A2, A2_SCHED.sequence, y)
         assert traj[-1].y == pytest.approx(y[::-1], rel=1e-12)
+
+    def test_out_of_range_at_the_last_seed(self):
+        """The positivity check covers y(L+1): one step along an entry of
+        10**20 underflows y_2 to 0.0."""
+        B = ExchangeMatrix([[0, 10**20], [-10**20, 0]])
+        with pytest.raises(OutOfRange, match=r"^t = 2, index 2: y = 0\.0 "
+                                             "is not strictly positive"):
+            numeric_trajectory(B, (1,), [1.0, 1.0])
 
     def test_a2_active_values_at_unit_point(self):
         traj = numeric_trajectory(A2, A2_SCHED.sequence, [1.0, 1.0])

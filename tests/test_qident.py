@@ -368,11 +368,13 @@ class TestHalfSplit:
     @pytest.mark.parametrize("word", [(1, 2, 1), (1, 2, 1, 2), (2, 1, 2, 1, 2, 1)])
     @pytest.mark.parametrize("N", [6, 9])
     def test_fail_report_leads_with_p_minus_one(self, ring, word, N):
-        ss = sign_sequence(A2, MutationSchedule.identity_nu(word, 2))
+        sched = MutationSchedule.identity_nu(word, 2)
+        ss = sign_sequence(A2, sched)
         L = len(word)
         A2op = ExchangeMatrix([[-x for x in r] for r in A2.rows])
         for B, order in ((A2, range(L)), (A2op, list(reversed(range(L))))):
-            split = qident._tropical_residual(B, ss, N, ring, order)
+            split = qident._tropical_residual(B, _walk(A2, sched), N, ring,
+                                              order)
             P = self.full_fold(B, ss, N, ring, order)
             dev = torus.deviation_from(P, unit(B, N, ring))
             assert split and dev
@@ -548,7 +550,7 @@ class TestTrimmedWalk:
                     else psi_inverse_series(seeds[t + 1].Y[k - 1])
                     for t, k in reversed(list(enumerate(word)))]
         factors, steps = self.record(monkeypatch)
-        qident._universal_product(B, word, N, ratfunc.EXACT)
+        qident._universal_product(B, word, signs, N, ratfunc.EXACT)
         assert factors == expected
         assert steps == list(word[:-1])
 

@@ -127,6 +127,23 @@ class TestAction:
         assert abs(val - cross) < 1e-12
 
 
+class TestStateMatch:
+    """A state built on another seed is refused with the same ValueError
+    by each function that reads it along a seed and schedule, before any
+    index into it runs out of range.  A1 differs from A2 in rank and
+    length, A2-principal in rank only."""
+
+    @pytest.mark.parametrize("fn", [residuals, newton_refine, action],
+                             ids=["residuals", "newton_refine", "action"])
+    @pytest.mark.parametrize("name", ["A1", "A2-principal"])
+    def test_state_of_another_seed(self, fn, name):
+        st = build_solution(A2, A2_SCHED, [0.3, -0.7])
+        B, sched = builtin_seed(name)
+        with pytest.raises(ValueError,
+                           match="state does not match the given seed"):
+            fn(st, B, sched)
+
+
 class TestNewton:
     def test_step_is_negligible_at_solution(self):
         rng = np.random.default_rng(3)

@@ -135,8 +135,8 @@ MUTANTS = [
            "_series caps the powers of a zero-base argument as if its base "
            "had degree equal to its lowest shift"),
     Mutant("split-right-plus-eps", PKG + "qident.py",
-           "right = _tropical_product(B, ss, N, ring, reversed(order[m:]), -1)",
-           "right = _tropical_product(B, ss, N, ring, reversed(order[m:]), 1)",
+           "right = _tropical_product(B, walk, N, ring, reversed(order[m:]), -1)",
+           "right = _tropical_product(B, walk, N, ring, reversed(order[m:]), 1)",
            "the tropical check builds its right half from Psi^(+eps), not "
            "the inverses Psi^(-eps)"),
     Mutant("inverse-stored-only", PKG + "ratfunc.py",
@@ -189,6 +189,19 @@ MUTANTS = [
            "return _bernoulli_series(-cmath.log(u) * (z / (1.0 - u)), 30)",
            "return _bernoulli_series(-cmath.log(u), 30)",
            "complex li2 keeps the rounding of 1 - z at small z"),
+    Mutant("y-path-last-unchecked", PKG + "exchange.py",
+           "for t in range(L + 1):",
+           "for t in range(L):",
+           "the y-path computes y(L+1) but never checks it for positivity"),
+    Mutant("y-path-previous-row", PKG + "exchange.py",
+           "for v, c in zip(ys[t], rows[t][kk])]",
+           "for v, c in zip(ys[t], rows[t - 1][kk])]",
+           "the y-path steps from y(t) along row k_t of B(t-1), not B(t)"),
+    Mutant("state-match-rank", PKG + "saddle.py",
+           "if B.n != len(state.u[0]) or sched.length != state.length:",
+           "if sched.length != state.length:",
+           "the state check compares only the length, so a state of another "
+           "rank reaches the stationarity system"),
     Mutant("saddle-momentum-sign", PKG + "saddle.py",
            "return [v[i] + max(eps * b[k][i], 0) * v[k] if i != k else -v[k]",
            "return [v[i] + max(-eps * b[k][i], 0) * v[k] if i != k else -v[k]",
