@@ -98,7 +98,7 @@ def _build_parser():
                    help="tolerance (default 1e-10; 1e-6 for saddle-lambda)")
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--cut", type=_positive_int, default=None,
-                   help="shuffle cut index (default: every cut)")
+                   help="shuffle cut index (default: every cut, one walk)")
     p.add_argument("--q0", type=_rational_point, default=None,
                    help="rational point q0, e.g. 3/8: a probabilistic "
                    "cross-check in Fraction arithmetic, independent of the "
@@ -163,22 +163,24 @@ def _render_md(report, indent=0):
     return "\n".join(lines)
 
 
-def _find_rows(report):
+def _csv_rows(report):
+    """The report's first table (rows or points), else its scalars."""
     for rep in [report, *report.get("results", [])]:
         rows = rep.get("rows") or rep.get("points")
         if rows:
             return rows
-    return None
+    return [{k: v for k, v in report.items()
+             if not isinstance(v, (dict, list))}]
 
 
 def _render_csv(report):
-    rows = _find_rows(report)
-    if rows:
-        header = ",".join(rows[0].keys())
-        body = "\n".join(",".join(str(v) for v in r.values()) for r in rows)
-        return f"{header}\n{body}"
-    flat = {k: v for k, v in report.items() if not isinstance(v, (dict, list))}
-    return ",".join(flat.keys()) + "\n" + ",".join(str(v) for v in flat.values())
+    import csv
+    import io
+    rows, out = _csv_rows(report), io.StringIO()
+    writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue().removesuffix("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +240,14 @@ def _exact(name, B, sched, args, rng):
 
 
 def _verify_shuffle(B, sched, args, rng):
-    from .qident import verify_shuffle
+    from .qident import _ring, _shuffle_residuals
     cuts = [args.cut] if args.cut else list(range(1, sched.length + 1))
-    reports = [verify_shuffle(B, sched, t, args.N, q0=args.q0) for t in cuts]
+    reports = _shuffle_residuals(B, sched, cuts, args.N, args.q0)
     passed = all(r.passed for r in reports)
     return passed, {"identity": "shuffle", "order": args.N, "cuts": cuts,
                     "residual_terms": [r.to_json()["residual_terms"]
-                                       for r in reports]}
+                                       for r in reports],
+                    "mode": _ring(args.q0).name}
 
 
 def _verify_dual(B, sched, args, rng):

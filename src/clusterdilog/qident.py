@@ -7,16 +7,16 @@ which are verified here in four presentations: tropical (monomial
 arguments), universal (full y-variable arguments), the shuffle formula
 connecting the two, and the pair of identities (direct and
 order-reversed in the dual parameter) into which the noncompact
-tropical identity factorizes.  The universal check compares its product
-with 1; the tropical and dual checks compare the first half of their
-product P with the inverse of the second half, which has the same
-verdict, and a residual whose lowest-degree terms are those of P - 1.
+tropical identity factorizes.  The universal check and every shuffle
+cut read one running product along one quantum walk.  The tropical and
+dual checks compare the first half of their product P with the inverse
+of the second half, which has the same verdict, and a residual whose
+lowest-degree terms are those of P - 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple
 
 from . import ratfunc, torus
@@ -107,20 +107,10 @@ def quantum_trajectory(B: ExchangeMatrix, sequence, N: int, ring=ratfunc.EXACT):
     Y_{k_t}(t) at each step, and the tropical sign-sequence.
     """
     signs = _walk(B, MutationSchedule.identity_nu(sequence, B.n)).signs
-    seeds, ks, _ = map(list, zip(*_quantum_walk(B, sequence, signs, N, ring)))
-    return seeds, [s.Y[k - 1] for s, k in zip(seeds, ks[:-1])], list(signs)
-
-
-def _quantum_walk(B: ExchangeMatrix, sequence, signs, N: int, ring):
-    """Yield (seed, k, eps) before each step of `sequence`, eps the
-    tropical sign from `signs`, then (last seed, None, None).  A step's
-    mutation runs only when the next item is asked for, so a caller that
-    stops early never builds a seed it does not read."""
-    seed = initial_quantum_seed(B, N, ring)
+    seeds = [initial_quantum_seed(B, N, ring)]
     for k, eps in zip(sequence, signs):
-        yield seed, k, eps
-        seed = quantum_mutate(seed, k, eps)
-    yield seed, None, None
+        seeds.append(quantum_mutate(seeds[-1], k, eps))
+    return seeds, [s.Y[k - 1] for s, k in zip(seeds, sequence)], list(signs)
 
 
 def seed_commutation_residual(s: QuantumSeedSeries) -> list:
@@ -243,28 +233,43 @@ def _tropical_residual(B, walk, N, ring, order) -> tuple:
     return tuple(torus.deviation_from(left, right))
 
 
-def _universal_product(B, sequence, signs, N, ring):
-    """Reverse-ordered product of Psi(Y_t^eps_t)^(eps_t) at the active
-    quantum y-variables Y_t = Y_{k_t}(t) along `sequence`, eps_t the
-    tropical signs `signs`.
+def _universal_products(B, sequence, signs, N, ring):
+    """Yield the running product U_t = F_t U_(t-1) after each step t of
+    `sequence`, where F_t = Psi(Y_t^eps_t)^(eps_t) at the active quantum
+    y-variable Y_t = Y_{k_t}(t), eps_t the tropical sign from `signs`.
 
     eps_t > 0 takes psi_series of Y_t.  eps_t < 0 takes Euler's series
     for 1/Psi (psi_inverse_series) of Y_t^-1, which quantum_mutate
-    already stored as Y_{k_t}(t+1).  The walk stops before the last
-    step, as no later step reads the seed it would build: there Y_t^-1
-    is one invert, and a positive sign reads Y_t alone.  So a sequence of
-    L steps makes L - 1 mutations."""
-    L = len(sequence)
-    walk = list(islice(_quantum_walk(B, sequence, signs, N, ring), L))
+    stores as Y_{k_t}(t+1).  The last step builds no seed, as nothing
+    reads it: there Y_t^-1 is one invert, so L steps make L - 1 mutations."""
+    seed, U, last = initial_quantum_seed(B, N, ring), None, len(sequence) - 1
+    for t, (k, eps) in enumerate(zip(sequence, signs)):
+        Y = seed.Y[k - 1]
+        if t < last:
+            seed = quantum_mutate(seed, k, eps)
+        F = (psi_series(Y) if eps > 0 else
+             psi_inverse_series(seed.Y[k - 1] if t < last else invert(Y)))
+        U = F if U is None else multiply(F, U)
+        yield U
 
-    def factor(t):
-        seed, k, eps = walk[t]
-        if eps > 0:
-            return psi_series(seed.Y[k - 1])
-        return psi_inverse_series(walk[t + 1][0].Y[k - 1] if t + 1 < L
-                                  else invert(seed.Y[k - 1]))
 
-    return _product(map(factor, reversed(range(L))), B, N, ring)
+def _shuffle_residuals(B, sched, cuts, N, q0=None) -> list:
+    """The shuffle formula's Residual at each cut t of `cuts`: the
+    running tropical product T_t = T_(t-1) Psi(Y^(eps_t alpha_t))^(eps_t)
+    against the running universal product U_t, both read off one walk to
+    the last cut, so every cut of L steps costs L - 1 mutations."""
+    for t in cuts:
+        if not 1 <= t <= sched.length:
+            raise ValueError(f"cut index t={t} outside 1..{sched.length}")
+    ring, walk = _ring(q0), _walk(B, sched)
+    found, T = {}, None
+    for t, U in enumerate(_universal_products(
+            B, sched.sequence[:max(cuts, default=0)], walk.signs, N, ring), 1):
+        F = _tropical_product(B, walk, N, ring, (t - 1,))
+        T = F if T is None else multiply(T, F)
+        if t in cuts:
+            found[t] = tuple(torus.deviation_from(T, U))
+    return [Residual("shuffle", N, found[t], ring.name) for t in cuts]
 
 
 def verify_tropical_identity(B: ExchangeMatrix, sched: MutationSchedule,
@@ -287,11 +292,13 @@ def verify_universal_identity(B: ExchangeMatrix, sched: MutationSchedule,
     along the period, compared against 1.  The arguments are dense, so
     each factor is a torus series: psi_series where the tropical sign is
     positive, Euler's series for 1/Psi at the trajectory's own inverse
-    where it is negative (see _universal_product)."""
+    where it is negative: the last of _universal_products."""
     walk = require_period(B, sched)
     ring = _ring(q0)
-    P = _universal_product(B, sched.sequence, walk.signs, N, ring)
-    dev = torus.deviation_from(P, unit(B, N, ring))
+    P = one = unit(B, N, ring)
+    for P in _universal_products(B, sched.sequence, walk.signs, N, ring):
+        pass
+    dev = torus.deviation_from(P, one)
     return Residual("universal", N, tuple(dev), ring.name)
 
 
@@ -299,19 +306,9 @@ def verify_shuffle(B: ExchangeMatrix, sched: MutationSchedule, t: int,
                    N: int, q0=None) -> Residual:
     """Shuffle formula at cut t: the first t tropical factors equal the
     first t universal factors in reverse order.  Holds with or without
-    periodicity.  The tropical side uses the closed form for monomial
-    arguments; the universal side is _universal_product over the first t
-    steps, which mutates the seed t - 1 times: the last factor reads only
-    Y_{k_t}(t) or its inverse."""
-    L = sched.length
-    if not 1 <= t <= L:
-        raise ValueError(f"cut index t={t} outside 1..{L}")
-    ring = _ring(q0)
-    walk = _walk(B, sched)
-    lhs = _tropical_product(B, walk, N, ring, range(t))
-    rhs = _universal_product(B, sched.sequence[:t], walk.signs[:t], N, ring)
-    dev = torus.deviation_from(lhs, rhs)
-    return Residual("shuffle", N, tuple(dev), ring.name)
+    periodicity.  The universal side is the running product after step
+    t, which mutates the seed t - 1 times (_shuffle_residuals)."""
+    return _shuffle_residuals(B, sched, [t], N, q0)[0]
 
 
 def verify_dual_pair(B: ExchangeMatrix, sched: MutationSchedule,

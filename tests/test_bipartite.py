@@ -15,7 +15,8 @@ import pytest
 from clusterdilog.dilog import verify_classical_identity
 from clusterdilog.exchange import (ExchangeMatrix, MutationSchedule, _units,
                                    _walk, check_period, numeric_trajectory)
-from clusterdilog.qident import (verify_tropical_identity,
+from clusterdilog.qident import (_shuffle_residuals,
+                                 verify_tropical_identity,
                                  verify_universal_identity)
 from clusterdilog.saddle import build_solution, newton_refine, residuals
 
@@ -95,3 +96,10 @@ def test_tropical_and_universal(case):
     B, sched, _ = case
     assert verify_tropical_identity(B, sched, 6).passed
     assert verify_universal_identity(B, sched, 6).passed
+
+
+def test_shuffle_every_cut(case):
+    """The shuffle formula at every cut, all read off one quantum walk."""
+    B, sched, length = case
+    cuts = list(range(1, length + 1))
+    assert all(r.passed for r in _shuffle_residuals(B, sched, cuts, 4))

@@ -59,6 +59,29 @@ class TestMutate:
         assert code == 0
         assert rep["rows"] == [{"t": 1, "y": [2.0, 3.0]}]
 
+    @pytest.mark.parametrize("argv", [
+        ["mutate", "--builtin", "A2", "--y", "1,2"],
+        ["mutate", "--builtin", "A1"],
+        ["verify", "saddle-lambda", "--builtin", "A2"],
+        ["verify", "classical", "--builtin", "A2", "--trials", "3"],
+        ["search", "--builtin", "A2", "--depth", "5"],
+        ["phib", "--check", "recurrence"],
+        ["phib", "--check", "value", "--z", "0.3"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_csv_rows_parse_to_the_header_width(self, capsys, argv):
+        import csv
+        code, out = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(r) == len(header) for r in rows)
+
+    def test_csv_quotes_the_y_list(self, capsys):
+        code, out = run(capsys, "mutate", "--builtin", "A2", "--y", "1,2",
+                        "--format", "csv")
+        lines = out.splitlines()
+        assert lines[:2] == ["t,y,k,active_y", '1,"[1.0, 2.0]",1,1.0']
+        assert lines[-1] == '6,"[2.0, 1.0]",,'
+
     def test_markdown_format(self, capsys):
         code, out = run(capsys, "mutate", "--builtin", "A1", "--format", "md")
         assert code == 0 and "**command**: mutate" in out
@@ -142,6 +165,31 @@ class TestVerify:
                              "--builtin", "A2", "-N", "6", "--q0", "3/8")
         assert code == 0
         assert "probabilistic" in rep["results"][0]["mode"]
+
+    @pytest.mark.parametrize("q0, mode", [
+        ([], "exact"),
+        (["--q0", "3/8"], "rational-point q0=3/8 (probabilistic)")])
+    @pytest.mark.parametrize("cut", [[], ["--cut", "2"]], ids=["all", "cut"])
+    def test_shuffle_names_its_ring(self, capsys, q0, mode, cut):
+        code, rep = run_json(capsys, "verify", "shuffle", "--builtin", "A2",
+                             "-N", "5", *cut, *q0)
+        assert code == 0
+        assert rep["results"][0]["mode"] == mode
+
+    def test_empty_sequence(self, capsys, tmp_path):
+        """No steps: every check passes on the empty product, and shuffle
+        has no cut to read, in either ring."""
+        doc = {"n": 2, "B": [[0, -1], [1, 0]], "sequence": [], "nu": [1, 2]}
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        for q0 in ([], ["--q0", "3/8"]):
+            code, rep = run_json(capsys, "verify", "quantum-tropical",
+                                 "quantum-universal", "shuffle", "dual",
+                                 "--seed-file", str(path), *q0)
+            assert code == 0 and rep["verdict"] == "PASS"
+            shuffle = rep["results"][2]
+            assert shuffle["cuts"] == [] and shuffle["residual_terms"] == []
+            assert shuffle["mode"] == rep["results"][1]["mode"]
 
     def test_not_a_period_exit_2(self, capsys, tmp_path):
         doc = {"n": 2, "B": [[0, -1], [1, 0]], "sequence": [1, 2, 1],

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from clusterdilog import qident, ratfunc, torus
+from clusterdilog import cli, qident, ratfunc, torus
 from clusterdilog.errors import NonTruncating, NotAPeriod
 from clusterdilog.exchange import (
     ExchangeMatrix,
@@ -16,6 +17,7 @@ from clusterdilog.exchange import (
     principal_extension,
     sign_sequence,
 )
+from clusterdilog.fixtures import seed_to_dict
 from clusterdilog.qident import (
     MAX_EXPONENT,
     classical_series_trajectory,
@@ -148,12 +150,12 @@ class TestQuantumMutate:
 
 
 @st.composite
-def word_cases(draw):
-    """A random skew-symmetric B of rank <= 4 with entries in [-2, 2], a
-    word of length 1..6 with no immediate repeats, mostly not a period,
-    and a truncation order N <= 4.  Words whose B(t) outgrows the
-    exchange-exponent bound of quantum_mutate are discarded."""
-    n = draw(st.integers(1, 4))
+def word_cases(draw, max_rank=4):
+    """A random skew-symmetric B of rank <= max_rank with entries in
+    [-2, 2], a word of length 1..6 with no immediate repeats, mostly not
+    a period, and a truncation order N <= 4.  Words whose B(t) outgrows
+    the exchange-exponent bound of quantum_mutate are discarded."""
+    n = draw(st.integers(1, max_rank))
     b = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -508,10 +510,11 @@ class TestShuffle:
 
 
 class TestTrimmedWalk:
-    """The universal product walks the quantum trajectory only as far as
-    its factors read: the seed after the last step is never built, so L
-    steps make L - 1 mutations, and the last factor reads Y_{k_t}(t) or
-    inverts it.  Its factors are those built from the full trajectory."""
+    """The running universal product walks the quantum trajectory only as
+    far as its factors read: the seed after the last step is never
+    built, so L steps make L - 1 mutations, and the last factor reads
+    Y_{k_t}(t) or inverts it.  Its factors are those built from the full
+    trajectory, and each U_t is the first t of them in reverse order."""
 
     CASES = [
         (A2, A2_SCHED.sequence, 6),
@@ -522,21 +525,24 @@ class TestTrimmedWalk:
 
     @staticmethod
     def record(monkeypatch):
-        """Lists that fill with the factors multiplied by `_product` and
-        with the steps `quantum_mutate` makes."""
+        """Lists that fill with the Psi and 1/Psi factors the walk builds
+        and with the steps `quantum_mutate` makes."""
         factors, steps = [], []
-        product, mutate = qident._product, qident.quantum_mutate
+        mutate = qident.quantum_mutate
 
-        def recording(fs, *rest):
-            fs = list(fs)
-            factors.extend(fs)
-            return product(fs, *rest)
+        def recording(series):
+            def build(x):
+                factors.append(series(x))
+                return factors[-1]
+            return build
 
         def counting(seed, k, eps=1):
             steps.append(k)
             return mutate(seed, k, eps)
 
-        monkeypatch.setattr(qident, "_product", recording)
+        for name in ("psi_series", "psi_inverse_series"):
+            monkeypatch.setattr(qident, name,
+                                recording(getattr(qident, name)))
         monkeypatch.setattr(qident, "quantum_mutate", counting)
         return factors, steps
 
@@ -548,17 +554,66 @@ class TestTrimmedWalk:
         assert signs[-1] < 0    # the last factor inverts its argument
         expected = [psi_series(actives[t]) if signs[t] > 0
                     else psi_inverse_series(seeds[t + 1].Y[k - 1])
-                    for t, k in reversed(list(enumerate(word)))]
+                    for t, k in enumerate(word)]
         factors, steps = self.record(monkeypatch)
-        qident._universal_product(B, word, signs, N, ratfunc.EXACT)
+        products = list(qident._universal_products(B, word, signs, N,
+                                                   ratfunc.EXACT))
         assert factors == expected
         assert steps == list(word[:-1])
+        U = unit(B, N)
+        for F, P in zip(expected, products, strict=True):
+            U = multiply(F, U)
+            assert P == U
 
     @pytest.mark.parametrize("t", range(1, 6))
     def test_shuffle_cut_mutates_t_minus_one_times(self, monkeypatch, t):
         _, steps = self.record(monkeypatch)
         assert verify_shuffle(A2, A2_SCHED, t, 6).passed
         assert steps == list(A2_SCHED.sequence[:t - 1])
+
+    @pytest.mark.parametrize("case", SPLIT_PERIODS,
+                             ids=["A1", "A2", "A2-principal", "A3"])
+    def test_every_cut_and_universal_walk_once(self, monkeypatch, capsys,
+                                               tmp_path, case):
+        """`verify shuffle` over every cut and the universal check each
+        make L - 1 mutations, not one walk per cut."""
+        B, sched, _ = case
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(seed_to_dict(B, sched)))
+        _, steps = self.record(monkeypatch)
+        assert cli.main(["verify", "shuffle", "--seed-file", str(path),
+                         "-N", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)["results"][0]
+        assert report["cuts"] == list(range(1, sched.length + 1))
+        assert steps == list(sched.sequence[:-1])
+        steps.clear()
+        assert verify_universal_identity(B, sched, 3).passed
+        assert steps == list(sched.sequence[:-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=word_cases(max_rank=3))
+    def test_every_cut_matches_an_independent_reference(self, case):
+        """One walk's residuals at every cut equal those of the products
+        built afresh per cut: closed-form tropical factors in order
+        against psi_series / psi_inverse_series at the trajectory's
+        actives (1/Psi at an inverted active), in reverse."""
+        B, sched, N = case
+        _, actives, signs = quantum_trajectory(B, sched.sequence, N)
+        alphas = sign_sequence(B, sched).cvectors
+        cuts = list(range(1, sched.length + 1))
+        expected = []
+        for t in cuts:
+            T = qident._product(
+                [qident._psi_monomial(tuple(e * a for a in alpha), e, B, N,
+                                      ratfunc.EXACT)
+                 for e, alpha in zip(signs[:t], alphas)], B, N, ratfunc.EXACT)
+            U = qident._product(
+                [psi_series(y) if e > 0 else psi_inverse_series(invert(y))
+                 for e, y in reversed(list(zip(signs[:t], actives)))],
+                B, N, ratfunc.EXACT)
+            expected.append(qident.Residual(
+                "shuffle", N, tuple(torus.deviation_from(T, U))))
+        assert qident._shuffle_residuals(B, sched, cuts, N) == expected
 
 
 class TestRankThreePeriods:

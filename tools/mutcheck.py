@@ -90,10 +90,28 @@ MUTANTS = [
            "pair_sum shifts the zero low digits out of a result without "
            "adding their count to lo"),
     Mutant("last-step-wrong-seed", PKG + "qident.py",
-           "else invert(seed.Y[k - 1]))",
-           "else invert(walk[t - 1][0].Y[k - 1]))",
-           "the universal product's last step with eps < 0 inverts Y_k of "
-           "the seed before its own"),
+           "else invert(Y)))",
+           "else invert(initial_quantum_seed(B, N, ring).Y[k - 1])))",
+           "the running universal product's last step with eps < 0 inverts "
+           "Y_k of the initial seed, not of its own"),
+    Mutant("running-product-right", PKG + "qident.py",
+           "U = F if U is None else multiply(F, U)",
+           "U = F if U is None else multiply(U, F)",
+           "the running universal product multiplies each factor in on the "
+           "right, U = U F, not F U"),
+    Mutant("shuffle-cut-late", PKG + "qident.py",
+           "max(cuts, default=0)], walk.signs, N, ring), 1):\n"
+           "        F = _tropical_product(B, walk, N, ring, (t - 1,))\n"
+           "        T = F if T is None else multiply(T, F)\n"
+           "        if t in cuts:\n"
+           "            found[t] =",
+           "max(cuts, default=0) + 1], walk.signs, N, ring), 1):\n"
+           "        F = _tropical_product(B, walk, N, ring, (t - 1,))\n"
+           "        T = F if T is None else multiply(T, F)\n"
+           "        if t - 1 in cuts:\n"
+           "            found[t - 1] =",
+           "the shuffle walk runs one step past the last cut, and cut t "
+           "reports the residual after step t + 1"),
     Mutant("eq-plus-one", PKG + "ratfunc.py",
            "(other, -_ONE_COEF, 0)",
            "(other, _ONE_COEF, 0)",
