@@ -27,8 +27,6 @@ packed at the narrowest ladder width that holds the bound.  A
 coefficient therefore never outgrows its digit.  Bounds are never
 recomputed from the digits, so a value can be packed wider than its
 coefficients need; the README's design notes give what that costs.
-Lifting onto a larger denominator multiplies by each (1 - q^(2m)) in
-turn, which on a packed value is one shift and one subtraction.
 
 Every sum is one `ExactField.pair_sum` of c_d * c_e * q^j triples: the
 pairs of a torus product landing on one term, the re-based terms of a
@@ -38,12 +36,18 @@ sums the products sharing a denominator exponent vector with q-powers
 aligned by shifts above the lowest, and lifts each such group onto the
 common denominator once, so no pair becomes a coefficient of its own.
 A lone group, as in every sum with no denominator, is the result as it
-stands.  The numerator's zero low digits then move into lo.
+stands; several are summed in one pass, at one width chosen from their
+lifted bounds (each factor 1 - q^(2m) doubles one).  A one-digit group
+is lifted by one multiplication by the cached, packed product of its
+factors, a longer one by val - (val << 2mk) per factor, as a dense
+product times a long numerator costs more than the shifts.  The
+numerator's zero low digits then move into lo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from operator import add as _plus, sub as _minus
 
@@ -180,17 +184,6 @@ def _decode(val, nd, k):
     return tuple(out)
 
 
-def _poly_sum(polys) -> Poly:
-    """Sum of packed polynomials, at the widest operand width or wider
-    if the sum needs it."""
-    k = max(p.k for p in polys)
-    bound = sum(p.bound for p in polys)
-    if bound.bit_length() >= k:
-        k = _width(bound)
-    return Poly(sum(p.at(k) for p in polys), max(p.nd for p in polys),
-                bound, k)
-
-
 _ZERO_POLY = Poly(0, 0, 0, _MIN_WIDTH)
 _ONE_POLY = Poly(1, 1, 1, _MIN_WIDTH)
 
@@ -304,7 +297,9 @@ class QCoefficient:
                                     "prod_m (1 - q^(2m))^(e_m)")
             den = Poly.from_coeffs(den)
             return QCoefficient(-den if num[j] < 0 else den, -j)
-        den = _lift(_ONE_POLY, 0, self.dfac)
+        count, degree, _ = _shape(self.dfac)
+        k = _width(1 << count)
+        den = Poly(_fac_product(self.dfac, k), degree + 1, 1 << count, k)
         return QCoefficient(-den if num.val < 0 else den, -lo)
 
     def __truediv__(self, other):
@@ -374,23 +369,49 @@ class QCoefficient:
         return f"({_poly_str(num)})/({_poly_str(den)})"
 
 
-def _lift(num: Poly, shift: int, fac_extra: tuple) -> Poly:
-    """num * q^shift * prod_m (1 - q^(2m))^(e_m), shift >= 0, for the
-    exponent vector fac_extra = (e_1, e_2, ...).  Each factor 1 - q^(2m) is
-    val - (val << 2mk), which doubles the bound: a bound that outgrows
-    the digit widens it on the ladder."""
-    if shift:
-        num = num.shift(shift)
-    val, nd, bound, k = num.val, num.nd, num.bound, num.k
-    for m, e in enumerate(fac_extra, 1):
-        for _ in range(e):
-            if (bound << 1).bit_length() >= k:
-                wide = _width(bound << 1)
-                val, k = _pack(_decode(val, nd, k), wide), wide
-            val -= val << (2 * m * k)
-            nd += 2 * m
-            bound <<= 1
-    return Poly(val, nd, bound, k)
+@lru_cache(maxsize=4096)
+def _shape(fac) -> tuple:
+    """(factor count, degree, the 2m of each factor) of
+    prod_m (1 - q^(2m))^(e_m) for the exponent vector fac."""
+    steps = tuple(2 * m for m, e in enumerate(fac, 1) for _ in range(e))
+    return len(steps), sum(steps), steps
+
+
+@lru_cache(maxsize=1024)
+def _fac_product(fac, k) -> int:
+    """prod_m (1 - q^(2m))^(e_m) packed at a width k whose balanced digits
+    hold 2^(factor count), which bounds its coefficients."""
+    val = 1
+    for s in _shape(fac)[2]:
+        val -= val << (s * k)
+    return val
+
+
+def _lift_sum(groups, lo, dfac, k) -> Poly:
+    """The `_pair_groups` groups (fac, (val, low, top, bound)), packed at
+    width k, summed over q^lo / prod over dfac in one pass, with lo <= each
+    low and dfac >= each fac: see the module docstring."""
+    lifts = []
+    bound = nd = 0
+    for fac, (val, low, top, b) in groups:
+        diff = _fac_diff(dfac, fac)
+        count, degree, steps = _shape(diff)
+        bound += b << count
+        nd = max(nd, top - lo + degree)
+        lifts.append((val, low - lo, top - low, diff, steps))
+    wide = k if bound.bit_length() < k else _width(bound)
+    total = 0
+    for val, shift, digits, diff, steps in lifts:
+        if val.bit_length() < k:        # one digit, the same at any width
+            if steps:
+                val *= _fac_product(diff, wide)
+        else:
+            if wide != k:
+                val = _pack(_decode(val, digits, k), wide)
+            for s in steps:
+                val -= val << (s * wide)
+        total += val << (shift * wide)
+    return Poly(total, nd, bound, wide)
 
 
 def _pair_groups(triples, k) -> dict:
@@ -478,10 +499,10 @@ class ExactField:
         else:
             lo = min(g[1] for _, g in groups)
             dfac = _max_fac(fac for fac, _ in groups)
-            num = _poly_sum([_lift(Poly(val, top - low, bound, k), low - lo,
-                                   _fac_diff(dfac, fac))
-                             for fac, (val, low, top, bound) in groups])
-        j = num.q_order() if num.val else 0
+            num = _lift_sum(groups, lo, dfac, k)
+            if not num.val:
+                return _ZERO_COEF
+        j = num.q_order()
         return QCoefficient(num.unshift(j) if j else num, lo + j, dfac)
 
     @staticmethod

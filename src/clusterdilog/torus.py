@@ -16,6 +16,7 @@ is exact; truncation only ever drops whole terms above the order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add as _plus, itemgetter, mul as _times
 
 from .errors import IncompatibleContexts, NonInvertible, NonTruncating
@@ -33,9 +34,12 @@ def pairing(alpha, beta, B: ExchangeMatrix) -> int:
                for ai, row in zip(alpha, B.rows) if ai)
 
 
-def _row_B(alpha, B: ExchangeMatrix) -> tuple:
-    """The covector alpha^T B = -(B alpha)^T, so <alpha, beta> = row . beta."""
-    return tuple(-sum(map(_times, row, alpha)) for row in B.rows)
+@lru_cache(maxsize=4096)
+def _row_B(rows, alpha) -> tuple:
+    """The covector alpha^T B = -(B alpha)^T for the rows of B, so
+    <alpha, beta> = row . beta; cached by value, as a check asks for a
+    few hundred distinct covectors thousands of times."""
+    return tuple(-sum(map(_times, row, alpha)) for row in rows)
 
 
 class TorusElement(_Frozen):
@@ -105,7 +109,8 @@ class TorusElement(_Frozen):
         return (self - other).is_zero()
 
     def __hash__(self):
-        return hash((self.matrix, self.order, self.base))
+        # equal elements share a context but may carry different bases
+        return hash((self.matrix, self.order, self.ring))
 
     def evaluate_commutative(self, yvals, q0=1) -> float:
         """Send Y_i to commuting numbers yvals[i] and q to q0.
@@ -170,7 +175,7 @@ def _rebase(elem: TorusElement, scalar, newbase: tuple, out: dict) -> None:
             out.setdefault(d, []).append((c, scalar, 0))
         return
     B, N = elem.matrix, elem.order
-    row_s = _row_B(s, B)
+    row_s = _row_B(B.rows, s)
     head = -sum(map(_times, row_s, newbase))    # <newbase, s>
     for d, c in elem.terms.items():
         nd = tuple(si + di for si, di in zip(s, d))
@@ -223,7 +228,7 @@ def _capped_product(a: TorusElement, b: TorusElement,
         room = cap - sum(d)
         if room < 0:
             continue
-        row_d = _row_B(d, B)
+        row_d = _row_B(B.rows, d)
         e1 = head - 2 * sum(map(_times, row_d, g2))     # + 2 <g2, d>
         for we, e, ce in bterms:
             if we > room:
@@ -272,7 +277,7 @@ def invert(a: TorusElement) -> TorusElement:
     B, N, ring = a.matrix, a.order, a.ring
     c0_inv = c0.inverse()
     zero_key = (0,) * B.n
-    w = sorted(((sum(e), e, -(c * c0_inv), _row_B(e, B))
+    w = sorted(((sum(e), e, -(c * c0_inv), _row_B(B.rows, e))
                 for e, c in a.terms.items() if any(e)),
                key=itemgetter(0))
     levels = [[(zero_key, c0_inv)]]
@@ -287,7 +292,7 @@ def invert(a: TorusElement) -> TorusElement:
         level = [(d, ring.pair_sum(triples)) for d, triples in out.items()]
         levels.append([(d, c) for d, c in level if not c.is_zero()])
     # <delta, base> = -(base^T B) . delta
-    row_base = _row_B(a.base, B)
+    row_base = _row_B(B.rows, a.base)
     return TorusElement(B, N, tuple(-x for x in a.base),
                         {d: c.mul_q_power(-2 * sum(map(_times, row_base, d)))
                          for lv in levels for d, c in lv}, ring)

@@ -15,10 +15,11 @@ from clusterdilog.ratfunc import (
     RationalPointField,
     RationalQ,
     _add_fac,
+    _decode,
     _fac_diff,
-    _lift,
+    _fac_product,
+    _lift_sum,
     _max_fac,
-    _poly_sum,
     _quotient,
     _width,
 )
@@ -161,7 +162,9 @@ class TestPoly:
             assert (pa * pb).coeffs() == \
                 Poly.from_coeffs(convolve(a, b)).coeffs()
             add = [x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):]
-            assert _poly_sum((pa, pb)).coeffs() == Poly.from_coeffs(add).coeffs()
+            total = coef(a) + coef(b)
+            assert total.num.shift(total.lo).coeffs() == \
+                Poly.from_coeffs(add).coeffs()
 
     def test_shift_and_divisibility(self):
         p = Poly.from_coeffs([3, -2])
@@ -172,8 +175,7 @@ class TestPoly:
 
     def test_equality_across_widths(self):
         p = Poly.from_coeffs([3, -2])
-        big = Poly.from_coeffs([2**100])
-        wide = _poly_sum((p, big, -big))  # the same polynomial, packed wider
+        wide = Poly(p.at(128), p.nd, p.bound, 128)  # packed wider
         assert wide.k > p.k
         assert wide == p and hash(wide) == hash(p)
         assert wide.shift(2).q_order() == 2 and wide.shift(2).unshift(2) == p
@@ -280,7 +282,7 @@ class TestQCoefficient:
         for _ in range(times):
             c = c * QCoefficient.qpochhammer_inverse(1)
         assert c.num.coeffs() not in ((1,), (-1,))
-        inv = QCoefficient(_lift(Poly.from_coeffs([1]), 0, value))
+        inv = QCoefficient(Poly.from_coeffs(fac_product(value)))
         assert c.inverse() == inv and c.inverse() * c == ONE
         u = -c.mul_q_power(3) * QCoefficient.qpochhammer_inverse(2)
         assert u.inverse() * u == ONE
@@ -318,7 +320,8 @@ class TestQCoefficient:
         pairs = []
         for _ in range(10):
             a = random_coeff(rng)
-            pairs.append((a, QCoefficient(_lift(a.num, 0, (140,)), a.lo,
+            deep = a.num * Poly.from_coeffs(fac_product((140,)))
+            pairs.append((a, QCoefficient(deep, a.lo,
                                           _add_fac(a.dfac, (140,)))))
 
         def refuse(self):
@@ -485,16 +488,21 @@ DENOMINATORS = [(), (1,), (0, 1), (2, 0, 1)]
 def pair_sums(draw):
     """(kind, triples): two to six (c_d, c_e, j) triples whose products
     carry no denominator, all one denominator exponent vector, or
-    several.  Coefficients of up to 2^34 make products whose group sums
-    outgrow 64-bit digits.  A product and its negation are sometimes
-    added below all the others, so that the sum's low digits vanish."""
-    kind = draw(st.sampled_from(["none", "one", "several"]))
-    big = draw(st.sampled_from([5, 2**34]))
+    several (drawn twice as often).  Numerators have one digit, or one to four, so that several
+    groups are lifted through the cached product, by shifts, or both in
+    one sum.  Coefficients of up to 2^34 make products whose group sums
+    outgrow 64-bit digits; those of up to 2^30 make groups that fit them
+    but whose lifted bounds, summed, may not.  A product and its negation
+    are sometimes added below all the others, so that the sum's low
+    digits vanish."""
+    kind = draw(st.sampled_from(["none", "one", "several", "several"]))
+    big = draw(st.sampled_from([5, 2**30, 2**34]))
+    longest = draw(st.sampled_from([1, 4]))
     shared = draw(st.sampled_from(DENOMINATORS[1:]))
+    digit = st.one_of(st.integers(-big, big), st.sampled_from([big, -big]))
 
     def coefficient(fac):
-        num = draw(st.lists(st.integers(-big, big), min_size=1,
-                            max_size=4).filter(any))
+        num = draw(st.lists(digit, min_size=1, max_size=longest).filter(any))
         return QCoefficient(Poly.from_coeffs(num), draw(st.integers(-3, 3)),
                             fac)
 
@@ -519,6 +527,18 @@ class TestPairSumProperty:
     at a time and against exact evaluation: a lone group is returned as
     it stands, several are lifted and summed, and either way the
     numerator's zero low digits move into lo."""
+
+    def test_lifted_bounds_cross_64_bits(self):
+        """2^62 + 2^62 / (1 - q^2): each group fits 64-bit digits, but
+        lifted onto 1 / (1 - q^2) the first has the bound 2^63, and the
+        sum 2^63 - 2^62 q^2 is packed at 128 bits with the bound
+        2^63 + 2^62."""
+        a = coef([2**62])
+        b = QCoefficient(Poly.from_coeffs([2**62]), 0, (1,))
+        total = EXACT.pair_sum([(a, ONE, 0), (b, ONE, 0)])
+        assert (total.num.coeffs(), total.lo, total.dfac) == \
+            ((2**63, 0, -2**62), 0, (1,))
+        assert (total.num.bound, total.num.k) == (3 * 2**62, 128)
 
     @settings(max_examples=150, deadline=None)
     @given(case=pair_sums(), x=points)
@@ -696,21 +716,33 @@ class TestExponentVectors:
         assert _fac_diff(fa, fa) == () and _max_fac([]) == ()
 
 
-class TestLift:
-    """`_lift` multiplies a packed numerator by q^dq and by each factor
-    1 - q^(2m) with a shift and a subtraction; each factor doubles the
-    tracked bound, and the digits widen to `_width` of the doubled bound
-    as soon as it outgrows them."""
+def lift(num: Poly, dq: int, fac: tuple) -> Poly:
+    """num * q^dq * prod_m (1 - q^(2m))^(e_m) by `_lift_sum`: num as the
+    one group q^dq num over no denominator, lifted onto q^0 over fac."""
+    return _lift_sum([((), (num.val, dq, dq + num.nd, num.bound))], 0, fac,
+                     num.k)
 
-    @pytest.mark.parametrize("fac", [
-        (1,),
-        (1, 1, 1, 1, 1),
-        (0, 3, 0, 0, 0, 0, 2),
-        (66,),                      # at k = 64, widened part-way
-        (70,),                      # C(70, 35) > 2^63
-        (40, 0, 30, 0, 1),
-        (1,) * 10,                  # (q^2; q^2)_10, up to 1 - q^20
-    ])
+
+LIFT_FACS = [
+    (1,),
+    (1, 1, 1, 1, 1),
+    (0, 3, 0, 0, 0, 0, 2),
+    (66,),                      # 2^66 needs 128-bit digits, C(66, 33) not
+    (70,),                      # C(70, 35) > 2^63
+    (40, 0, 30, 0, 1),
+    (1,) * 10,                  # (q^2; q^2)_10, up to 1 - q^20
+]
+
+
+class TestLift:
+    """`_lift_sum` multiplies each group by q^dq and by each factor
+    1 - q^(2m) of its exponent difference: a one-digit numerator by one
+    multiplication by the cached `_fac_product`, a longer one by a shift
+    and a subtraction per factor.  Each factor doubles the tracked bound,
+    and the digits are the operand's, or `_width` of that bound once it
+    outgrows them, which is where widening factor by factor ends."""
+
+    @pytest.mark.parametrize("fac", LIFT_FACS)
     @pytest.mark.parametrize("k", [64, 128, 256])
     @pytest.mark.parametrize("dq", [0, 3])
     def test_matches_binomial_product(self, fac, k, dq):
@@ -718,7 +750,7 @@ class TestLift:
         coeffs = [size, -1, 0, -size, 2]
         num = Poly.from_coeffs(coeffs)
         assert num.k == k
-        out = _lift(num, dq, fac)
+        out = lift(num, dq, fac)
         expected = [0] * dq + convolve(coeffs, fac_product(fac))
         assert out.coeffs() == tuple(expected)
         assert out.bound >= max(map(abs, expected))
@@ -728,22 +760,68 @@ class TestLift:
         assert out.bound == num.bound << sum(fac)
         assert out.k == max(num.k, _width(out.bound))
 
+    @pytest.mark.parametrize("fac", LIFT_FACS)
+    @pytest.mark.parametrize("c", [-5, 2**100, -2**200])
+    def test_one_digit_matches_binomial_product(self, fac, c):
+        """A constant times q^2 is lifted through the cached product at
+        the width of its doubled bound, which is 64, 128, 256 or 512."""
+        num = Poly.from_coeffs([c])
+        out = lift(num, 2, fac)
+        assert out.coeffs() == tuple([0, 0] + [c * x for x in
+                                               fac_product(fac)])
+        assert out.bound == abs(c) << sum(fac)
+        assert out.k == max(num.k, _width(out.bound))
+
     def test_bound_crosses_the_digit_mid_loop(self):
         """The bound of (1 - q^2)^62 is 2^62, which fits a 64-bit digit;
-        the 63rd factor doubles it to 2^63, which does not, so the value
-        is widened to 128 bits before that factor, although C(63, 31) <
-        2^63.  C(66, 33) fits 64 bits too and is widened all the same,
-        while C(70, 35) needs 128 bits."""
+        that of (1 - q^2)^63 is 2^63, which does not, so the lift is
+        packed at 128 bits although C(63, 31) < 2^63.  C(66, 33) fits 64
+        bits too and is packed wider all the same, while C(70, 35) needs
+        128 bits.  A one-digit numerator, lifted by the cached product,
+        and a two-digit one, lifted by shifts, take the same widths."""
+        for coeffs in ([1], [1, -1]):
+            num = Poly.from_coeffs(coeffs)
+            for e, k in ((62, 64), (63, 128), (66, 128), (70, 128)):
+                out = lift(num, 0, (e,))
+                assert (out.bound, out.k) == (2**e, k) and k == _width(2**e)
+                assert out.coeffs() == tuple(convolve(coeffs,
+                                                      fac_product((e,))))
         one = Poly.from_coeffs([1])
-        for e, k in ((62, 64), (63, 128), (66, 128), (70, 128)):
-            out = _lift(one, 0, (e,))
-            assert (out.bound, out.k) == (2**e, k) and k == _width(2**e)
-            assert out.coeffs() == tuple(fac_product((e,)))
-        assert out.coeffs()[70] == -math.comb(70, 35) < -2**63
-        assert _lift(one, 0, (66,)).coeffs()[66] == -math.comb(66, 33)
+        assert lift(one, 0, (70,)).coeffs()[70] == -math.comb(70, 35) < -2**63
+        assert lift(one, 0, (66,)).coeffs()[66] == -math.comb(66, 33)
 
     def test_zero_and_empty_lifts(self):
         one = Poly.from_coeffs([1])
-        assert _lift(one, 0, ()) == one
-        assert _lift(one, 2, ()).coeffs() == (0, 0, 1)
-        assert _lift(Poly.from_coeffs([]), 1, (3,)).is_zero()
+        assert lift(one, 0, ()) == one
+        assert lift(one, 2, ()).coeffs() == (0, 0, 1)
+        assert lift(Poly.from_coeffs([]), 1, (3,)).is_zero()
+
+    @pytest.mark.parametrize("fac", [(1,), (1,) * 10, (0, 3, 0, 0, 0, 0, 2),
+                                     (40, 0, 20)])
+    def test_cached_product_is_one_polynomial_at_every_width(self, fac):
+        """`_fac_product` packed at 64- and at 128-bit digits decodes to
+        the same coefficients, those of the binomial product."""
+        expected = tuple(fac_product(fac))
+        for k in (64, 128, 64):
+            assert _decode(_fac_product(fac, k), len(expected), k) \
+                == expected
+
+    def test_groups_of_both_kinds_in_one_sum(self):
+        """A one-digit group and a longer one lifted onto one denominator
+        and q-power: 3 q^-1 / (1 - q^2) + (1 + q) / (1 - q^4) over
+        q^-1 / ((1 - q^2) (1 - q^4)) has the numerator 3 (1 - q^4) +
+        q (1 + q) (1 - q^2), five digits whose bound 3 * 2 + 1 * 2 also
+        sets the width."""
+        groups = [((1,), (3, -1, 0, 3)),
+                  ((0, 1), (Poly.from_coeffs([1, 1]).val, 0, 2, 1))]
+        out = _lift_sum(groups, -1, (1, 1), 64)
+        assert out.coeffs() == (3, 1, 1, -1, -4)
+        assert (out.nd, out.bound, out.k) == (5, 8, 64)
+
+    def test_digit_count_below_q_to_the_zero(self):
+        """Groups whose q-powers are all negative: 3 q^-5 / (1 - q^2) +
+        q^-6 over q^-6 / (1 - q^2) is 1 + 3q - q^2, three digits."""
+        groups = [((1,), (3, -5, -4, 3)), ((), (1, -6, -5, 1))]
+        out = _lift_sum(groups, -6, (1,), 64)
+        assert out.coeffs() == (1, 3, -1)
+        assert (out.nd, out.bound, out.k) == (3, 5, 64)

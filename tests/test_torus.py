@@ -150,6 +150,18 @@ class TestMonomialAndMultiply:
             a, b, c = (random_sparse(rng, A2, 4) for _ in range(3))
             assert multiply(a, add(b, c)) == add(multiply(a, b), multiply(a, c))
 
+    def test_equal_elements_over_different_bases_hash_alike(self):
+        """Y^(1,0) as a monomial and as the shift (1, 0) over base 0 are
+        one element, and so are Y1 Y2 and q Y^(1,1) over base 0: each
+        pair compares equal, hashes alike, and a set keeps one of it."""
+        for x, y in ((monomial((1, 0), A2, 4),
+                      TorusElement(A2, 4, (0, 0), {(1, 0): ONE})),
+                     (multiply(Y((1, 0), 4), Y((0, 1), 4)),
+                      TorusElement(A2, 4, (0, 0),
+                                   {(1, 1): QCoefficient.q_power(1)}))):
+            assert x == y and x.base != y.base
+            assert hash(x) == hash(y) and len({x, y}) == 1
+
     def test_context_mixing_is_an_error(self):
         other = ExchangeMatrix(np.array([[0, 1], [-1, 0]]))
         with pytest.raises(IncompatibleContexts):

@@ -54,14 +54,31 @@ MUTANTS = [
            "e = head - sum(r * di for r, di in zip(row_s[:2], d))",
            "_rebase drops the q-exponent of shift coordinates 3 and up"),
     Mutant("lift-m9", PKG + "ratfunc.py",
-           "val -= val << (2 * m * k)",
-           "val -= val << (2 * min(m, 8) * k)",
-           "_lift multiplies by 1 - q^16 in place of 1 - q^(2m) for m >= 9"),
+           "steps = tuple(2 * m for m, e in enumerate(fac, 1)",
+           "steps = tuple(2 * min(m, 8) for m, e in enumerate(fac, 1)",
+           "_shape takes 1 - q^16 in place of 1 - q^(2m) for m >= 9, in "
+           "both lift kinds and in inverse"),
     Mutant("lift-width-late", PKG + "ratfunc.py",
-           "if (bound << 1).bit_length() >= k:",
-           "if bound.bit_length() >= k:",
-           "_lift checks the bound before it doubles, so the digits widen "
-           "one factor late"),
+           "wide = k if bound.bit_length() < k else _width(bound)",
+           "wide = k if (bound >> 1).bit_length() < k else _width(bound >> 1)",
+           "_lift_sum picks the width from half the summed bound, so the "
+           "digits widen one factor late"),
+    Mutant("lift-cache-no-width", PKG + "ratfunc.py",
+           "@lru_cache(maxsize=1024)\ndef _fac_product(fac, k)",
+           "@lambda f, by_fac={}: lambda fac, k: by_fac.setdefault(\n"
+           "    fac, by_fac.get(fac) or f(fac, k))\ndef _fac_product(fac, k)",
+           "the cached product is keyed by the exponent vector alone, so a "
+           "lift at 128 bits reads the product packed at 64"),
+    Mutant("lift-cached-bound-undoubled", PKG + "ratfunc.py",
+           "bound += b << count",
+           "bound += b if val.bit_length() < k else b << count",
+           "a one-digit group, lifted through the cached product, adds its "
+           "bound undoubled"),
+    Mutant("lift-nd-from-q0", PKG + "ratfunc.py",
+           "nd = max(nd, top - lo + degree)",
+           "nd = max(nd, top - lo + degree, -lo)",
+           "_lift_sum counts the lifted digits from q^0, not from q^lo, so "
+           "a sum whose q-powers are all negative gets too many"),
     Mutant("pair-sum-narrow", PKG + "ratfunc.py",
            "k = _width(bound)\n            groups = _pair_groups(",
            "k = _width(bound) >> 1\n            groups = _pair_groups(",
