@@ -37,11 +37,9 @@ aligned by shifts above the lowest, and lifts each such group onto the
 common denominator once, so no pair becomes a coefficient of its own.
 A lone group, as in every sum with no denominator, is the result as it
 stands; several are summed in one pass, at one width chosen from their
-lifted bounds (each factor 1 - q^(2m) doubles one).  A one-digit group
-is lifted by one multiplication by the cached, packed product of its
-factors, a longer one by val - (val << 2mk) per factor, as a dense
-product times a long numerator costs more than the shifts.  The
-numerator's zero low digits then move into lo.
+lifted bounds (each factor 1 - q^(2m) doubles one), and each factor is
+one shift and one subtraction, val - (val << 2mk).  The numerator's
+zero low digits then move into lo.
 """
 
 from __future__ import annotations
@@ -297,9 +295,7 @@ class QCoefficient:
                                     "prod_m (1 - q^(2m))^(e_m)")
             den = Poly.from_coeffs(den)
             return QCoefficient(-den if num[j] < 0 else den, -j)
-        count, degree, _ = _shape(self.dfac)
-        k = _width(1 << count)
-        den = Poly(_fac_product(self.dfac, k), degree + 1, 1 << count, k)
+        den = _lift_sum([((), (1, 0, 1, 1))], 0, self.dfac, _MIN_WIDTH)
         return QCoefficient(-den if num.val < 0 else den, -lo)
 
     def __truediv__(self, other):
@@ -372,44 +368,32 @@ class QCoefficient:
 @lru_cache(maxsize=4096)
 def _shape(fac) -> tuple:
     """(factor count, degree, the 2m of each factor) of
-    prod_m (1 - q^(2m))^(e_m) for the exponent vector fac."""
+    prod_m (1 - q^(2m))^(e_m) for the exponent vector fac; cached, as a
+    check lifts thousands of groups by a few hundred distinct vectors."""
     steps = tuple(2 * m for m, e in enumerate(fac, 1) for _ in range(e))
     return len(steps), sum(steps), steps
-
-
-@lru_cache(maxsize=1024)
-def _fac_product(fac, k) -> int:
-    """prod_m (1 - q^(2m))^(e_m) packed at a width k whose balanced digits
-    hold 2^(factor count), which bounds its coefficients."""
-    val = 1
-    for s in _shape(fac)[2]:
-        val -= val << (s * k)
-    return val
 
 
 def _lift_sum(groups, lo, dfac, k) -> Poly:
     """The `_pair_groups` groups (fac, (val, low, top, bound)), packed at
     width k, summed over q^lo / prod over dfac in one pass, with lo <= each
-    low and dfac >= each fac: see the module docstring."""
+    low and dfac >= each fac.  Each factor 1 - q^(2m) of a group's lift
+    doubles its bound; the summed lifted bounds fix one width, at which
+    every factor is val - (val << 2mk)."""
     lifts = []
     bound = nd = 0
     for fac, (val, low, top, b) in groups:
-        diff = _fac_diff(dfac, fac)
-        count, degree, steps = _shape(diff)
+        count, degree, steps = _shape(_fac_diff(dfac, fac))
         bound += b << count
         nd = max(nd, top - lo + degree)
-        lifts.append((val, low - lo, top - low, diff, steps))
+        lifts.append((val, low - lo, top - low, steps))
     wide = k if bound.bit_length() < k else _width(bound)
     total = 0
-    for val, shift, digits, diff, steps in lifts:
-        if val.bit_length() < k:        # one digit, the same at any width
-            if steps:
-                val *= _fac_product(diff, wide)
-        else:
-            if wide != k:
-                val = _pack(_decode(val, digits, k), wide)
-            for s in steps:
-                val -= val << (s * wide)
+    for val, shift, digits, steps in lifts:
+        if wide != k:
+            val = _pack(_decode(val, digits, k), wide)
+        for s in steps:
+            val -= val << (s * wide)
         total += val << (shift * wide)
     return Poly(total, nd, bound, wide)
 

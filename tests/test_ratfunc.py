@@ -17,8 +17,8 @@ from clusterdilog.ratfunc import (
     _add_fac,
     _decode,
     _fac_diff,
-    _fac_product,
     _lift_sum,
+    _MIN_WIDTH,
     _max_fac,
     _quotient,
     _width,
@@ -488,8 +488,8 @@ DENOMINATORS = [(), (1,), (0, 1), (2, 0, 1)]
 def pair_sums(draw):
     """(kind, triples): two to six (c_d, c_e, j) triples whose products
     carry no denominator, all one denominator exponent vector, or
-    several (drawn twice as often).  Numerators have one digit, or one to four, so that several
-    groups are lifted through the cached product, by shifts, or both in
+    several (drawn twice as often).  Numerators have one digit, or one
+    to four, so that lifted groups are constants or longer, or both in
     one sum.  Coefficients of up to 2^34 make products whose group sums
     outgrow 64-bit digits; those of up to 2^30 make groups that fit them
     but whose lifted bounds, summed, may not.  A product and its negation
@@ -522,11 +522,65 @@ def pair_sums(draw):
     return kind, triples
 
 
+def lifted_reference(triples):
+    """(coeffs, lo, nd, bound, k) of `pair_sum(triples)` for two or more
+    triples, built on {q-power: coefficient} dicts: the products are
+    summed per denominator exponent vector, each with the bound
+    min(nd) * bound * bound, at the widest operand's digits or wider if
+    a group's bound needs it; the nonzero groups are lifted onto the
+    common denominator one factor 1 - q^(2m) at a time, each doubling a
+    group's bound and widening its digits as soon as the bound outgrows
+    them; the sum takes the widest group's digits, or wider if the summed
+    bound needs it; the zero low digits then move into lo.  None for a
+    zero sum."""
+    groups = {}
+    for c, e, j in triples:
+        a, b = c.num, e.num
+        s = j + c.lo + e.lo
+        fac = _add_fac(c.dfac, e.dfac)
+        low, top, bound, terms = groups.get(fac, (s, s, 0, {}))
+        for i, x in enumerate(convolve(a.coeffs(), b.coeffs()) if a.val
+                              and b.val else []):
+            terms[s + i] = terms.get(s + i, 0) + x
+        groups[fac] = (min(low, s), max(top, s + a.nd + b.nd - 1),
+                       bound + min(a.nd, b.nd) * a.bound * b.bound, terms)
+    k = max([_MIN_WIDTH] + [x.num.k for c, e, _ in triples for x in (c, e)])
+    k = max(k, _width(max(g[2] for g in groups.values())))
+    groups = {fac: g for fac, g in groups.items() if any(g[3].values())}
+    if not groups:
+        return None
+    lo = min(g[0] for g in groups.values())
+    dfac = _max_fac(groups)
+    total, nd, bound, width = {}, 0, 0, k
+    for fac, (_, top, b, terms) in groups.items():
+        digits, wide = top - lo, k
+        for m, e in enumerate(_fac_diff(dfac, fac), 1):
+            for _ in range(e):
+                lifted = dict(terms)
+                for p, x in terms.items():
+                    lifted[p + 2 * m] = lifted.get(p + 2 * m, 0) - x
+                terms, digits, b = lifted, digits + 2 * m, b << 1
+                if b.bit_length() >= wide:
+                    wide = _width(b)
+        for p, x in terms.items():
+            total[p] = total.get(p, 0) + x
+        nd, bound, width = max(nd, digits), bound + b, max(width, wide)
+    if bound.bit_length() >= width:
+        width = _width(bound)
+    powers = [p for p, x in total.items() if x]
+    if not powers:
+        return None
+    j = min(powers) - lo
+    coeffs = tuple(total.get(p, 0) for p in range(lo + j, max(powers) + 1))
+    return coeffs, lo + j, nd - j, bound, width
+
+
 class TestPairSumProperty:
     """`pair_sum` over drawn triples against the same products added one
-    at a time and against exact evaluation: a lone group is returned as
-    it stands, several are lifted and summed, and either way the
-    numerator's zero low digits move into lo."""
+    at a time, against exact evaluation, and against `lifted_reference`
+    for the digits, digit count, bound and width: a lone group is
+    returned as it stands, several are lifted and summed, and either way
+    the numerator's zero low digits move into lo."""
 
     def test_lifted_bounds_cross_64_bits(self):
         """2^62 + 2^62 / (1 - q^2): each group fits 64-bit digits, but
@@ -559,6 +613,10 @@ class TestPairSumProperty:
             assert num.q_order() == 0
             assert num.bound.bit_length() < num.k
             assert all(abs(v) <= num.bound for v in num.coeffs())
+            assert (num.coeffs(), total.lo, num.nd, num.bound, num.k) \
+                == lifted_reference(triples)
+        else:
+            assert lifted_reference(triples) is None
 
     def test_cancelled_low_digits_move_into_lo(self):
         """((1 + 2q) - 1 + 3q^2) q^-1 / (1 - q^2) is (2 + 3q) / (1 - q^2):
@@ -677,7 +735,7 @@ class TestPolyHelpers:
 
 def fac_product(fac):
     """prod_m (1 - q^(2m))^(e_m) for the exponent vector fac, each factor
-    expanded by the binomial theorem: the reference for `_lift`."""
+    expanded by the binomial theorem: the reference for `_lift_sum`."""
     p = [1]
     for m, e in enumerate(fac, 1):
         f = [0] * (2 * m * e + 1)
@@ -736,11 +794,10 @@ LIFT_FACS = [
 
 class TestLift:
     """`_lift_sum` multiplies each group by q^dq and by each factor
-    1 - q^(2m) of its exponent difference: a one-digit numerator by one
-    multiplication by the cached `_fac_product`, a longer one by a shift
-    and a subtraction per factor.  Each factor doubles the tracked bound,
-    and the digits are the operand's, or `_width` of that bound once it
-    outgrows them, which is where widening factor by factor ends."""
+    1 - q^(2m) of its exponent difference, a shift and a subtraction per
+    factor.  Each factor doubles the tracked bound, and the digits are
+    the operand's, or `_width` of that bound once it outgrows them, which
+    is where widening factor by factor ends."""
 
     @pytest.mark.parametrize("fac", LIFT_FACS)
     @pytest.mark.parametrize("k", [64, 128, 256])
@@ -760,25 +817,13 @@ class TestLift:
         assert out.bound == num.bound << sum(fac)
         assert out.k == max(num.k, _width(out.bound))
 
-    @pytest.mark.parametrize("fac", LIFT_FACS)
-    @pytest.mark.parametrize("c", [-5, 2**100, -2**200])
-    def test_one_digit_matches_binomial_product(self, fac, c):
-        """A constant times q^2 is lifted through the cached product at
-        the width of its doubled bound, which is 64, 128, 256 or 512."""
-        num = Poly.from_coeffs([c])
-        out = lift(num, 2, fac)
-        assert out.coeffs() == tuple([0, 0] + [c * x for x in
-                                               fac_product(fac)])
-        assert out.bound == abs(c) << sum(fac)
-        assert out.k == max(num.k, _width(out.bound))
-
     def test_bound_crosses_the_digit_mid_loop(self):
         """The bound of (1 - q^2)^62 is 2^62, which fits a 64-bit digit;
         that of (1 - q^2)^63 is 2^63, which does not, so the lift is
         packed at 128 bits although C(63, 31) < 2^63.  C(66, 33) fits 64
         bits too and is packed wider all the same, while C(70, 35) needs
-        128 bits.  A one-digit numerator, lifted by the cached product,
-        and a two-digit one, lifted by shifts, take the same widths."""
+        128 bits.  A one-digit numerator and a two-digit one take the
+        same widths."""
         for coeffs in ([1], [1, -1]):
             num = Poly.from_coeffs(coeffs)
             for e, k in ((62, 64), (63, 128), (66, 128), (70, 128)):
@@ -796,17 +841,7 @@ class TestLift:
         assert lift(one, 2, ()).coeffs() == (0, 0, 1)
         assert lift(Poly.from_coeffs([]), 1, (3,)).is_zero()
 
-    @pytest.mark.parametrize("fac", [(1,), (1,) * 10, (0, 3, 0, 0, 0, 0, 2),
-                                     (40, 0, 20)])
-    def test_cached_product_is_one_polynomial_at_every_width(self, fac):
-        """`_fac_product` packed at 64- and at 128-bit digits decodes to
-        the same coefficients, those of the binomial product."""
-        expected = tuple(fac_product(fac))
-        for k in (64, 128, 64):
-            assert _decode(_fac_product(fac, k), len(expected), k) \
-                == expected
-
-    def test_groups_of_both_kinds_in_one_sum(self):
+    def test_groups_of_two_lengths_in_one_sum(self):
         """A one-digit group and a longer one lifted onto one denominator
         and q-power: 3 q^-1 / (1 - q^2) + (1 + q) / (1 - q^4) over
         q^-1 / ((1 - q^2) (1 - q^4)) has the numerator 3 (1 - q^4) +

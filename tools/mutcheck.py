@@ -56,24 +56,18 @@ MUTANTS = [
     Mutant("lift-m9", PKG + "ratfunc.py",
            "steps = tuple(2 * m for m, e in enumerate(fac, 1)",
            "steps = tuple(2 * min(m, 8) for m, e in enumerate(fac, 1)",
-           "_shape takes 1 - q^16 in place of 1 - q^(2m) for m >= 9, in "
-           "both lift kinds and in inverse"),
+           "_shape takes 1 - q^16 in place of 1 - q^(2m) for m >= 9, so "
+           "_lift_sum lifts by it in pair_sum and in inverse"),
     Mutant("lift-width-late", PKG + "ratfunc.py",
            "wide = k if bound.bit_length() < k else _width(bound)",
            "wide = k if (bound >> 1).bit_length() < k else _width(bound >> 1)",
            "_lift_sum picks the width from half the summed bound, so the "
            "digits widen one factor late"),
-    Mutant("lift-cache-no-width", PKG + "ratfunc.py",
-           "@lru_cache(maxsize=1024)\ndef _fac_product(fac, k)",
-           "@lambda f, by_fac={}: lambda fac, k: by_fac.setdefault(\n"
-           "    fac, by_fac.get(fac) or f(fac, k))\ndef _fac_product(fac, k)",
-           "the cached product is keyed by the exponent vector alone, so a "
-           "lift at 128 bits reads the product packed at 64"),
-    Mutant("lift-cached-bound-undoubled", PKG + "ratfunc.py",
+    Mutant("lift-one-digit-bound-undoubled", PKG + "ratfunc.py",
            "bound += b << count",
            "bound += b if val.bit_length() < k else b << count",
-           "a one-digit group, lifted through the cached product, adds its "
-           "bound undoubled"),
+           "_lift_sum adds the bound of a one-digit group undoubled by its "
+           "factors"),
     Mutant("lift-nd-from-q0", PKG + "ratfunc.py",
            "nd = max(nd, top - lo + degree)",
            "nd = max(nd, top - lo + degree, -lo)",
