@@ -14,9 +14,8 @@ _EXPORTS = {    # module -> the public names it defines
     "MixedSignCVector NonInvertible NonTruncating NotAPeriod PoleHit "
     "QuadratureFailure ZeroCVector",
     "exchange": "ExchangeMatrix MutationSchedule NumericSeed PeriodReport "
-    "SignSequence TropicalState check_period extend_schedule mutate_matrix "
-    "mutate_tropical mutate_y_numeric numeric_trajectory principal_extension "
-    "sign_sequence tropical_sign",
+    "SignSequence check_period extend_schedule mutate_matrix "
+    "numeric_trajectory principal_extension sign_sequence tropical_sign",
     "ratfunc": "EXACT QCoefficient RationalPointField",
     "torus": "TorusElement invert monomial multiply pairing power psi_series "
     "unit",
@@ -24,7 +23,7 @@ _EXPORTS = {    # module -> the public names it defines
     "quantum_trajectory verify_dual_pair verify_shuffle "
     "verify_tropical_identity verify_universal_identity",
     "dilog": "ClassicalIdentityReport li2 log_psiq_numeric psiq_asymptotics "
-    "psiq_numeric rogers_L rogers_L_complex verify_classical_identity",
+    "rogers_L rogers_L_complex verify_classical_identity",
     "phib": "PhibParams check_duality check_phib_asymptotics log_phib phib "
     "phipsi_residual recurrence_residual unitarity_residual",
     "saddle": "SaddleReport SaddleState TransformSpec action build_solution "

@@ -208,12 +208,6 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
                                    signs.count(1), signs.count(-1))
 
 
-def psiq_numeric(x, q) -> complex:
-    """Quantum dilogarithm as the infinite product 1 / (-qx; q^2)_oo,
-    the exponential of `log_psiq_numeric`."""
-    return cmath.exp(log_psiq_numeric(x, q))
-
-
 def log_psiq_numeric(x, q) -> complex:
     """log Psi_q(x) = -sum_k log(1 + q^(2k+1) x), stable when the product
     itself would overflow."""

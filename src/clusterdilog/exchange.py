@@ -8,15 +8,14 @@ internally.
 
 Each rule is written once.  `_step` mutates the rows of B(t) and the
 c-vectors in Python ints, so entries never wrap around; `_walk` runs it
-along a schedule, and `mutate_matrix` and `mutate_tropical` are one step
-each.  `ExchangeMatrix`, `TropicalState` and `NumericSeed` hold Python
-ints or floats; their array views import numpy when read.  The validated
-value types of the package derive from `_Frozen` and its plain records
-are `NamedTuple`s, so no launch loads `dataclasses`.
+along a schedule, and `mutate_matrix` is one step.  `ExchangeMatrix` and
+`NumericSeed` hold Python ints or floats; their array views import numpy
+when read.  The validated value types of the package derive from
+`_Frozen` and its plain records are `NamedTuple`s, so no launch loads
+`dataclasses`.
 `_y_path` is the one loop of the exchange relation, on Python floats
 (or complex numbers) along the rows of B(t) from the walk, saturating an
-overflowing power at inf; `numeric_trajectory` wraps it, and
-`mutate_y_numeric` is its one-step case.
+overflowing power at inf; `numeric_trajectory` wraps it.
 """
 
 from __future__ import annotations
@@ -26,15 +25,6 @@ import math
 from typing import NamedTuple
 
 from .errors import MixedSignCVector, NotAPeriod, OutOfRange, ZeroCVector
-
-
-def _int_rows(a, what: str, n=None) -> tuple:
-    """The square matrix a (nested sequence or array), of size n if given,
-    as rows of Python ints; raises ValueError(what) for any other shape."""
-    rows = tuple(tuple(map(int, r)) for r in a)
-    if not rows or {len(rows), *map(len, rows)} != {n or len(rows)}:
-        raise ValueError(what)
-    return rows
 
 
 def _frozen_array(values, dtype):
@@ -97,7 +87,9 @@ class ExchangeMatrix(_Frozen):
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = _int_rows(rows, "exchange matrix must be square")
+        rows = tuple(tuple(map(int, r)) for r in rows)
+        if not rows or {len(rows), *map(len, rows)} != {len(rows)}:
+            raise ValueError("exchange matrix must be square")
         if rows != tuple(tuple(-x for x in c) for c in zip(*rows)):
             raise ValueError("exchange matrix must be skew-symmetric")
         _set(self, "rows", rows)
@@ -161,17 +153,6 @@ class NumericSeed(_Frozen):
         return _frozen_array(self.values, float)
 
 
-def mutate_y_numeric(seed: NumericSeed, k: int) -> NumericSeed:
-    """Apply the exchange relation at k (1-based) to a numeric seed.
-
-    y''_k = 1/y'_k and, for i != k,
-    y''_i = y'_i * y'_k^{[b_ki]_+} * (1 + y'_k)^{-b_ki}.
-    Positivity of the y-variables is preserved, up to float under- and
-    overflow (`OutOfRange`).
-    """
-    return numeric_trajectory(seed.matrix, (k,), seed.values)[-1]
-
-
 def tropical_sign(c) -> int:
     """Tropical sign of a c-vector: +1 if all entries >= 0, -1 if <= 0.
 
@@ -186,44 +167,6 @@ def tropical_sign(c) -> int:
     if max(c) <= 0:
         return -1
     raise MixedSignCVector(f"c-vector {c} has entries of both signs")
-
-
-class TropicalState(_Frozen):
-    """Tropical y-variables: `columns[t]`, column t of the matrix
-    `cvectors`, is the exponent vector of [y_t] in the initial ones."""
-
-    __slots__ = ("matrix", "columns")
-
-    def __init__(self, matrix: ExchangeMatrix, cvectors):
-        rows = _int_rows(cvectors, "cvectors must be an n x n integer matrix",
-                         matrix.n)
-        _set(self, "matrix", matrix)
-        _set(self, "columns", tuple(zip(*rows)))
-
-    @classmethod
-    def initial(cls, B: ExchangeMatrix) -> "TropicalState":
-        return cls(B, _units(B.n))
-
-    @property
-    def cvectors(self):
-        """The c-vectors as the columns of a read-only numpy array."""
-        return _frozen_array(self.columns, "int64").T
-
-    def cvector(self, i: int):
-        """The c-vector of y_i (1-based)."""
-        return self.cvectors[:, self.matrix.check_index(i)].copy()
-
-
-def mutate_tropical(state: TropicalState, k: int) -> TropicalState:
-    """Tropical exchange relation at k (1-based).
-
-    The active c-vector is negated; every other column i picks up
-    [eps * b_ki]_+ copies of it, where eps is the tropical sign of the
-    active column.
-    """
-    kk = state.matrix.check_index(k)
-    rows, cols, _ = _step(state.matrix.rows, state.columns, kk)
-    return TropicalState(ExchangeMatrix(rows), tuple(zip(*cols)))
 
 
 class MutationSchedule(_Frozen):
@@ -350,7 +293,8 @@ def _step(rows, cols, kk: int):
 def _walk(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
     """Mutate B and the tropical y-variables along sched in Python ints.
 
-    A zero or mixed-sign active c-vector raises as in `mutate_tropical`.
+    A zero or mixed-sign active c-vector raises `ZeroCVector` or
+    `MixedSignCVector`, as `tropical_sign` does.
     The walk is computed once per (B, sched) and cached; `rows` comes as
     a fresh list on every call.
     """
@@ -383,11 +327,12 @@ def _cached_walk(b0: tuple, sequence: tuple, nu: tuple) -> _Walk:
 
 def _y_path(rows, sequence, y) -> list:
     """y(1) = y, ..., y(L+1) along sequence, as lists: the exchange
-    relation of `mutate_y_numeric` at k_t, reading row k_t of B(t) =
-    rows[t - 1] (Python ints).  The values are floats, or complex numbers
-    in lambda-mode; a real y(t) that is not strictly positive, a float
-    under- or overflow on the way, raises OutOfRange before the next step
-    divides by it or a caller takes its logarithm."""
+    relation y'_k = 1/y_k, y'_i = y_i y_k^[b_ki]_+ (1 + y_k)^(-b_ki) at
+    k = k_t, reading row k_t of B(t) = rows[t - 1] (Python ints).  The
+    values are floats, or complex numbers in lambda-mode; a real y(t)
+    that is not strictly positive, a float under- or overflow on the
+    way, raises OutOfRange before the next step divides by it or a
+    caller takes its logarithm."""
     L = len(sequence)
     ys = [list(y)]
     for t in range(L + 1):
@@ -442,10 +387,3 @@ def numeric_trajectory(B: ExchangeMatrix, sequence, y0) -> list:
     rows = _walk(B, sched).rows
     return [NumericSeed(ExchangeMatrix(b), y)
             for b, y in zip(rows, _y_path(rows, sched.sequence, y0))]
-
-
-def numeric_period_residual(B: ExchangeMatrix, sched: MutationSchedule, y0) -> float:
-    """Max relative deviation of y_{nu(i)}(L+1) from y_i(1) at a given y0."""
-    traj = numeric_trajectory(B, sched.sequence, y0)
-    start, end = traj[0].values, traj[-1].values
-    return max(abs(end[v - 1] - y) / abs(y) for v, y in zip(sched.nu, start))

@@ -232,22 +232,6 @@ class SaddleReport(NamedTuple):
         return max(self.residual_u_eqs, self.residual_p_eqs,
                    self.residual_w_eqs)
 
-    def to_json(self) -> dict:
-        return {
-            "residual_u_eqs": self.residual_u_eqs,
-            "residual_p_eqs": self.residual_p_eqs,
-            "residual_w_eqs": self.residual_w_eqs,
-            "action": _c2j(self.action_value),
-            "cross_check": _c2j(self.cross_check_value),
-            "action_minus_cross_check": abs(self.action_value
-                                            - self.cross_check_value),
-        }
-
-
-def _c2j(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
 
 def _max_abs(rows):
     return max([0.0] + [abs(r) for row in rows for r in row])
@@ -379,18 +363,10 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
 class TransformSpec(NamedTuple):
     """Integer matrices of the coordinate maps induced by one mutation, as
     rows of Python ints: new = M @ old for u and w.  The momenta p and the
-    D-coordinates transform as w does, so `p_map` and `d_map` are `w_map`."""
+    D-coordinates transform as w does, by `w_map`."""
 
     u_map: tuple
     w_map: tuple
-
-    @property
-    def p_map(self) -> tuple:
-        return self.w_map
-
-    @property
-    def d_map(self) -> tuple:
-        return self.w_map
 
 
 def coordinate_maps(Bp: ExchangeMatrix, k: int, epsilon: int) -> TransformSpec:

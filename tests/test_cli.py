@@ -152,7 +152,8 @@ class TestVerify:
         code, rep = run_json(capsys, "verify", "saddle", "--builtin", "A2",
                              "--trials", "10")
         assert code == 0
-        assert rep["results"][0]["max_residuals"]["newton_step"] < 1e-12
+        worst = rep["results"][0]["max_residuals"]
+        assert worst["newton_step"] < 1e-12 and worst["cross_gap"] < 1e-12
 
     def test_saddle_lambda(self, capsys):
         code, rep = run_json(capsys, "verify", "saddle-lambda",

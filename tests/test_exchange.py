@@ -14,14 +14,12 @@ from clusterdilog.exchange import (
     MutationSchedule,
     NumericSeed,
     PeriodReport,
-    TropicalState,
+    _step,
+    _units,
     _walk,
     check_period,
     extend_schedule,
     mutate_matrix,
-    mutate_tropical,
-    mutate_y_numeric,
-    numeric_period_residual,
     numeric_trajectory,
     principal_extension,
     require_period,
@@ -57,6 +55,13 @@ def random_skew(rng, n, bound=3):
     b = rng.integers(-bound, bound + 1, size=(n, n))
     b = np.triu(b, 1)
     return ExchangeMatrix(b - b.T)
+
+
+def numeric_period_residual(B, sched, y0):
+    """Max relative deviation of y_{nu(i)}(L+1) from y_i(1) at y0."""
+    traj = numeric_trajectory(B, sched.sequence, y0)
+    start, end = traj[0].values, traj[-1].values
+    return max(abs(end[v - 1] - y) / abs(y) for v, y in zip(sched.nu, start))
 
 
 class TestMutateMatrix:
@@ -96,16 +101,14 @@ class TestMutateMatrix:
 
 class TestMutateYNumeric:
     def test_a2_first_step(self):
-        seed = NumericSeed(A2, [1.0, 1.0])
-        out = mutate_y_numeric(seed, 1)
+        out = numeric_trajectory(A2, (1,), [1.0, 1.0])[-1]
         assert out.y == pytest.approx([1.0, 2.0])
 
     def test_involution(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             y = rng.uniform(0.1, 10.0, size=2)
-            seed = NumericSeed(A2, y)
-            back = mutate_y_numeric(mutate_y_numeric(seed, 2), 2)
+            back = numeric_trajectory(A2, (2, 2), y)[-1]
             assert back.y == pytest.approx(y, rel=1e-14)
             assert back.matrix == A2
 
@@ -135,7 +138,7 @@ class TestMutateYNumeric:
             B = random_skew(rng, n)
             y = rng.uniform(0.05, 20.0, size=n)
             k = int(rng.integers(1, n + 1))
-            got = mutate_y_numeric(NumericSeed(B, y), k).y
+            got = numeric_trajectory(B, (k,), y)[-1].y
             kk = k - 1
             bk = B.entries[kk].astype(float)
             alt = y * y[kk] ** np.maximum(-bk, 0) * (1 + 1 / y[kk]) ** (-bk)
@@ -146,7 +149,7 @@ class TestMutateYNumeric:
         """y_1^2 overflows: the power is inf, as numpy's is, not a large
         finite number that the tiny y_2 would bring back into range."""
         B = ExchangeMatrix(np.array([[0, 2], [-2, 0]]))
-        out = mutate_y_numeric(NumericSeed(B, [1e160, 1e-200]), 1)
+        out = numeric_trajectory(B, (1,), [1e160, 1e-200])[-1]
         assert out.y.tolist() == [1e-160, math.inf]
 
     def test_rejects_nonpositive_y(self):
@@ -166,36 +169,33 @@ class TestTropical:
             tropical_sign((0, 0))
 
     def test_initial_cvectors_are_units(self):
-        state = TropicalState.initial(A2)
-        for i in (1, 2):
-            c = state.cvector(i)
-            assert c[i - 1] == 1 and c.sum() == 1
+        cols = _walk(A2, MutationSchedule.identity_nu((), 2)).cvectors
+        for i, c in enumerate(cols, 1):
+            assert c[i - 1] == 1 and sum(c) == 1
             assert tropical_sign(c) == 1
 
     def test_a2_active_cvectors(self):
         expected = [(1, 0), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-        state = TropicalState.initial(A2)
+        rows, cols = A2.rows, _units(2)
         for k, exp in zip(A2_SCHED.sequence, expected):
-            assert tuple(state.cvector(k)) == exp
-            state = mutate_tropical(state, k)
+            assert cols[k - 1] == exp
+            rows, cols, eps = _step(rows, cols, k - 1)
+            assert eps == tropical_sign(exp)
 
     def test_a2_period_returns_to_identity_after_nu(self):
-        state = TropicalState.initial(A2)
-        for k in A2_SCHED.sequence:
-            state = mutate_tropical(state, k)
-        perm = [v - 1 for v in A2_SCHED.nu]
-        assert np.array_equal(state.cvectors[:, perm], np.eye(2, dtype=int))
+        cols = _walk(A2, A2_SCHED).cvectors
+        assert [cols[v - 1] for v in A2_SCHED.nu] == [(1, 0), (0, 1)]
 
     def test_sign_coherence_along_random_sequences(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
             n = int(rng.integers(1, 5))
             B = random_skew(rng, n)
-            state = TropicalState.initial(B)
+            rows, cols = B.rows, _units(n)
             for _ in range(12):
                 k = int(rng.integers(1, n + 1))
-                tropical_sign(state.cvector(k))  # raises on violation
-                state = mutate_tropical(state, k)
+                tropical_sign(cols[k - 1])  # raises on violation
+                rows, cols, _ = _step(rows, cols, k - 1)
 
 
 class TestSignSequence:
@@ -320,10 +320,6 @@ def int_rows(B):
     return tuple(tuple(r) for r in B.entries.tolist())
 
 
-def int_columns(state):
-    return tuple(tuple(c) for c in state.cvectors.T.tolist())
-
-
 def as_tuples(rows):
     return tuple(map(tuple, rows))
 
@@ -371,8 +367,8 @@ def reference_period(B, b, cols, nu):
 
 
 class TestIntegerWalk:
-    """The Python-int walk behind check_period and sign_sequence, and the
-    mutate_matrix / mutate_tropical wrappers over its step, against the
+    """The Python-int walk behind check_period and sign_sequence, its
+    step, and the mutate_matrix wrapper over that step, against the
     textbook formulas at entries of any size."""
 
     @settings(max_examples=80, deadline=None)
@@ -384,7 +380,7 @@ class TestIntegerWalk:
         ss = sign_sequence(B, MutationSchedule.identity_nu(word, n))
         assert (ss.signs, ss.cvectors) == (walk.signs, walk.alphas)
         ref = textbook_walk(B, word)
-        state = TropicalState.initial(B)
+        rows, cols_t = B.rows, _units(n)
         for t, k in enumerate(word):
             b, cols = ref[t]
             assert walk.rows[t] == as_tuples(b)
@@ -393,12 +389,13 @@ class TestIntegerWalk:
             # sign-coherence: the textbook c-vector has entries of one sign
             assert any(alpha) and (min(alpha) >= 0 or max(alpha) <= 0)
             assert walk.signs[t] == (1 if min(alpha) >= 0 else -1)
-            state = mutate_tropical(state, k)
+            rows, cols_t, eps = _step(rows, cols_t, k - 1)
+            assert eps == walk.signs[t]
             b, cols = ref[t + 1]
-            assert int_rows(state.matrix) == as_tuples(b)
+            assert rows == as_tuples(b)
             assert int_rows(mutate_matrix(ExchangeMatrix(ref[t][0]), k)) \
                 == as_tuples(b)
-            assert int_columns(state) == as_tuples(cols)
+            assert cols_t == as_tuples(cols)
             for nu in itertools.permutations(range(1, n + 1)):
                 sched = MutationSchedule(word[:t + 1], nu)
                 assert check_period(B, sched) == reference_period(B, b, cols, nu)
@@ -516,8 +513,6 @@ def value_type_cases():
         (lambda: MutationSchedule([1, 2, 1, 2, 1], [2, 1]),
          MutationSchedule((1, 2), (2, 1))),
         (lambda: NumericSeed(A2, [1, 2]), NumericSeed(A2, (2.0, 1.0))),
-        (lambda: TropicalState(A2, [[1, 0], [0, 1]]),
-         TropicalState(A2, [[0, 1], [1, 0]])),
         (lambda: PhibParams(0.8), PhibParams(complex(0.8, 0.1))),
         (lambda: TorusElement(A2, 4, (0, 0), {(0, 0): one, (1, 0): one}),
          TorusElement(A2, 4, (0, 0), {(0, 0): one})),

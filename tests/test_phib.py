@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import clusterdilog
-from clusterdilog.dilog import li2, psiq_numeric
+from clusterdilog.dilog import li2, log_psiq_numeric
 from clusterdilog.errors import QuadratureFailure
 from clusterdilog.phib import (
     PhibParams,
@@ -228,8 +228,9 @@ class TestRecurrence:
         p = PhibParams(COMPLEX_BS[0])
         z = 0.1 + 3.5j
         lhs = phib(z, p)
-        rhs = psiq_numeric(cmath.exp(2 * math.pi * p.b * z), p.q) / \
-            psiq_numeric(cmath.exp(2 * math.pi * z / p.b), p.q_bar)
+        rhs = cmath.exp(
+            log_psiq_numeric(cmath.exp(2 * math.pi * p.b * z), p.q)
+            - log_psiq_numeric(cmath.exp(2 * math.pi * z / p.b), p.q_bar))
         assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
     @pytest.mark.parametrize("z", [1e300 + 1e300j, 1e300 - 1e300j,

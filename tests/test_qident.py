@@ -12,7 +12,6 @@ from clusterdilog.exchange import (
     MutationSchedule,
     _walk,
     extend_schedule,
-    mutate_y_numeric,
     numeric_trajectory,
     principal_extension,
     sign_sequence,
@@ -208,12 +207,10 @@ class TestQ1Degeneration:
                     assert abs(approx - exact) / abs(exact) < 1e-12
 
     def test_single_step_commutative_image(self):
-        from clusterdilog.exchange import NumericSeed
-
         seed = initial_quantum_seed(A2, 10)
         step = quantum_mutate(seed, 1, +1)
         y0 = np.array([0.01, 0.02])
-        out = mutate_y_numeric(NumericSeed(A2, y0), 1)
+        out = numeric_trajectory(A2, (1,), y0)[-1]
         for i in range(2):
             assert step.Y[i].evaluate_commutative(y0, 1) == pytest.approx(
                 out.y[i], rel=1e-13)

@@ -212,6 +212,117 @@ class TestPoly:
         assert p.coeffs() == tuple(math.comb(1024, k) for k in range(1025))
 
 
+def fac_product(fac):
+    """prod_m (1 - q^(2m))^(e_m) for the exponent vector fac, each factor
+    expanded by the binomial theorem: the reference for `_lift_sum`."""
+    p = [1]
+    for m, e in enumerate(fac, 1):
+        f = [0] * (2 * m * e + 1)
+        for i in range(e + 1):
+            f[2 * m * i] = (-1) ** i * math.comb(e, i)
+        p = convolve(p, f)
+    return p
+
+
+def lift(num: Poly, dq: int, fac: tuple) -> Poly:
+    """num * q^dq * prod_m (1 - q^(2m))^(e_m) by `_lift_sum`: num as the
+    one group q^dq num over no denominator, lifted onto q^0 over fac."""
+    return _lift_sum([((), (num.val, dq, dq + num.nd, num.bound))], 0, fac,
+                     num.k)
+
+
+LIFT_FACS = [
+    (1,),
+    (1, 1, 1, 1, 1),
+    (0, 3, 0, 0, 0, 0, 2),
+    (66,),                      # 2^66 needs 128-bit digits, C(66, 33) not
+    (70,),                      # C(70, 35) > 2^63
+    (40, 0, 30, 0, 1),
+    (1,) * 10,                  # (q^2; q^2)_10, up to 1 - q^20
+]
+
+
+class TestLift:
+    """`_lift_sum` multiplies each group by q^dq and by each factor
+    1 - q^(2m) of its exponent difference, a shift and a subtraction per
+    factor.  Each factor doubles the tracked bound, and the digits are
+    the operand's, or `_width` of that bound once it outgrows them, which
+    is where widening factor by factor ends."""
+
+    @pytest.mark.parametrize("fac", LIFT_FACS)
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    @pytest.mark.parametrize("dq", [0, 3])
+    def test_matches_binomial_product(self, fac, k, dq):
+        size = {64: 5, 128: 2**100, 256: 2**200}[k]
+        coeffs = [size, -1, 0, -size, 2]
+        num = Poly.from_coeffs(coeffs)
+        assert num.k == k
+        out = lift(num, dq, fac)
+        expected = [0] * dq + convolve(coeffs, fac_product(fac))
+        assert out.coeffs() == tuple(expected)
+        assert out.bound >= max(map(abs, expected))
+        assert out.bound.bit_length() < out.k
+        # the tracked bound doubles per factor; the width is the
+        # operand's, or the width of that bound once it outgrows it
+        assert out.bound == num.bound << sum(fac)
+        assert out.k == max(num.k, _width(out.bound))
+
+    def test_bound_crosses_the_digit_mid_loop(self):
+        """The bound of (1 - q^2)^62 is 2^62, which fits a 64-bit digit;
+        that of (1 - q^2)^63 is 2^63, which does not, so the lift is
+        packed at 128 bits although C(63, 31) < 2^63.  C(66, 33) fits 64
+        bits too and is packed wider all the same, while C(70, 35) needs
+        128 bits.  A one-digit numerator and a two-digit one take the
+        same widths."""
+        for coeffs in ([1], [1, -1]):
+            num = Poly.from_coeffs(coeffs)
+            for e, k in ((62, 64), (63, 128), (66, 128), (70, 128)):
+                out = lift(num, 0, (e,))
+                assert (out.bound, out.k) == (2**e, k) and k == _width(2**e)
+                assert out.coeffs() == tuple(convolve(coeffs,
+                                                      fac_product((e,))))
+        one = Poly.from_coeffs([1])
+        assert lift(one, 0, (70,)).coeffs()[70] == -math.comb(70, 35) < -2**63
+        assert lift(one, 0, (66,)).coeffs()[66] == -math.comb(66, 33)
+
+    def test_zero_and_empty_lifts(self):
+        one = Poly.from_coeffs([1])
+        assert lift(one, 0, ()) == one
+        assert lift(one, 2, ()).coeffs() == (0, 0, 1)
+        assert lift(Poly.from_coeffs([]), 1, (3,)).is_zero()
+
+    def test_groups_of_two_lengths_in_one_sum(self):
+        """A one-digit group and a longer one lifted onto one denominator
+        and q-power: 3 q^-1 / (1 - q^2) + (1 + q) / (1 - q^4) over
+        q^-1 / ((1 - q^2) (1 - q^4)) has the numerator 3 (1 - q^4) +
+        q (1 + q) (1 - q^2), five digits whose bound 3 * 2 + 1 * 2 also
+        sets the width."""
+        groups = [((1,), (3, -1, 0, 3)),
+                  ((0, 1), (Poly.from_coeffs([1, 1]).val, 0, 2, 1))]
+        out = _lift_sum(groups, -1, (1, 1), 64)
+        assert out.coeffs() == (3, 1, 1, -1, -4)
+        assert (out.nd, out.bound, out.k) == (5, 8, 64)
+
+    def test_digit_count_below_q_to_the_zero(self):
+        """Groups whose q-powers are all negative: 3 q^-5 / (1 - q^2) +
+        q^-6 over q^-6 / (1 - q^2) is 1 + 3q - q^2, three digits."""
+        groups = [((1,), (3, -5, -4, 3)), ((), (1, -6, -5, 1))]
+        out = _lift_sum(groups, -6, (1,), 64)
+        assert out.coeffs() == (1, 3, -1)
+        assert (out.nd, out.bound, out.k) == (3, 5, 64)
+
+    def test_one_digit_value_over_several_digits(self):
+        """A group whose packed value fits one digit although its digits
+        run below q^2: (1 + q) + (1 - q) = 2.  Lifted by 1 - q^2 and
+        added to (1 + q) / (1 - q^2), it gives 3 + q - 2q^2, and its
+        bound 2 doubles like any other group's, to 2 * 2 + 1."""
+        groups = [((), (2, 0, 2, 2)),
+                  ((1,), (Poly.from_coeffs([1, 1]).val, 0, 2, 1))]
+        out = _lift_sum(groups, 0, (1,), 64)
+        assert out.coeffs() == (3, 1, -2)
+        assert (out.nd, out.bound, out.k) == (4, 5, 64)
+
+
 class TestQCoefficient:
     def test_pair_sum_widens_a_group_past_64_bits(self):
         """Each product (2^31 - 1)^2 (1 + q) q^j / (1 - q^2) fits 64-bit
@@ -733,18 +844,6 @@ class TestPolyHelpers:
         assert _quotient((1, 1), (1, -1)) is None
 
 
-def fac_product(fac):
-    """prod_m (1 - q^(2m))^(e_m) for the exponent vector fac, each factor
-    expanded by the binomial theorem: the reference for `_lift_sum`."""
-    p = [1]
-    for m, e in enumerate(fac, 1):
-        f = [0] * (2 * m * e + 1)
-        for i in range(e + 1):
-            f[2 * m * i] = (-1) ** i * math.comb(e, i)
-        p = convolve(p, f)
-    return p
-
-
 def vector(exps):
     """The exponent vector of {m: e_m}, with no trailing zero."""
     top = max((m for m, e in exps.items() if e), default=0)
@@ -772,91 +871,3 @@ class TestExponentVectors:
         assert _fac_diff(vector(top), fb) == vector(
             {m: top[m] - b.get(m, 0) for m in ms})
         assert _fac_diff(fa, fa) == () and _max_fac([]) == ()
-
-
-def lift(num: Poly, dq: int, fac: tuple) -> Poly:
-    """num * q^dq * prod_m (1 - q^(2m))^(e_m) by `_lift_sum`: num as the
-    one group q^dq num over no denominator, lifted onto q^0 over fac."""
-    return _lift_sum([((), (num.val, dq, dq + num.nd, num.bound))], 0, fac,
-                     num.k)
-
-
-LIFT_FACS = [
-    (1,),
-    (1, 1, 1, 1, 1),
-    (0, 3, 0, 0, 0, 0, 2),
-    (66,),                      # 2^66 needs 128-bit digits, C(66, 33) not
-    (70,),                      # C(70, 35) > 2^63
-    (40, 0, 30, 0, 1),
-    (1,) * 10,                  # (q^2; q^2)_10, up to 1 - q^20
-]
-
-
-class TestLift:
-    """`_lift_sum` multiplies each group by q^dq and by each factor
-    1 - q^(2m) of its exponent difference, a shift and a subtraction per
-    factor.  Each factor doubles the tracked bound, and the digits are
-    the operand's, or `_width` of that bound once it outgrows them, which
-    is where widening factor by factor ends."""
-
-    @pytest.mark.parametrize("fac", LIFT_FACS)
-    @pytest.mark.parametrize("k", [64, 128, 256])
-    @pytest.mark.parametrize("dq", [0, 3])
-    def test_matches_binomial_product(self, fac, k, dq):
-        size = {64: 5, 128: 2**100, 256: 2**200}[k]
-        coeffs = [size, -1, 0, -size, 2]
-        num = Poly.from_coeffs(coeffs)
-        assert num.k == k
-        out = lift(num, dq, fac)
-        expected = [0] * dq + convolve(coeffs, fac_product(fac))
-        assert out.coeffs() == tuple(expected)
-        assert out.bound >= max(map(abs, expected))
-        assert out.bound.bit_length() < out.k
-        # the tracked bound doubles per factor; the width is the
-        # operand's, or the width of that bound once it outgrows it
-        assert out.bound == num.bound << sum(fac)
-        assert out.k == max(num.k, _width(out.bound))
-
-    def test_bound_crosses_the_digit_mid_loop(self):
-        """The bound of (1 - q^2)^62 is 2^62, which fits a 64-bit digit;
-        that of (1 - q^2)^63 is 2^63, which does not, so the lift is
-        packed at 128 bits although C(63, 31) < 2^63.  C(66, 33) fits 64
-        bits too and is packed wider all the same, while C(70, 35) needs
-        128 bits.  A one-digit numerator and a two-digit one take the
-        same widths."""
-        for coeffs in ([1], [1, -1]):
-            num = Poly.from_coeffs(coeffs)
-            for e, k in ((62, 64), (63, 128), (66, 128), (70, 128)):
-                out = lift(num, 0, (e,))
-                assert (out.bound, out.k) == (2**e, k) and k == _width(2**e)
-                assert out.coeffs() == tuple(convolve(coeffs,
-                                                      fac_product((e,))))
-        one = Poly.from_coeffs([1])
-        assert lift(one, 0, (70,)).coeffs()[70] == -math.comb(70, 35) < -2**63
-        assert lift(one, 0, (66,)).coeffs()[66] == -math.comb(66, 33)
-
-    def test_zero_and_empty_lifts(self):
-        one = Poly.from_coeffs([1])
-        assert lift(one, 0, ()) == one
-        assert lift(one, 2, ()).coeffs() == (0, 0, 1)
-        assert lift(Poly.from_coeffs([]), 1, (3,)).is_zero()
-
-    def test_groups_of_two_lengths_in_one_sum(self):
-        """A one-digit group and a longer one lifted onto one denominator
-        and q-power: 3 q^-1 / (1 - q^2) + (1 + q) / (1 - q^4) over
-        q^-1 / ((1 - q^2) (1 - q^4)) has the numerator 3 (1 - q^4) +
-        q (1 + q) (1 - q^2), five digits whose bound 3 * 2 + 1 * 2 also
-        sets the width."""
-        groups = [((1,), (3, -1, 0, 3)),
-                  ((0, 1), (Poly.from_coeffs([1, 1]).val, 0, 2, 1))]
-        out = _lift_sum(groups, -1, (1, 1), 64)
-        assert out.coeffs() == (3, 1, 1, -1, -4)
-        assert (out.nd, out.bound, out.k) == (5, 8, 64)
-
-    def test_digit_count_below_q_to_the_zero(self):
-        """Groups whose q-powers are all negative: 3 q^-5 / (1 - q^2) +
-        q^-6 over q^-6 / (1 - q^2) is 1 + 3q - q^2, three digits."""
-        groups = [((1,), (3, -5, -4, 3)), ((), (1, -6, -5, 1))]
-        out = _lift_sum(groups, -6, (1,), 64)
-        assert out.coeffs() == (1, 3, -1)
-        assert (out.nd, out.bound, out.k) == (3, 5, 64)

@@ -107,11 +107,6 @@ class TestResiduals:
             assert abs(rep.action_value - rep.cross_check_value) < 1e-12
         assert newton_refine(st, A3, sched) < 1e-12
 
-    def test_report_json(self):
-        st = build_solution(A2, A2_SCHED, [0.1, 0.2])
-        j = residuals(st, A2, A2_SCHED).to_json()
-        assert j["action_minus_cross_check"] < 1e-12
-
 
 class TestAction:
     def test_a1_exact_zero(self):
@@ -318,8 +313,6 @@ class TestCoordinateMaps:
                                    signs[t - 1])
             assert np.array_equal(spec.u_map, np.array(expected_u[t])), t
             assert np.array_equal(spec.w_map, np.array(expected_w[t])), t
-            assert np.array_equal(spec.p_map, spec.w_map)
-            assert np.array_equal(spec.d_map, spec.w_map)
 
     def test_decoupled_direction_is_pure_sign_flip(self):
         B = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]]))

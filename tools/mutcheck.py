@@ -66,8 +66,8 @@ MUTANTS = [
     Mutant("lift-one-digit-bound-undoubled", PKG + "ratfunc.py",
            "bound += b << count",
            "bound += b if val.bit_length() < k else b << count",
-           "_lift_sum adds the bound of a one-digit group undoubled by its "
-           "factors"),
+           "_lift_sum adds the bound of a group whose packed value is "
+           "shorter than k bits undoubled by its factors"),
     Mutant("lift-nd-from-q0", PKG + "ratfunc.py",
            "nd = max(nd, top - lo + degree)",
            "nd = max(nd, top - lo + degree, -lo)",
@@ -235,6 +235,11 @@ MUTANTS = [
            "return [v[i] + max(eps * b[k][i], 0) * v[k] if i != k else -v[k]",
            "return [v[i] + max(-eps * b[k][i], 0) * v[k] if i != k else -v[k]",
            "the momentum map takes [-eps b_ki]_+ copies of v_k"),
+    Mutant("cvector-unsigned", PKG + "exchange.py",
+           "tuple(x + eps * bki * a for x, a in zip(c, alpha))",
+           "tuple(x + bki * a for x, a in zip(c, alpha))",
+           "the c-vector update adds b_ki copies of the active c-vector, "
+           "dropping its tropical sign eps"),
     Mutant("exchange-matrix-sign", PKG + "exchange.py",
            "x + (abs(r[kk]) * y + r[kk] * abs(y)) // 2",
            "x + (abs(r[kk]) * y - r[kk] * abs(y)) // 2",
