@@ -219,11 +219,11 @@ def _verify_classical(B, sched, args, rng):
     trials = args.trials or 100
     worst = {"signed": 0.0, "di": 0.0, "di_prime": 0.0}
     from .exchange import require_period
-    require_period(B, sched)    # a non-period exits 2 before these load
-    import numpy as np
+    require_period(B, sched)    # a non-period exits 2 before dilog loads
     from .dilog import verify_classical_identity
     for _ in range(trials):
-        y0 = np.exp(rng().uniform(np.log(1e-3), np.log(1e3), size=B.n))
+        y0 = [math.exp(v) for v in rng().uniform(math.log(1e-3),
+                                                 math.log(1e3), size=B.n)]
         rep = verify_classical_identity(B, sched, y0)
         worst["signed"] = max(worst["signed"], abs(rep.sum_signed))
         worst["di"] = max(worst["di"], rep.di_residual)

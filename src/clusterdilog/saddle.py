@@ -12,9 +12,10 @@ involution (`_momentum_map`); the closing row p(L) (`_closing_row`);
 and the equations from varying u(t) and p(t) (`_equations`, which takes
 exp and log as arguments).  `build_solution` solves the system in
 closed form, `residuals` evaluates it on scalars, `newton_refine` on
-batched numpy rows (numpy imported there only), and `coordinate_maps`
-is the momentum map and its transpose as integer matrices.  `action` is
-the one evaluation of the phase; `residuals` reports its value.
+jets, values carrying sparse gradients, for an exact Jacobian, and
+`coordinate_maps` is the momentum map and its transpose as integer
+matrices.  `action` is the one evaluation of the phase; `residuals`
+reports its value.
 
 Two modes: "b" works with real u(1) and the positive real trajectory;
 "lambda" deforms the exponent by a complex unit-like parameter with
@@ -35,7 +36,6 @@ from .exchange import (ExchangeMatrix, MutationSchedule, _units, _walk,
 
 _GUARD = 1e-6
 _MAX_IM_LAMBDA = 0.1  # lambda-mode keeps Im lambda within this
-_NEWTON_H = 1e-6  # the central-difference step of newton_refine
 
 
 def _safe_log(z, mode):
@@ -308,6 +308,149 @@ def action(state: SaddleState, B: ExchangeMatrix,
     return value, cross
 
 
+class _Jet:
+    """A value with its gradient, a sparse dict {variable: partial
+    derivative}: forward-mode differentiation through the arithmetic of
+    `_equations` and `_momentum_map`, where jets add and subtract, scale
+    by numbers and divide a number.  Numbers are constants; a product
+    with 0 is the plain float it equals, so gradients hold only the
+    variables a value depends on.  The value is computed as on floats, so
+    it is the scalar value bit for bit.  No gradient dict is changed once
+    built, so jets share them."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        if type(o) is not _Jet:
+            return _Jet(self.v + o, self.d)
+        d = dict(self.d)
+        for k, x in o.d.items():
+            d[k] = d.get(k, 0.0) + x
+        return _Jet(self.v + o.v, d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is not _Jet:
+            return _Jet(self.v - o, self.d)
+        d = dict(self.d)
+        for k, x in o.d.items():
+            d[k] = d.get(k, 0.0) - x
+        return _Jet(self.v - o.v, d)
+
+    def __rsub__(self, o):
+        return _Jet(o - self.v, {k: -x for k, x in self.d.items()})
+
+    def __neg__(self):
+        return _Jet(-self.v, {k: -x for k, x in self.d.items()})
+
+    def __mul__(self, o):
+        if o == 0:
+            return self.v * o
+        return _Jet(self.v * o, {k: o * x for k, x in self.d.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return _Jet(self.v / o, {k: x / o for k, x in self.d.items()})
+
+    def __rtruediv__(self, o):
+        v = o / self.v
+        f = -v / self.v
+        return _Jet(v, {k: f * x for k, x in self.d.items()})
+
+
+def _jet_exp(a):
+    if type(a) is not _Jet:
+        return math.exp(a)
+    e = math.exp(a.v)
+    return _Jet(e, {k: e * x for k, x in a.d.items()})
+
+
+def _jet_log(a):
+    if type(a) is not _Jet:
+        return math.log(a)
+    return _Jet(math.log(a.v), {k: x / a.v for k, x in a.d.items()})
+
+
+def _solve(rows, rhs):
+    """x with sum_k rows[i][k] x[k] = rhs[i] for every i, the rows sparse
+    dicts {column: entry} of a square matrix: Gaussian elimination with
+    partial pivoting, column by column, the pivot the entry of largest
+    magnitude among the rows not yet pivots.  The rows and rhs are
+    overwritten.  A singular matrix raises ValueError."""
+    m = len(rows)
+    holding = [set() for _ in range(m)]     # rows not yet pivots, by column
+    for i, row in enumerate(rows):
+        for k in row:
+            holding[k].add(i)
+    order = []
+    for j in range(m):
+        below = holding[j]
+        p = max(below, key=lambda i: abs(rows[i][j]), default=None)
+        piv = 0.0 if p is None else rows[p][j]
+        if not 0.0 < abs(piv) < math.inf:
+            raise ValueError("the Newton Jacobian is singular or not finite")
+        order.append(p)
+        prow = rows[p]
+        for k in prow:
+            holding[k].discard(p)
+        rest = [(k, x) for k, x in prow.items() if k != j]
+        for i in below:
+            row = rows[i]
+            f = row.pop(j) / piv
+            rhs[i] -= f * rhs[p]
+            for k, x in rest:
+                if k in row:
+                    row[k] -= f * x
+                else:
+                    row[k] = -f * x
+                    holding[k].add(i)
+    x = [0.0] * m
+    for j in range(m - 1, -1, -1):
+        row = rows[order[j]]
+        x[j] = (rhs[order[j]] - sum(a * x[k] for k, a in row.items()
+                                     if k != j)) / row[j]
+    return x
+
+
+def _newton_system(state: SaddleState, B: ExchangeMatrix,
+                   sched: MutationSchedule):
+    """(rows, rhs): the exact Jacobian J of the stationarity system in the
+    free variables (p(1..L-1), u(2..L)), as sparse rows {column: entry},
+    and -F, F the system's value at the state.
+
+    `_equations` runs once on jets that carry the free variables, with
+    the jets' exp and log, so every row comes with its gradient.
+    """
+    _require_match(state, B, sched)
+    if state.mode != "b":
+        raise ValueError("refinement is defined for the real mode")
+    n, L = B.n, sched.length
+    seq = sched.sequence
+    mats = _walk(B, sched).rows
+    signs = state.signs
+    w1 = state.w[0]
+    x0 = ([state.p[t][i] for t in range(L - 1) for i in range(n)]
+          + [state.u[t][i] for t in range(1, L) for i in range(n)])
+    x = [_Jet(v, {j: 1.0}) for j, v in enumerate(x0)]
+    ps = ([x[t * n:(t + 1) * n] for t in range(L - 1)]
+          + [_closing_row(mats, sched, signs, w1)])
+    us = [state.u[0]] + [x[(L - 1 + t) * n:(L + t) * n] for t in range(L - 1)]
+    # ptilde(t) for t >= 2 from the momentum map of p(t-1)
+    pts = [w1] + [_momentum_map(mats[t], seq[t] - 1, signs[t], ps[t])
+                  for t in range(L - 1)]
+    # u(1) is not free, so the equations of varying it drop out
+    _, _, u_eqs, p_eqs = _equations(mats, seq, signs, 1.0, us, ps, pts,
+                                    _jet_exp, _jet_log, first=2)
+    eqs = [r for rows in u_eqs + p_eqs for r in rows]
+    return ([dict(r.d) if type(r) is _Jet else {} for r in eqs],
+            [-(r.v if type(r) is _Jet else r) for r in eqs])
+
+
 def newton_refine(state: SaddleState, B: ExchangeMatrix,
                   sched: MutationSchedule):
     """One Newton step on the stationarity system in the free variables
@@ -315,49 +458,12 @@ def newton_refine(state: SaddleState, B: ExchangeMatrix,
 
     The constructed solution must be a stationary point, so the step
     must be negligible; this confirms stationarity independently of the
-    construction.  The central-difference Jacobian comes from one batched
-    residual: every scalar of the system is a row holding its value at x0
-    and at x0 +- _NEWTON_H e_j, with exp and log taken element by element
-    by `math`, so each entry equals its unbatched value.
+    construction.  The Jacobian is exact (`_newton_system`), and the
+    step solves J s = -F by sparse elimination (`_solve`).
     """
-    _require_match(state, B, sched)
-    if state.mode != "b":
-        raise ValueError("refinement is defined for the real mode")
-    import numpy as np
-    n, L = B.n, sched.length
-    seq = sched.sequence
-    mats = _walk(B, sched).rows
-    signs = state.signs
-    u1 = state.u[0]
-    w1 = state.w[0]
-    pl = _closing_row(mats, sched, signs, w1)
-
-    def emap(f):
-        return lambda row: np.array(list(map(f, row.tolist())))
-
-    def residual_rows(x):
-        ps = [list(x[t * n:(t + 1) * n]) for t in range(L - 1)] + [pl]
-        us = [list(u1)] + [list(x[(L - 1 + t) * n:(L + t) * n])
-                           for t in range(L - 1)]
-        # ptilde(t) for t >= 2 from the momentum map of p(t-1)
-        pts = [list(w1)] + [_momentum_map(mats[t], seq[t] - 1, signs[t], ps[t])
-                            for t in range(L - 1)]
-        # u(1) is not free, so the equations of varying it drop out
-        _, _, u_eqs, p_eqs = _equations(mats, seq, signs, 1.0, us, ps, pts,
-                                        emap(math.exp), emap(math.log),
-                                        first=2)
-        return np.array([r for rows in u_eqs + p_eqs for r in rows])
-
-    x0 = np.array([state.p[t][i] for t in range(L - 1) for i in range(n)]
-                  + [state.u[t][i] for t in range(1, L) for i in range(n)],
-                  dtype=float)
-    m = len(x0)
-    col = x0[:, None]
-    dx = _NEWTON_H * np.eye(m)
-    res = residual_rows(np.hstack([col, col + dx, col - dx]))
-    jac = (res[:, 1:m + 1] - res[:, m + 1:]) / (2 * _NEWTON_H)
-    step = np.linalg.solve(jac, -res[:, 0])
-    return float(np.max(np.abs(step)))
+    step = _solve(*_newton_system(state, B, sched))
+    # max() passes over a NaN that is not first; a NaN step must show
+    return math.nan if any(map(math.isnan, step)) else max(map(abs, step))
 
 
 class TransformSpec(NamedTuple):

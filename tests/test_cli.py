@@ -373,7 +373,10 @@ COLD_LAUNCHES = [
      EXACT | NUMERIC),
     (["mutate", "--builtin", "A7"], 4, False, False, EXACT | NUMERIC),
     (["phib", "--check", "value"], 0, False, False, EXACT | {"saddle"}),
-    (["verify", "saddle", "--builtin", "A2"], 0, True, False,
+    (["phib", "--check", "unitarity"], 0, True, False, EXACT | {"saddle"}),
+    (["verify", "classical", "--builtin", "A2"], 0, False, False,
+     EXACT | {"phib", "saddle"}),
+    (["verify", "saddle", "--builtin", "A2"], 0, False, False,
      EXACT | {"phib"}),
     (["verify", "saddle-lambda", "--builtin", "A2"], 0, False, False,
      EXACT | {"phib"}),
@@ -381,10 +384,10 @@ COLD_LAUNCHES = [
 
 
 class TestColdStart:
-    """A launch imports numpy only for Phi_b quadrature, the Newton check
-    and the exp and log of the classical trial points; exact and
-    combinatorial commands, saddle-lambda, the early exits and Phi_b(0),
-    which is a closed form, never load it.  No launch loads `dataclasses`,
+    """A launch imports numpy only for Phi_b quadrature, as the unitarity
+    check does; exact and combinatorial commands, the classical and
+    stationary-point checks, the early exits and Phi_b(0), which is a
+    closed form, never load it.  No launch loads `dataclasses`,
     and only the exact commands load `fractions` (and with it `decimal`).
     Each command loads only the modules it runs."""
 

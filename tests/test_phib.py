@@ -362,7 +362,8 @@ class TestStripHandling:
 def test_depends_only_on_numpy():
     """In a fresh interpreter where importing anything outside the standard
     library, numpy and the package fails, the CLI imports and Phi_b evaluates;
-    until the first quadrature numpy fails too, through an exact check."""
+    until the first quadrature numpy fails too, through an exact check and
+    the classical and stationary-point checks."""
     code = textwrap.dedent("""
         import sys
 
@@ -378,6 +379,10 @@ def test_depends_only_on_numpy():
         import clusterdilog.cli
         assert clusterdilog.cli.main(["verify", "quantum-tropical", "dual",
                                       "--builtin", "A2", "-N", "4"]) == 0
+        assert clusterdilog.cli.main(["verify", "classical", "saddle",
+                                      "--builtin", "A2", "--trials", "3"]) == 0
+        assert clusterdilog.cli.main(["verify", "saddle-lambda",
+                                      "--builtin", "A2"]) == 0
         finder.allowed = finder.allowed | {"numpy"}
         from clusterdilog.phib import PhibParams, phib, phipsi_residual
         assert abs(abs(phib(0.3, PhibParams(1.0))) - 1) < 1e-8

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from clusterdilog.exchange import (ExchangeMatrix, MutationSchedule,
                                    extend_schedule, principal_extension)
 from clusterdilog.fixtures import builtin_seed
 from clusterdilog.saddle import (
+    _newton_system,
+    _solve,
     action,
     build_solution,
     coordinate_maps,
@@ -153,11 +156,37 @@ class TestNewton:
         pert = st._replace(u=tuple(tuple(r) for r in u))
         assert newton_refine(pert, A2, A2_SCHED) > 1e-6
 
+    def test_nan_step_shows(self):
+        """w_1(1) reaches only the closing row's p_2(L), which enters the
+        system additively: F is NaN in one row, the Jacobian is finite,
+        and the step's NaN must not be passed over as small."""
+        st = build_solution(A2, A2_SCHED, [0.3, -0.7])
+        pert = st._replace(w=((math.nan, st.w[0][1]),) + st.w[1:])
+        assert math.isnan(newton_refine(pert, A2, A2_SCHED))
 
-def reference_newton_step(state, B, sched, h=1e-6):
-    """Newton step on the stationarity system with the Jacobian built one
-    central-difference column at a time, each residual a scalar loop with
-    B(t) read from matrices_along."""
+    def test_disconnected_seed(self):
+        """On A1 x A1, B = 0, the last time step's active y depends on no
+        free variable, so exp and log also meet plain floats."""
+        B = ExchangeMatrix([[0, 0], [0, 0]])
+        sched = MutationSchedule((1, 1, 2, 2), (1, 2))
+        st = build_solution(B, sched, [0.3, -0.5])
+        assert newton_refine(st, B, sched) < 1e-12
+        p = [list(r) for r in st.p]
+        p[0][0] += 1e-4
+        pert = st._replace(p=tuple(tuple(r) for r in p))
+        assert abs(newton_refine(pert, B, sched) - 1e-4) < 1e-7
+
+
+H = 1e-6     # the central-difference step of the reference Jacobian
+# its rounding, eps |F| / h with |F| of order 1, with a margin of 100,
+# and its truncation error, of order h^2
+JAC_TOL = 100 * sys.float_info.epsilon / H + H * H
+
+
+def reference_system(state, B, sched, h=H):
+    """The stationarity system at the state as a scalar loop with B(t)
+    read from matrices_along: its value F and its Jacobian, built one
+    central-difference column at a time."""
     n, L, seq, signs = B.n, sched.length, sched.sequence, state.signs
     b = [m.entries for m in matrices_along(B, seq)]
     u1, w1 = state.u[0], state.w[0]
@@ -212,31 +241,57 @@ def reference_newton_step(state, B, sched, h=1e-6):
         dx = np.zeros(m)
         dx[j] = h
         jac[:, j] = (residual(x0 + dx) - residual(x0 - dx)) / (2 * h)
-    return float(np.max(np.abs(np.linalg.solve(jac, -residual(x0)))))
+    return residual(x0), jac
+
+
+def dense(rows):
+    out = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            out[i, j] = a
+    return out
 
 
 A3 = ExchangeMatrix(np.array([[0, -1, 0], [1, 0, -1], [0, 1, 0]]))
 A3_SCHED = MutationSchedule((1, 2, 1, 3, 2, 1, 3, 2, 1), (3, 2, 1))
 
 
+def states(B, sched, count=5):
+    rng = np.random.default_rng(8)
+    return [build_solution(B, sched, rng.uniform(-2, 2, size=B.n))
+            for _ in range(count)]
+
+
 class TestBatchedJacobian:
-    """newton_refine's one batched residual against a column-by-column
-    central-difference reference."""
+    """newton_refine's Jacobian, every column from one forward-mode pass
+    of the system on jets, against a column-by-column central-difference
+    reference, and its sparse solve against numpy's dense one."""
 
     @pytest.mark.parametrize("B, sched", [(A2, A2_SCHED), (A3, A3_SCHED)],
                              ids=["A2", "A3"])
-    def test_step_equals_per_column_reference(self, B, sched):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            st = build_solution(B, sched, rng.uniform(-2, 2, size=B.n))
-            assert newton_refine(st, B, sched) == reference_newton_step(st, B, sched)
+    def test_jacobian_matches_per_column_reference(self, B, sched):
+        for st in states(B, sched):
+            rows, rhs = _newton_system(st, B, sched)
+            value, jac = reference_system(st, B, sched)
+            assert (-np.array(rhs) == value).all()
+            assert np.max(np.abs(dense(rows) - jac)) < JAC_TOL
+
+    @pytest.mark.parametrize("B, sched", [(A2, A2_SCHED), (A3, A3_SCHED)],
+                             ids=["A2", "A3"])
+    def test_step_matches_numpy_solve(self, B, sched):
+        for st in states(B, sched):
+            rows, rhs = _newton_system(st, B, sched)
+            ref = np.linalg.solve(dense(rows), rhs)
+            step = _solve(rows, list(rhs))
+            assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert newton_refine(st, B, sched) == np.max(np.abs(step))
 
     @pytest.mark.parametrize("B, sched", [(A2, A2_SCHED), (A3, A3_SCHED)],
                              ids=["A2", "A3"])
     @pytest.mark.parametrize("i", [0, 1])
     def test_perturbed_momentum_gives_a_step_of_its_size(self, B, sched, i):
-        """p(2) moved by delta: a degenerate Jacobian could not return a
-        step of order delta."""
+        """p(2) moved by delta: a degenerate or wrong Jacobian could not
+        return a step of delta to three digits."""
         delta = 1e-4
         st = build_solution(B, sched, [0.3, -0.7, 0.2][:B.n])
         p = [list(r) for r in st.p]
@@ -244,7 +299,51 @@ class TestBatchedJacobian:
         pert = st._replace(p=tuple(tuple(r) for r in p))
         step = newton_refine(pert, B, sched)
         assert 0.1 * delta < step < 10 * delta
-        assert step == reference_newton_step(pert, B, sched)
+        assert abs(step - delta) < 1e-3 * delta
+
+
+class TestSolve:
+    """The sparse elimination behind newton_refine."""
+
+    def test_zero_pivot_needs_a_row_swap(self):
+        # column 0 holds an explicit 0.0 in the first row
+        assert _solve([{0: 0.0, 1: 1.0}, {0: 2.0, 1: 1.0}], [3.0, 5.0]) == [
+            1.0, 3.0]
+
+    def test_random_systems_match_numpy(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 5, 12, 30):
+            a = rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.3)
+            a += np.diag(rng.normal(size=m))
+            b = rng.normal(size=m)
+            rows = [{j: a[i, j] for j in range(m) if a[i, j]} for i in range(m)]
+            got = np.array(_solve(rows, list(b)))
+            ref = np.linalg.solve(a, b)
+            assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("rows", [
+        [{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0}],
+        [{0: 1.0}, {0: 2.0}],
+        [{0: 1.0, 1: 1.0}, {}],
+    ], ids=["dependent rows", "empty column", "empty row"])
+    def test_singular_system(self, rows):
+        with pytest.raises(ValueError, match="singular"):
+            _solve(rows, [1.0, 1.0])
+
+    def test_singular_jacobian_exits_4(self, capsys, monkeypatch):
+        """A system whose rows carry no gradient ends in exit 4, with no
+        traceback."""
+        from clusterdilog import cli, saddle
+        equations = saddle._equations
+
+        def flat(*args, **kwargs):
+            ws, ya, u_eqs, p_eqs = equations(*args, **kwargs)
+            return ws, ya, [[0 * r for r in row] for row in u_eqs], p_eqs
+
+        monkeypatch.setattr(saddle, "_equations", flat)
+        assert cli.main(["verify", "saddle", "--builtin", "A2"]) == 4
+        assert capsys.readouterr().err == (
+            "error: the Newton Jacobian is singular or not finite\n")
 
 
 class TestLambdaMode:

@@ -235,6 +235,16 @@ MUTANTS = [
            "return [v[i] + max(eps * b[k][i], 0) * v[k] if i != k else -v[k]",
            "return [v[i] + max(-eps * b[k][i], 0) * v[k] if i != k else -v[k]",
            "the momentum map takes [-eps b_ki]_+ copies of v_k"),
+    Mutant("jet-log-no-reciprocal", PKG + "saddle.py",
+           "{k: x / a.v for k, x in a.d.items()}",
+           "{k: x for k, x in a.d.items()}",
+           "the jets' log drops the factor 1/x from its derivative, so the "
+           "Newton Jacobian is wrong"),
+    Mutant("solve-no-pivot-search", PKG + "saddle.py",
+           "p = max(below, key=lambda i: abs(rows[i][j]), default=None)",
+           "p = min(below, default=None)",
+           "the Newton solve eliminates without the pivot search, taking the "
+           "first row that holds the column"),
     Mutant("cvector-unsigned", PKG + "exchange.py",
            "tuple(x + eps * bki * a for x, a in zip(c, alpha))",
            "tuple(x + bki * a for x, a in zip(c, alpha))",
