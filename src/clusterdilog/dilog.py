@@ -159,25 +159,6 @@ class ClassicalIdentityReport(NamedTuple):
         return (abs(self.sum_signed) < tol and self.di_residual < tol
                 and self.di_prime_residual < tol)
 
-    def to_json(self) -> dict:
-        return {
-            "identity": "classical",
-            "terms": [
-                {"t": t, "k": k, "sign": eps, "y": y, "L_arg": arg, "L": val}
-                for t, k, eps, y, arg, val in self.terms
-            ],
-            "sum_signed": self.sum_signed,
-            "sum_L_y_over_1py": self.sum_di,
-            "sum_L_one_over_1py": self.sum_di_prime,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "residuals": {
-                "signed": abs(self.sum_signed),
-                "di": self.di_residual,
-                "di_prime": self.di_prime_residual,
-            },
-        }
-
 
 def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
                               y0) -> ClassicalIdentityReport:

@@ -19,14 +19,15 @@ stored; anything else raises NonInvertible.
 denominator, and `hash` is the value at q = 2.
 
 Exactness is unconditional: all operations are ring operations on the
-packed values.  Each value carries its own digit width k, taken from
-the ladder 64, 128, 256, ... and a bound on its coefficients.  Before an
-operation the operands' bounds give a bound for the result; if that
-does not fit a balanced digit of the operands' width, the result is
-packed at the narrowest ladder width that holds the bound.  A
-coefficient therefore never outgrows its digit.  Bounds are never
-recomputed from the digits, so a value can be packed wider than its
-coefficients need; the README's design notes give what that costs.
+packed values.  Each value stores its own digit width k, taken from
+the ladder 64, 128, 256, ... and a bound on its coefficients; its digit
+count is not stored but read off its bit length.  Before an operation
+the operands' bounds give a bound for the result; if that does not fit
+a balanced digit of the operands' width, the result is packed at the
+narrowest ladder width that holds the bound.  A coefficient therefore
+never outgrows its digit.  Bounds are never recomputed from the digits,
+so a value can be packed wider than its coefficients need; the README's
+design notes give what that costs.
 
 Every sum is one `ExactField.pair_sum` of c_d * c_e * q^j triples: the
 pairs of a torus product landing on one term, the re-based terms of a
@@ -77,27 +78,29 @@ def _offset(nd, k):
 class Poly:
     """Integer polynomial packed into one big integer.
 
-    `val` is P(2^k) for the digit width `k`; `nd` bounds the number of
-    digits, `bound` the magnitude of every coefficient, and
-    bound < 2^(k-1) always holds.  Immutable.
+    `val` is P(2^k) for the digit width `k`, and `bound` bounds the
+    magnitude of every coefficient; bound < 2^(k-1) always holds.  The
+    digit count `nd` is read off `val`.  Immutable.
     """
 
-    __slots__ = ("val", "nd", "bound", "k")
+    __slots__ = ("val", "bound", "k")
 
-    def __init__(self, val, nd, bound, k):
+    def __init__(self, val, bound, k):
         self.val = val
-        self.nd = nd
         self.bound = bound
         self.k = k
 
     @staticmethod
     def from_coeffs(coeffs) -> "Poly":
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        bound = max((abs(c) for c in coeffs), default=0)
+        coeffs = tuple(coeffs)
+        bound = max(map(abs, coeffs), default=0)
         k = _width(bound)
-        return Poly(_pack(coeffs, k), len(coeffs), bound, k)
+        return Poly(_pack(coeffs, k), bound, k)
+
+    @property
+    def nd(self) -> int:
+        """The digit count, read off `val` by `_digits`."""
+        return _digits(self.val, self.k)
 
     def is_zero(self) -> bool:
         return self.val == 0
@@ -106,10 +109,10 @@ class Poly:
         """The packed value at width k >= self.k."""
         if k == self.k or self.val == 0:
             return self.val
-        return _pack(_decode(self.val, self.nd, self.k), k)
+        return _pack(_decode(self.val, self.k), k)
 
     def __neg__(self):
-        return Poly(-self.val, self.nd, self.bound, self.k)
+        return Poly(-self.val, self.bound, self.k)
 
     def __mul__(self, other):
         if self.val == 0 or other.val == 0:
@@ -118,19 +121,15 @@ class Poly:
         bound = min(self.nd, other.nd) * self.bound * other.bound
         if bound.bit_length() >= k:
             k = _width(bound)
-        return Poly(self.at(k) * other.at(k), self.nd + other.nd - 1,
-                    bound, k)
+        return Poly(self.at(k) * other.at(k), bound, k)
 
     def shift(self, j: int) -> "Poly":
         """Multiply by q^j (j >= 0)."""
-        if self.val == 0:
-            return self
-        return Poly(self.val << (self.k * j), self.nd + j, self.bound, self.k)
+        return Poly(self.val << (self.k * j), self.bound, self.k)
 
     def unshift(self, j: int) -> "Poly":
         """Exact division by q^j."""
-        return Poly(self.val >> (self.k * j), max(self.nd - j, 0),
-                    self.bound, self.k)
+        return Poly(self.val >> (self.k * j), self.bound, self.k)
 
     def q_order(self) -> int:
         """The largest j with q^j dividing the nonzero polynomial: as its
@@ -139,18 +138,7 @@ class Poly:
 
     def coeffs(self) -> tuple:
         """Decode to a coefficient tuple (constant term first)."""
-        return _decode(self.val, self.nd, self.k)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return False
-        if self.k == other.k:
-            return self.val == other.val
-        k = max(self.k, other.k)
-        return self.at(k) == other.at(k)
-
-    def __hash__(self):
-        return hash(self.coeffs())
+        return _decode(self.val, self.k)
 
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -169,21 +157,24 @@ def _pack(coeffs, k):
     return int.from_bytes(raw, "little") - _offset(len(coeffs), k)
 
 
-def _decode(val, nd, k):
-    """Balanced k-bit digits of a value known to fit in nd digits."""
-    if nd == 0:
-        return ()
+def _digits(val, k):
+    """The number of balanced k-bit digits of val up to its top nonzero
+    one: as every digit is below 2^(k-1) in magnitude, n digits take
+    k(n - 1) to kn - 1 bits."""
+    return val.bit_length() // k + 1 if val else 0
+
+
+def _decode(val, k):
+    """Balanced k-bit digits of a packed value, the top one nonzero."""
+    nd = _digits(val, k)
     half, nbytes = 1 << (k - 1), k // 8
     raw = (val + _offset(nd, k)).to_bytes(nd * nbytes, "little")
-    out = [int.from_bytes(raw[i:i + nbytes], "little") - half
-           for i in range(0, nd * nbytes, nbytes)]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return tuple(int.from_bytes(raw[i:i + nbytes], "little") - half
+                 for i in range(0, nd * nbytes, nbytes))
 
 
-_ZERO_POLY = Poly(0, 0, 0, _MIN_WIDTH)
-_ONE_POLY = Poly(1, 1, 1, _MIN_WIDTH)
+_ZERO_POLY = Poly(0, 0, _MIN_WIDTH)
+_ONE_POLY = Poly(1, 1, _MIN_WIDTH)
 
 def _add_fac(f1, f2):
     """Exponent-wise sum of two denominator exponent vectors."""
@@ -295,7 +286,7 @@ class QCoefficient:
                                     "prod_m (1 - q^(2m))^(e_m)")
             den = Poly.from_coeffs(den)
             return QCoefficient(-den if num[j] < 0 else den, -j)
-        den = _lift_sum([((), (1, 0, 1, 1))], 0, self.dfac, _MIN_WIDTH)
+        den = _lift_sum([((), (1, 0, 1))], 0, self.dfac, _MIN_WIDTH)
         return QCoefficient(-den if num.val < 0 else den, -lo)
 
     def __truediv__(self, other):
@@ -367,58 +358,56 @@ class QCoefficient:
 
 @lru_cache(maxsize=4096)
 def _shape(fac) -> tuple:
-    """(factor count, degree, the 2m of each factor) of
-    prod_m (1 - q^(2m))^(e_m) for the exponent vector fac; cached, as a
-    check lifts thousands of groups by a few hundred distinct vectors."""
+    """(factor count, the 2m of each factor) of prod_m (1 - q^(2m))^(e_m)
+    for the exponent vector fac; cached, as a check lifts thousands of
+    groups by a few hundred distinct vectors."""
     steps = tuple(2 * m for m, e in enumerate(fac, 1) for _ in range(e))
-    return len(steps), sum(steps), steps
+    return len(steps), steps
 
 
 def _lift_sum(groups, lo, dfac, k) -> Poly:
-    """The `_pair_groups` groups (fac, (val, low, top, bound)), packed at
-    width k, summed over q^lo / prod over dfac in one pass, with lo <= each
-    low and dfac >= each fac.  Each factor 1 - q^(2m) of a group's lift
+    """The `_pair_groups` groups (fac, (val, low, bound)), packed at width
+    k, summed over q^lo / prod over dfac in one pass, with lo <= each low
+    and dfac >= each fac.  Each factor 1 - q^(2m) of a group's lift
     doubles its bound; the summed lifted bounds fix one width, at which
     every factor is val - (val << 2mk)."""
     lifts = []
-    bound = nd = 0
-    for fac, (val, low, top, b) in groups:
-        count, degree, steps = _shape(_fac_diff(dfac, fac))
+    bound = 0
+    for fac, (val, low, b) in groups:
+        count, steps = _shape(_fac_diff(dfac, fac))
         bound += b << count
-        nd = max(nd, top - lo + degree)
-        lifts.append((val, low - lo, top - low, steps))
+        lifts.append((val, low - lo, steps))
     wide = k if bound.bit_length() < k else _width(bound)
     total = 0
-    for val, shift, digits, steps in lifts:
+    for val, shift, steps in lifts:
         if wide != k:
-            val = _pack(_decode(val, digits, k), wide)
+            val = _pack(_decode(val, k), wide)
         for s in steps:
             val -= val << (s * wide)
         total += val << (shift * wide)
-    return Poly(total, nd, bound, wide)
+    return Poly(total, bound, wide)
 
 
 def _pair_groups(triples, k) -> dict:
     """The products c_d * c_e * q^j of `triples`, summed per
-    denominator exponent vector: {dfac: [val, low, top, bound]}.
-    A group is P(q) q^low / prod over dfac, where val = P(2^k) has digits
-    below q^(top - low), each within bound once bound < 2^(k-1)."""
+    denominator exponent vector: {dfac: [val, low, bound]}.  A group is
+    P(q) q^low / prod over dfac, where val = P(2^k) has each digit within
+    bound once bound < 2^(k-1)."""
     groups = {}
-    facs = {}
     for c, e, j in triples:
         a, b = c.num, e.num
         val = ((a.val if a.k == k else a.at(k))
                * (b.val if b.k == k else b.at(k)))
         s = j + c.lo + e.lo
-        top = s + a.nd + b.nd - 1
-        bound = min(a.nd, b.nd) * a.bound * b.bound
-        key = (c.dfac, e.dfac)
-        fac = facs.get(key)
-        if fac is None:
-            fac = facs[key] = _add_fac(c.dfac, e.dfac)
+        # min(a.nd, b.nd) * a.bound * b.bound, with `_digits` inlined
+        # as this runs once per pair product
+        bound = ((min(a.val.bit_length() // a.k,
+                      b.val.bit_length() // b.k) + 1)
+                 * a.bound * b.bound)
+        fac = _add_fac(c.dfac, e.dfac)
         g = groups.get(fac)
         if g is None:
-            groups[fac] = [val, s, top, bound]
+            groups[fac] = [val, s, bound]
             continue
         low = g[1]
         if s >= low:
@@ -426,9 +415,7 @@ def _pair_groups(triples, k) -> dict:
         else:
             g[0] = (g[0] << k * (low - s)) + val
             g[1] = s
-        if top > g[2]:
-            g[2] = top
-        g[3] += bound
+        g[2] += bound
     return groups
 
 
@@ -470,7 +457,7 @@ class ExactField:
             if c.num.k > k or e.num.k > k:
                 k = max(c.num.k, e.num.k, k)
         groups = _pair_groups(triples, k)
-        bound = max(g[3] for g in groups.values())
+        bound = max(g[2] for g in groups.values())
         if bound.bit_length() >= k:
             k = _width(bound)
             groups = _pair_groups(triples, k)
@@ -478,8 +465,8 @@ class ExactField:
         if not groups:
             return _ZERO_COEF
         if len(groups) == 1:
-            (dfac, (val, lo, top, bound)), = groups
-            num = Poly(val, top - lo, bound, k)
+            (dfac, (val, lo, bound)), = groups
+            num = Poly(val, bound, k)
         else:
             lo = min(g[1] for _, g in groups)
             dfac = _max_fac(fac for fac, _ in groups)

@@ -280,12 +280,6 @@ class TestClassicalIdentity:
         assert [t[3] for t in rep.terms] == [1e160, 1 / 1e160]
         assert rep.passed()
 
-    def test_json_report(self):
-        j = verify_classical_identity(A2, A2_SCHED, [1.0, 1.0]).to_json()
-        assert j["n_minus"] == 3
-        assert len(j["terms"]) == 5
-        assert j["residuals"]["signed"] < 1e-13
-
 
 def psiq(x, q):
     """Psi_q(x) = 1 / (-qx; q^2)_oo as the exponential of its logarithm."""

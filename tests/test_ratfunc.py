@@ -20,6 +20,7 @@ from clusterdilog.ratfunc import (
     _lift_sum,
     _MIN_WIDTH,
     _max_fac,
+    _pack,
     _quotient,
     _width,
 )
@@ -171,15 +172,25 @@ class TestPoly:
         assert p.shift(2).coeffs() == (0, 0, 3, -2)
         assert p.shift(2).q_order() == 2
         assert p.q_order() == 0
-        assert p.shift(2).unshift(2) == p
+        assert p.shift(2).unshift(2).coeffs() == p.coeffs()
 
-    def test_equality_across_widths(self):
-        p = Poly.from_coeffs([3, -2])
-        wide = Poly(p.at(128), p.nd, p.bound, 128)  # packed wider
-        assert wide.k > p.k
-        assert wide == p and hash(wide) == hash(p)
-        assert wide.shift(2).q_order() == 2 and wide.shift(2).unshift(2) == p
-        assert wide.coeffs() == (3, -2)
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_digit_count_at_the_edges(self, k):
+        """The digit count is read off the bit length: n balanced digits
+        take k(n - 1) bits at the least, a top digit 1 over lowest
+        digits -(2^(k-1) - 1), and kn - 1 at the most, top digits
+        +-(2^(k-1) - 1); zero has no digits."""
+        big = (1 << (k - 1)) - 1
+        for n in (1, 2, 3):
+            low = Poly(_pack([-big] * (n - 1) + [1], k), big, k)
+            assert low.val.bit_length() == max(k * (n - 1), 1)
+            assert low.nd == n and len(low.coeffs()) == n
+            for sign in (1, -1):
+                high = Poly(_pack([sign * big] * n, k), big, k)
+                assert high.val.bit_length() == k * n - 1
+                assert high.nd == n and high.coeffs() == (sign * big,) * n
+        zero = Poly(0, 0, k)
+        assert zero.nd == 0 and zero.coeffs() == ()
 
     def test_large_coefficient_renormalisation(self):
         # repeated squaring keeps packed values exact well past naive bounds
@@ -227,8 +238,7 @@ def fac_product(fac):
 def lift(num: Poly, dq: int, fac: tuple) -> Poly:
     """num * q^dq * prod_m (1 - q^(2m))^(e_m) by `_lift_sum`: num as the
     one group q^dq num over no denominator, lifted onto q^0 over fac."""
-    return _lift_sum([((), (num.val, dq, dq + num.nd, num.bound))], 0, fac,
-                     num.k)
+    return _lift_sum([((), (num.val, dq, num.bound))], 0, fac, num.k)
 
 
 LIFT_FACS = [
@@ -287,7 +297,7 @@ class TestLift:
 
     def test_zero_and_empty_lifts(self):
         one = Poly.from_coeffs([1])
-        assert lift(one, 0, ()) == one
+        assert lift(one, 0, ()).coeffs() == one.coeffs()
         assert lift(one, 2, ()).coeffs() == (0, 0, 1)
         assert lift(Poly.from_coeffs([]), 1, (3,)).is_zero()
 
@@ -297,8 +307,8 @@ class TestLift:
         q^-1 / ((1 - q^2) (1 - q^4)) has the numerator 3 (1 - q^4) +
         q (1 + q) (1 - q^2), five digits whose bound 3 * 2 + 1 * 2 also
         sets the width."""
-        groups = [((1,), (3, -1, 0, 3)),
-                  ((0, 1), (Poly.from_coeffs([1, 1]).val, 0, 2, 1))]
+        groups = [((1,), (3, -1, 3)),
+                  ((0, 1), (Poly.from_coeffs([1, 1]).val, 0, 1))]
         out = _lift_sum(groups, -1, (1, 1), 64)
         assert out.coeffs() == (3, 1, 1, -1, -4)
         assert (out.nd, out.bound, out.k) == (5, 8, 64)
@@ -306,21 +316,22 @@ class TestLift:
     def test_digit_count_below_q_to_the_zero(self):
         """Groups whose q-powers are all negative: 3 q^-5 / (1 - q^2) +
         q^-6 over q^-6 / (1 - q^2) is 1 + 3q - q^2, three digits."""
-        groups = [((1,), (3, -5, -4, 3)), ((), (1, -6, -5, 1))]
+        groups = [((1,), (3, -5, 3)), ((), (1, -6, 1))]
         out = _lift_sum(groups, -6, (1,), 64)
         assert out.coeffs() == (1, 3, -1)
         assert (out.nd, out.bound, out.k) == (3, 5, 64)
 
     def test_one_digit_value_over_several_digits(self):
-        """A group whose packed value fits one digit although its digits
+        """A group whose packed value fits one digit although its products
         run below q^2: (1 + q) + (1 - q) = 2.  Lifted by 1 - q^2 and
-        added to (1 + q) / (1 - q^2), it gives 3 + q - 2q^2, and its
-        bound 2 doubles like any other group's, to 2 * 2 + 1."""
-        groups = [((), (2, 0, 2, 2)),
-                  ((1,), (Poly.from_coeffs([1, 1]).val, 0, 2, 1))]
+        added to (1 + q) / (1 - q^2), it gives 3 + q - 2q^2, three
+        digits, and its bound 2 doubles like any other group's, to
+        2 * 2 + 1."""
+        groups = [((), (2, 0, 2)),
+                  ((1,), (Poly.from_coeffs([1, 1]).val, 0, 1))]
         out = _lift_sum(groups, 0, (1,), 64)
         assert out.coeffs() == (3, 1, -2)
-        assert (out.nd, out.bound, out.k) == (4, 5, 64)
+        assert (out.nd, out.bound, out.k) == (3, 5, 64)
 
 
 class TestQCoefficient:
@@ -634,7 +645,7 @@ def pair_sums(draw):
 
 
 def lifted_reference(triples):
-    """(coeffs, lo, nd, bound, k) of `pair_sum(triples)` for two or more
+    """(coeffs, lo, bound, k) of `pair_sum(triples)` for two or more
     triples, built on {q-power: coefficient} dicts: the products are
     summed per denominator exponent vector, each with the bound
     min(nd) * bound * bound, at the widest operand's digits or wider if
@@ -649,33 +660,34 @@ def lifted_reference(triples):
         a, b = c.num, e.num
         s = j + c.lo + e.lo
         fac = _add_fac(c.dfac, e.dfac)
-        low, top, bound, terms = groups.get(fac, (s, s, 0, {}))
-        for i, x in enumerate(convolve(a.coeffs(), b.coeffs()) if a.val
+        low, bound, terms = groups.get(fac, (s, 0, {}))
+        a_coeffs, b_coeffs = a.coeffs(), b.coeffs()
+        for i, x in enumerate(convolve(a_coeffs, b_coeffs) if a.val
                               and b.val else []):
             terms[s + i] = terms.get(s + i, 0) + x
-        groups[fac] = (min(low, s), max(top, s + a.nd + b.nd - 1),
-                       bound + min(a.nd, b.nd) * a.bound * b.bound, terms)
+        groups[fac] = (min(low, s), bound + min(len(a_coeffs), len(b_coeffs))
+                       * a.bound * b.bound, terms)
     k = max([_MIN_WIDTH] + [x.num.k for c, e, _ in triples for x in (c, e)])
-    k = max(k, _width(max(g[2] for g in groups.values())))
-    groups = {fac: g for fac, g in groups.items() if any(g[3].values())}
+    k = max(k, _width(max(g[1] for g in groups.values())))
+    groups = {fac: g for fac, g in groups.items() if any(g[2].values())}
     if not groups:
         return None
     lo = min(g[0] for g in groups.values())
     dfac = _max_fac(groups)
-    total, nd, bound, width = {}, 0, 0, k
-    for fac, (_, top, b, terms) in groups.items():
-        digits, wide = top - lo, k
+    total, bound, width = {}, 0, k
+    for fac, (_, b, terms) in groups.items():
+        wide = k
         for m, e in enumerate(_fac_diff(dfac, fac), 1):
             for _ in range(e):
                 lifted = dict(terms)
                 for p, x in terms.items():
                     lifted[p + 2 * m] = lifted.get(p + 2 * m, 0) - x
-                terms, digits, b = lifted, digits + 2 * m, b << 1
+                terms, b = lifted, b << 1
                 if b.bit_length() >= wide:
                     wide = _width(b)
         for p, x in terms.items():
             total[p] = total.get(p, 0) + x
-        nd, bound, width = max(nd, digits), bound + b, max(width, wide)
+        bound, width = bound + b, max(width, wide)
     if bound.bit_length() >= width:
         width = _width(bound)
     powers = [p for p, x in total.items() if x]
@@ -683,13 +695,14 @@ def lifted_reference(triples):
         return None
     j = min(powers) - lo
     coeffs = tuple(total.get(p, 0) for p in range(lo + j, max(powers) + 1))
-    return coeffs, lo + j, nd - j, bound, width
+    return coeffs, lo + j, bound, width
 
 
 class TestPairSumProperty:
     """`pair_sum` over drawn triples against the same products added one
     at a time, against exact evaluation, and against `lifted_reference`
-    for the digits, digit count, bound and width: a lone group is
+    for the digits, bound and width, and against the decoded digits
+    for the digit count read off the value: a lone group is
     returned as it stands, several are lifted and summed, and either way
     the numerator's zero low digits move into lo."""
 
@@ -724,7 +737,8 @@ class TestPairSumProperty:
             assert num.q_order() == 0
             assert num.bound.bit_length() < num.k
             assert all(abs(v) <= num.bound for v in num.coeffs())
-            assert (num.coeffs(), total.lo, num.nd, num.bound, num.k) \
+            assert num.nd == len(num.coeffs())
+            assert (num.coeffs(), total.lo, num.bound, num.k) \
                 == lifted_reference(triples)
         else:
             assert lifted_reference(triples) is None
@@ -737,6 +751,13 @@ class TestPairSumProperty:
         total = EXACT.pair_sum([(a, ONE, 0), (b, coef([-1]), 0),
                                 (b, coef([3]), 2)])
         assert (total.num.coeffs(), total.lo, total.dfac) == ((2, 3), 0, (1,))
+
+    def test_cancelled_top_digit_is_not_counted(self):
+        """(1 + q) + (-q) = 1: the top digit cancels, and the sum has one
+        digit, though each of its products has two or one."""
+        total = EXACT.pair_sum([(coef([1, 1]), ONE, 0), (coef([0, -1]), ONE, 0)])
+        assert (total.num.coeffs(), total.lo, total.dfac) == ((1,), 0, ())
+        assert total.num.nd == 1
 
     def test_no_denominator_stays_lone(self):
         """A sum with no denominator factor at 128-bit digits: the group is
@@ -787,7 +808,8 @@ class TestQStripProperty:
             den *= 1 - x ** (2 * m)
         for sign in (1, -1):
             c = QCoefficient(-num if sign < 0 else num, lo, dfac)
-            assert c.lo == lo and c.num == (-num if sign < 0 else num)
+            assert c.lo == lo
+            assert c.num.coeffs() == (-num if sign < 0 else num).coeffs()
             value = sign * sum(v * x ** i for i, v in enumerate(coeffs))
             assert c.evaluate(x) == value * x ** e / den
             top, bottom = c.canonical()

@@ -9,8 +9,9 @@ occur exactly once), and tier-1 runs in the copy with `-x` under a
 timeout of FACTOR (3) times a clean run of the same copy.  The mutated
 module's own test file (tests/test_<module>.py), if there is one, runs
 first and the rest of tier-1 after it, so a mutant dies as soon as its
-module's tests catch it; together the two runs are all of tier-1.  The
-result is one of:
+module's tests catch it; together the two runs are all of tier-1 but
+GUARD, which checks this list against the unmutated sources and so
+fails in every mutated copy.  The result is one of:
 
   killed      a test failed;
   survived    every test passed;
@@ -35,6 +36,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 FACTOR = 3              # timeout as a multiple of a clean tier-1 run
 PKG = "src/clusterdilog/"
+GUARD = "tests/test_mutcheck.py"
 COPY_IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".perfbench",
                                      ".pytest_cache", "__pycache__", "*.pyc")
 
@@ -68,11 +70,6 @@ MUTANTS = [
            "bound += b if val.bit_length() < k else b << count",
            "_lift_sum adds the bound of a group whose packed value is "
            "shorter than k bits undoubled by its factors"),
-    Mutant("lift-nd-from-q0", PKG + "ratfunc.py",
-           "nd = max(nd, top - lo + degree)",
-           "nd = max(nd, top - lo + degree, -lo)",
-           "_lift_sum counts the lifted digits from q^0, not from q^lo, so "
-           "a sum whose q-powers are all negative gets too many"),
     Mutant("pair-sum-narrow", PKG + "ratfunc.py",
            "k = _width(bound)\n            groups = _pair_groups(",
            "k = _width(bound) >> 1\n            groups = _pair_groups(",
@@ -86,15 +83,16 @@ MUTANTS = [
            "return c.mul_shifted(e, 0)",
            "pair_sum's lone-triple path drops the q-exponent"),
     Mutant("lone-group-no-low", PKG + "ratfunc.py",
-           "(dfac, (val, lo, top, bound)), = groups\n"
-           "            num = Poly(val, top - lo, bound, k)",
-           "(dfac, (val, low, top, bound)), = groups\n"
-           "            num, lo = Poly(val, top - low, bound, k), 0",
+           "(dfac, (val, lo, bound)), = groups\n"
+           "            num = Poly(val, bound, k)",
+           "(dfac, (val, low, bound)), = groups\n"
+           "            num, lo = Poly(val, bound, k), 0",
            "pair_sum returns a lone group without its lowest q-power"),
-    Mutant("lone-group-top-nd", PKG + "ratfunc.py",
-           "num = Poly(val, top - lo, bound, k)",
-           "num = Poly(val, top, bound, k)",
-           "pair_sum takes a lone group's top q-power as its digit count"),
+    Mutant("digit-count-one-short", PKG + "ratfunc.py",
+           "return val.bit_length() // k + 1 if val else 0",
+           "return (val.bit_length() - 1) // k + 1 if val else 0",
+           "the digit count read off a value is one short when its bit "
+           "length is a multiple of k, as for 2^k - 1 = -1 + q"),
     Mutant("q-order-not-in-lo", PKG + "ratfunc.py",
            "return QCoefficient(num.unshift(j) if j else num, lo + j, dfac)",
            "return QCoefficient(num.unshift(j) if j else num, lo, dfac)",
@@ -300,6 +298,7 @@ def tier1(root: Path, timeout: float, first=None):
                    filter(None, (str(root / "src"),
                                  os.environ.get("PYTHONPATH")))))
     stages = [[]] if first is None else [[first], [f"--ignore={first}"]]
+    stages = [args + [f"--ignore={GUARD}"] for args in stages]
     start, lasts = time.perf_counter(), []
     for args in stages:
         left = None if timeout is None else timeout - (time.perf_counter()
@@ -320,22 +319,29 @@ def tier1(root: Path, timeout: float, first=None):
     return "survived", time.perf_counter() - start, "; ".join(lasts)
 
 
+def mutated(mutant, root: Path = ROOT) -> str:
+    """The text of the mutant's file under root with the mutant applied;
+    SystemExit unless its old text occurs exactly once and the result
+    compiles."""
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: old text occurs "
+                         f"{text.count(mutant.old)} times in {mutant.path}")
+    text = text.replace(mutant.old, mutant.new)
+    try:
+        compile(text, str(path), "exec")
+    except SyntaxError as exc:
+        raise SystemExit(f"{mutant.name}: mutated {mutant.path} does "
+                         f"not compile: {exc}")
+    return text
+
+
 def copy_with(mutant, workdir: Path) -> Path:
     root = workdir / "repo"
     shutil.copytree(ROOT, root, ignore=COPY_IGNORE)
     if mutant is not None:
-        path = root / mutant.path
-        text = path.read_text()
-        if text.count(mutant.old) != 1:
-            raise SystemExit(f"{mutant.name}: old text occurs "
-                             f"{text.count(mutant.old)} times in {mutant.path}")
-        text = text.replace(mutant.old, mutant.new)
-        try:
-            compile(text, str(path), "exec")
-        except SyntaxError as exc:
-            raise SystemExit(f"{mutant.name}: mutated {mutant.path} does "
-                             f"not compile: {exc}")
-        path.write_text(text)
+        (root / mutant.path).write_text(mutated(mutant, root))
     return root
 
 
