@@ -214,6 +214,11 @@ def cmd_mutate(args):
     return EXIT_PASS, report
 
 
+def _uniform(r, lo, hi, size):
+    """size draws from [lo, hi): `random()` keeps its stream across versions."""
+    return [lo + (hi - lo) * r.random() for _ in range(size)]
+
+
 def _verify_classical(B, sched, args, rng):
     tol = args.tol if args.tol is not None else 1e-10
     trials = args.trials or 100
@@ -222,8 +227,8 @@ def _verify_classical(B, sched, args, rng):
     require_period(B, sched)    # a non-period exits 2 before dilog loads
     from .dilog import verify_classical_identity
     for _ in range(trials):
-        y0 = [math.exp(v) for v in rng().uniform(math.log(1e-3),
-                                                 math.log(1e3), size=B.n)]
+        y0 = [math.exp(v) for v in _uniform(rng(), math.log(1e-3),
+                                            math.log(1e3), B.n)]
         rep = verify_classical_identity(B, sched, y0)
         worst["signed"] = max(worst["signed"], abs(rep.sum_signed))
         worst["di"] = max(worst["di"], rep.di_residual)
@@ -266,7 +271,7 @@ def _verify_saddle(B, sched, args, rng):
     worst = {"stationarity": 0.0, "action": 0.0, "cross_gap": 0.0,
              "newton_step": 0.0}
     for _ in range(trials):
-        u1 = rng().uniform(-2.0, 2.0, size=B.n)
+        u1 = _uniform(rng(), -2.0, 2.0, B.n)
         st = build_solution(B, sched, u1)
         rep = residuals(st, B, sched)
         worst["stationarity"] = max(worst["stationarity"], rep.max_residual)
@@ -294,7 +299,7 @@ def _verify_saddle_lambda(B, sched, args, rng):
     rows = []
     passed = True
     for lam in lams:
-        u1 = rng().uniform(-0.5, 0.5, size=B.n)
+        u1 = _uniform(rng(), -0.5, 0.5, B.n)
         st = build_solution(B, sched, u1, mode="lambda", lam=lam)
         rep = residuals(st, B, sched)
         val, cross = rep.action_value, rep.cross_check_value
@@ -323,9 +328,11 @@ def cmd_verify(args):
     B, sched = _load_seed(args)
     args.N = args.N or (8 if B.n <= 2 else 6)   # default truncation order
     @functools.cache
-    def rng():  # default_rng's stream, built by the first mode that draws
-        from .pcg64 import PCG64
-        return PCG64(args.rng_seed)
+    def rng():  # one stream, built by the first mode that draws
+        if args.rng_seed < 0:
+            raise ValueError("expected non-negative integer")
+        import random
+        return random.Random(args.rng_seed)
 
     @functools.cache
     def exact(name):    # each exact check once: dual reuses the tropical one

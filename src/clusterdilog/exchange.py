@@ -255,7 +255,7 @@ def require_period(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
 class _Walk(NamedTuple):
     """B(t) and the tropical y-variables along a schedule, in Python ints."""
 
-    rows: list          # rows[t]: the rows of B(t+1), t = 0..L
+    rows: tuple         # rows[t]: the rows of B(t+1), t = 0..L
     cvectors: tuple     # cvectors[i]: the c-vector of y_i(L+1)
     signs: tuple        # (eps_1, ..., eps_L)
     alphas: tuple       # (alpha_1, ..., alpha_L), the active c-vectors
@@ -290,21 +290,16 @@ def _step(rows, cols, kk: int):
     return rows, cols, eps
 
 
+@functools.lru_cache(maxsize=256)
 def _walk(B: ExchangeMatrix, sched: MutationSchedule) -> _Walk:
     """Mutate B and the tropical y-variables along sched in Python ints.
 
     A zero or mixed-sign active c-vector raises `ZeroCVector` or
     `MixedSignCVector`, as `tropical_sign` does.
-    The walk is computed once per (B, sched) and cached; `rows` comes as
-    a fresh list on every call.
+    The walk is computed once per (B, sched) and cached; it is shared by
+    every caller, so `rows` is a tuple of tuples.
     """
-    walk = _cached_walk(B.rows, sched.sequence, sched.nu)
-    return walk._replace(rows=list(walk.rows))
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_walk(b0: tuple, sequence: tuple, nu: tuple) -> _Walk:
-    """`_walk` with `rows` a tuple: an immutable value, safe to share."""
+    b0, sequence, nu = B.rows, sched.sequence, sched.nu
     n = len(b0)
     if len(nu) != n:
         raise ValueError("schedule rank does not match matrix rank")

@@ -184,7 +184,7 @@ def phib(z, p: PhibParams) -> complex:
                 else:
                     z = z - 1j * s
                     prefactor *= 1.0 + q * cmath.exp(2 * math.pi * s * z)
-            except OverflowError:
+            except (OverflowError, ValueError):  # ValueError: inf phase
                 raise QuadratureFailure(f"a recurrence factor at z={z0} is "
                                         "beyond double range") from None
     log_value = _log_phib_strip(z, p)

@@ -427,8 +427,8 @@ class TestWideEntries:
         sched = MutationSchedule.identity_nu(WIDE_WORD, 3)
         walk = _walk(WIDE, sched)
         assert walk.rows[10][1][2] == -18661827586588155640
-        assert walk.rows == [as_tuples(b)
-                             for b, _ in textbook_walk(WIDE, WIDE_WORD)]
+        assert walk.rows == tuple(as_tuples(b)
+                                  for b, _ in textbook_walk(WIDE, WIDE_WORD))
         ss = sign_sequence(WIDE, sched)
         assert (ss.signs, ss.cvectors) == (walk.signs, walk.alphas)
         # exchange exponents reach 10^7 here, too many torus factors to
@@ -458,20 +458,27 @@ class TestWideEntries:
 
 
 class TestWalkCache:
-    """`_walk` runs once per (B.rows, sequence, nu) and hands out copies."""
+    """`_walk` runs once per (B, sched) and hands out the cached walk,
+    which no caller can change."""
 
     def test_repeated_calls_give_equal_walks(self):
-        first, second = _walk(A2, A2_SCHED), _walk(A2, A2_SCHED)
-        assert first == second
-        assert type(first.rows) is list and first.rows is not second.rows
+        first = _walk(A2, A2_SCHED)
+        assert _walk(A2, A2_SCHED) is first
         assert _walk(ExchangeMatrix(A2.rows), MutationSchedule(
-            A2_SCHED.sequence, A2_SCHED.nu)) == first
+            A2_SCHED.sequence, A2_SCHED.nu)) is first
 
     def test_mutating_rows_does_not_reach_the_cache(self):
-        ref = [as_tuples(b) for b, _ in textbook_walk(A2, A2_SCHED.sequence)]
+        ref = tuple(as_tuples(b)
+                    for b, _ in textbook_walk(A2, A2_SCHED.sequence))
         walk = _walk(A2, A2_SCHED)
-        walk.rows[0] = None
-        walk.rows.append(walk.rows[1])
+        assert type(walk.rows) is tuple
+        assert all(type(r) is tuple for b in walk.rows for r in b)
+        with pytest.raises(TypeError):
+            walk.rows[0] = None
+        with pytest.raises(TypeError):
+            walk.rows[0][0] = None
+        with pytest.raises(AttributeError):
+            walk.rows.append(walk.rows[1])
         assert _walk(A2, A2_SCHED).rows == ref
 
     def test_mixed_sign_word_raises_on_every_call(self, monkeypatch):
@@ -484,19 +491,19 @@ class TestWalkCache:
             raise MixedSignCVector(f"c-vector {c} has entries of both signs")
 
         sched = MutationSchedule.identity_nu((2, 1, 2, 2, 1, 1, 2), 2)
-        exchange._cached_walk.cache_clear()
+        _walk.cache_clear()
         monkeypatch.setattr(exchange, "tropical_sign", mixed)
         for attempt in (1, 2, 3):
             with pytest.raises(MixedSignCVector):
                 _walk(A2, sched)
             assert len(calls) == attempt
         monkeypatch.undo()
-        assert _walk(A2, sched).rows == [
-            as_tuples(b) for b, _ in textbook_walk(A2, sched.sequence)]
+        assert _walk(A2, sched).rows == tuple(
+            as_tuples(b) for b, _ in textbook_walk(A2, sched.sequence))
 
     def test_cache_stays_bounded_after_a_search(self):
         search_periods(A2, 8)
-        info = exchange._cached_walk.cache_info()
+        info = _walk.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
 

@@ -1,48 +1,16 @@
-"""The standard-library PCG64 stream against numpy's default_rng, and the
-`--rng-seed` outputs of the CLI modes that draw from it."""
+"""The `--rng-seed` contract of the CLI modes that draw: a non-negative
+seed, one `random.Random` stream per command line, and draws
+lo + (hi - lo)·random() in a fixed order."""
 
 import json
+import math
+import random
 
-import numpy as np
 import pytest
 
 from clusterdilog.cli import main
-from clusterdilog.pcg64 import PCG64
-
-EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1,
-              2**64, 2**100 + 3, 2**128 + 9, 20111101]
-SEEDS = EDGE_SEEDS + list(range(2, 300)) + [
-    int(x) for x in np.random.default_rng(0).integers(0, 2**62, 40)]
-# the (lo, hi) pairs of `verify classical`, `saddle` and `saddle-lambda`
-RANGES = [(np.log(1e-3), np.log(1e3)), (-2.0, 2.0), (-0.5, 0.5)]
-
-
-def test_seeding_matches_numpy():
-    for seed in EDGE_SEEDS:
-        ours, ref = PCG64(seed), np.random.PCG64(seed).state["state"]
-        assert (ours.state, ours.inc) == (ref["state"], ref["inc"]), seed
-
-
-def test_raw_stream_matches_numpy():
-    for seed in EDGE_SEEDS:
-        ours = PCG64(seed)
-        ref = np.random.PCG64(seed).random_raw(50).tolist()
-        assert [ours.next64() for _ in range(50)] == ref, seed
-
-
-def test_uniform_matches_numpy_over_many_seeds():
-    assert len(set(SEEDS)) >= 300
-    for seed in SEEDS:
-        ours, ref = PCG64(seed), np.random.default_rng(seed)
-        for size in (1, 2, 3):
-            for lo, hi in RANGES:
-                assert (ours.uniform(lo, hi, size)
-                        == ref.uniform(lo, hi, size=size).tolist()), seed
-
-
-def test_negative_seed():
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        PCG64(-1)
+from clusterdilog.dilog import verify_classical_identity
+from clusterdilog.fixtures import builtin_seed
 
 
 @pytest.mark.parametrize("mode", ["classical", "saddle", "saddle-lambda"])
@@ -51,41 +19,40 @@ def test_negative_rng_seed_exit_4(capsys, mode):
     assert capsys.readouterr().err == "error: expected non-negative integer\n"
 
 
-# `--rng-seed 7 --trials 7` on A2, as printed when the draws came from
-# numpy.random.default_rng; newton_step is the step of the exact Jacobian
+# `--rng-seed 7 --trials 7` on A2, as printed with the draws taken from
+# random.Random; newton_step is the step of the exact Jacobian
 PINNED = {
     "classical": {
         "identity": "classical", "trials": 7, "n_plus": 2, "n_minus": 3,
-        "max_residuals": {"signed": 4.440892098500626e-16,
-                          "di": 8.881784197001252e-16,
+        "max_residuals": {"signed": 4.440892098500626e-16, "di": 0.0,
                           "di_prime": 4.440892098500626e-16},
         "tolerance": 1e-10, "verdict": "PASS"},
     "saddle": {
         "identity": "saddle", "trials": 7,
-        "max_residuals": {"stationarity": 5.828670879282072e-16,
-                          "action": 1.9984014443252818e-15,
-                          "cross_gap": 2.220446049250313e-15,
-                          "newton_step": 5.914358653388038e-16},
+        "max_residuals": {"stationarity": 4.440892098500626e-16,
+                          "action": 8.881784197001252e-16,
+                          "cross_gap": 8.881784197001252e-16,
+                          "newton_step": 3.602387652817451e-16},
         "tolerance": 1e-10, "verdict": "PASS"},
     "saddle-lambda": {
         "identity": "saddle-lambda",
         "points": [
             {"lambda": "(1.0707106781186548+0.07071067811865475j)",
-             "abs_action": 1.4622185762818233e-16,
-             "abs_action_minus_cross": 1.4625851139922054e-16},
+             "abs_action": 3.1923154206301063e-16,
+             "abs_action_minus_cross": 2.637478615936459e-16},
             {"lambda": "(1.0353553390593273+0.035355339059327376j)",
-             "abs_action": 1.9431274478453612e-16,
-             "abs_action_minus_cross": 8.327124423340014e-17},
+             "abs_action": 4.892383465290044e-17,
+             "abs_action_minus_cross": 9.078858071346792e-18},
             {"lambda": "(1.0070710678118655+0.0070710678118654745j)",
-             "abs_action": 2.0816910409361176e-16,
-             "abs_action_minus_cross": 4.3021338934007917e-16}],
+             "abs_action": 1.9255522917343355e-16,
+             "abs_action_minus_cross": 1.3704496659737956e-16}],
         "tolerance": 1e-06, "verdict": "PASS"},
 }
 
 
-def verify(capsys, *modes):
+def verify(capsys, *modes, trials=7):
     code = main(["verify", *modes, "--builtin", "A2", "--rng-seed", "7",
-                 "--trials", "7"])
+                 "--trials", str(trials)])
     assert code == 0
     return json.loads(capsys.readouterr().out)["results"]
 
@@ -101,5 +68,21 @@ def test_modes_share_one_stream(capsys):
     points alone."""
     *_, lam = verify(capsys, "classical", "saddle", "saddle-lambda")
     assert [p["abs_action"] for p in lam["points"]] == [
-        1.3947004136484323e-16, 2.9312434655682696e-17,
-        1.1102569054260746e-16]
+        2.517441801362893e-16, 2.8452770308440397e-16,
+        9.888215069230255e-17]
+
+
+def test_classical_draws_from_random(capsys):
+    """`verify classical` reports the Rogers sums at y0 = exp(u), each u
+    drawn as lo + (hi - lo)·random() on [log 1e-3, log 1e3] from
+    random.Random(seed)."""
+    B, sched = builtin_seed("A2")
+    r, lo, hi = random.Random(7), math.log(1e-3), math.log(1e3)
+    reps = [verify_classical_identity(B, sched, [
+        math.exp(lo + (hi - lo) * r.random()) for _ in range(B.n)])
+        for _ in range(3)]
+    [got] = verify(capsys, "classical", trials=3)
+    assert got["max_residuals"] == {
+        "signed": max(abs(rep.sum_signed) for rep in reps),
+        "di": max(rep.di_residual for rep in reps),
+        "di_prime": max(rep.di_prime_residual for rep in reps)}

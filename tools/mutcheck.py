@@ -269,10 +269,11 @@ MUTANTS = [
            "return QCoefficient(_ONE_POLY, n * n, (1,) * n)",
            "return QCoefficient(_ONE_POLY, n, (1,) * n)",
            "the 1/Psi series coefficient carries q^n in place of q^(n^2)"),
-    Mutant("pcg64-mix-constant", PKG + "pcg64.py",
-           "_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715",
-           "_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F717",
-           "one of SeedSequence's mix constants is off by two"),
+    Mutant("classical-draw-range", PKG + "cli.py",
+           "math.log(1e3), B.n)]",
+           "math.log(1e2), B.n)]",
+           "verify classical draws log y0 on [log 1e-3, log 1e2], not up "
+           "to log 1e3"),
     Mutant("seed-accepts-bool", PKG + "fixtures.py",
            "if not isinstance(v, int) or isinstance(v, bool):",
            "if not isinstance(v, int):",
