@@ -182,7 +182,7 @@ def verify_classical_identity(B: ExchangeMatrix, sched: MutationSchedule,
         arg = ye / (1.0 + ye)
         val = rogers_L(arg)
         s_signed += eps * val
-        s_di += rogers_L(y / (1.0 + y))
+        s_di += val if eps > 0 else rogers_L(y / (1.0 + y))  # arg if ye = y
         s_dip += rogers_L(1.0 / (1.0 + y))
         terms.append((t + 1, k, eps, y, arg, val))
     return ClassicalIdentityReport(tuple(terms), s_signed, s_di, s_dip,

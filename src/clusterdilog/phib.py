@@ -7,12 +7,16 @@ on the line R + ih, clear of the origin and half way up to the lowest
 poles; for Re z > 0, where e^(-2izw) grows on that line, the reflection
 formula gives the value from Phi_b(-z).  From ih one ray runs right and
 one left, each turned towards its steepest descent but at most half way
-to the nearest pole, over Gauss-Legendre panels that grow geometrically;
-a 16-point rule beside the 32-point one estimates the error.  For real b
-and z only the imaginary part is kept, so Phi_b is unimodular by
-construction, and Phi_b(0) = e^(-i pi s/24), s = b^2 + b^-2, is taken in
-closed form.  For Im b^2 > 0, Phi_b is also a ratio of two compact
-q-dilogarithm products.
+to the nearest pole, over panels that grow geometrically.  Each panel
+takes a 16-point Gauss-Legendre rule, and a null rule on the same nodes
+(Berntsen-Espelid) estimates its error; where the estimates add up to
+more than a tenth of the budget, the rays are summed again with the
+32-point rule, and its distance from the 16-point sum is the error.  For
+real b and z the left ray is the right one's conjugate, node by node, so
+only one is summed, and Phi_b is unimodular by construction.  Phi_b(0) =
+e^(-i pi s/24), s = b^2 + b^-2, is taken in closed form.  For Im b^2 > 0,
+Phi_b is also a ratio of two compact q-dilogarithm products.  The module
+uses only cmath and math.
 """
 
 from __future__ import annotations
@@ -30,16 +34,42 @@ _TOL = 1e-8  # a quadrature or rounding error above 100 * _TOL is refused
 
 
 @functools.cache
-def _tables():
-    """numpy; the nodes of the 32- and 16-point Gauss-Legendre rules side by
-    side, with a matrix whose two columns weigh them; loaded on the first
-    quadrature rather than at import."""
-    import numpy as np
-    (x32, w32), (x16, w16) = (np.polynomial.legendre.leggauss(n)
-                              for n in (32, 16))
-    weights = np.zeros((48, 2), complex)
-    weights[:32, 0], weights[32:, 1] = w32, w16
-    return np, np.concatenate((x32, x16)), weights
+def _rule(n: int) -> tuple:
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, as (offset,
+    weight, null weight) triples: nodes x ascending, each given by its
+    offset 1 + x from the left end.  The positive nodes are the roots of
+    P_n that Newton's method finds from cos(pi (i + 3/4) / (n + 1/2)),
+    mirrored; each weight is 2 / ((1 - x^2) P_n'(x)^2).  The null weights
+    w (P_{n-1} + P_{n-2}), scaled to the weights' norm, pick out the top
+    two Legendre coefficients of the interpolant, so they integrate every
+    polynomial of degree below n - 2 to zero: a null rule (Berntsen and
+    Espelid, ACM TOMS 17, 1991)."""
+    half = []
+    for i in range(n // 2):  # the positive roots, largest first
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, p1, p2 = _legendre(n, x)
+            dx = p * (x * x - 1.0) / (n * (x * p - p1))
+            x -= dx
+            if abs(dx) <= 1e-16:
+                break
+        p, p1, p2 = _legendre(n, x)
+        dp = n * (x * p - p1) / (x * x - 1.0)
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp), p1, p2))
+    # P_{n-1} is odd and P_{n-2} even
+    rule = [(-x, w, w * (p2 - p1)) for x, w, p1, p2 in half]
+    rule += [(x, w, w * (p1 + p2)) for x, w, p1, p2 in reversed(half)]
+    norm = math.sqrt(math.fsum(w * w for _, w, _ in rule)
+                     / math.fsum(t * t for _, _, t in rule))
+    return tuple((1.0 + x, w, norm * t) for x, w, t in rule)
+
+
+def _legendre(n: int, x: float) -> tuple:
+    """P_n(x), P_{n-1}(x) and P_{n-2}(x) by the three-term recurrence."""
+    p2, p1, p = 0.0, 0.0, 1.0
+    for k in range(1, n + 1):
+        p2, p1, p = p1, p, ((2 * k - 1) * x * p - (k - 1) * p1) / k
+    return p, p1, p2
 
 
 class PhibParams(_Frozen):
@@ -128,35 +158,81 @@ def _log_phib_strip(z, p: PhibParams):
     if not panels <= _MAX_PANELS:
         raise QuadratureFailure(f"the rays need {panels:.3g} panels at z={z} "
                                 f"for b={b}")
-    np, nodes, weights = _tables()
-    # an extreme b or z can overflow a factor: the inf or NaN that
-    # follows is refused below, without numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grow = (1.0 + g1) ** np.arange(math.ceil(panels))
-        # panel k: y - y(0) = step ((1 + g1)^k (1 + g1 (1 + node) / 2) - 1)
-        # / g1, dy = step (1 + g1)^k dnode / 2
-        t = (grow[:, None] * (1.0 + 0.5 * g1 * (1.0 + nodes)) - 1.0) / g1
-        y = np.array([1j * h, -1j * h])[:, None, None] + (
-            np.array(step)[:, None, None] * t)
-        f = np.exp(-np.array(w)[:, None, None] * y) / (
-            y * np.expm1(-2.0 * b * y) * np.expm1(-2.0 * y / b))
-        right, left = (grow @ (f @ weights)).tolist()
-    value, coarse = (-0.5 * (step[0] * a - step[1] * c)
-                     for a, c in zip(right, left))
-    # abs() of a NaN can raise a stale libm ERANGE as OverflowError
-    if not (cmath.isfinite(value) and cmath.isfinite(coarse)):
+    count = math.ceil(panels)
+    mirror = b.imag == 0 and x.imag == 0
+    rays = list(zip((1j * h, -1j * h), step, w))[:1 if mirror else 2]
+
+    def integral(rule):  # the left ray's sum minus the right one's
+        sums, estimate = _rays(rule, rays, count, g1, b)
+        if mirror:  # the left ray is the right one's conjugate
+            return -2j * sums[0].imag, 2.0 * estimate
+        return sums[1] - sums[0], estimate
+
+    try:
+        value, achieved = integral(_rule(16))
+        if achieved > 10 * _TOL:
+            coarse, (value, _) = value, integral(_rule(32))
+            achieved = abs(value - coarse)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        value = achieved = math.nan  # an extreme b or z overflows a factor
+    if not (cmath.isfinite(value) and math.isfinite(achieved)):
         raise QuadratureFailure(f"ray sums are not finite at z={z}")
-    achieved = abs(value - coarse)
     if not achieved <= 100 * _TOL:
         raise QuadratureFailure(
             f"ray quadrature error {achieved:.2e} above budget", achieved)
     if reflect:
         value = -1j * shift - value
-    if b.imag == 0 and z.imag == 0:
-        # Phi_b is unimodular: the two rays mirror each other node by node,
-        # and this keeps the sum imaginary in whatever order numpy adds
-        value = 1j * value.imag
     return value
+
+
+def _rays(rule, rays, count, g1, b) -> tuple:
+    """The integral of e^(-wy) / (y expm1(-2by) expm1(-2y/b)) along each
+    ray (start, step, w) over count panels, the k-th from start + step
+    ((1 + g1)^k - 1) / g1 to the next; and the sum over every panel of
+    its null rule's absolute value.  Each panel takes its nodes from its left end, so
+    neighbours share their end points exactly: near the poles a gap of
+    one ulp between panels, times the integrand there, would cost more
+    than the rule's own error."""
+    mb, mbi = -2.0 * b, -2.0 / b
+    small = min(abs(mb), abs(mbi))
+    exp = cmath.exp
+    sums, estimate = [], 0.0
+    for start, step, w in rays:
+        mw = -w
+        total = 0j
+        left = start
+        for k in range(1, count + 1):
+            right = start + step * (((1.0 + g1) ** k - 1.0) / g1)
+            c = 0.5 * (right - left)  # dy / dnode
+            g = n = 0j
+            if small * (abs(left + c) - abs(c)) < 0.5:
+                # |2by| or |2y/b| may fall below 0.5 on the panel, where
+                # e^u - 1 would cancel: expm1 by parts
+                for t, wg, wn in rule:
+                    y = left + c * t
+                    f = exp(mw * y) / (y * _expm1(mb * y) * _expm1(mbi * y))
+                    g += f * wg
+                    n += f * wn
+            else:
+                for t, wg, wn in rule:
+                    y = left + c * t
+                    f = exp(mw * y) / (
+                        y * (exp(mb * y) - 1.0) * (exp(mbi * y) - 1.0))
+                    g += f * wg
+                    n += f * wn
+            total += c * g
+            estimate += abs(c * n)
+            left = right
+        sums.append(total)
+    return sums, estimate
+
+
+def _expm1(u: complex) -> complex:
+    """e^u - 1 without the cancellation of e^u near 1."""
+    x, y = u.real, u.imag
+    s = math.sin(0.5 * y)
+    return complex(math.expm1(x) * math.cos(y) - 2.0 * s * s,
+                   math.exp(x) * math.sin(y))
 
 
 def phib(z, p: PhibParams) -> complex:

@@ -373,7 +373,11 @@ COLD_LAUNCHES = [
      EXACT | NUMERIC),
     (["mutate", "--builtin", "A7"], 4, False, False, EXACT | NUMERIC),
     (["phib", "--check", "value"], 0, False, False, EXACT | {"saddle"}),
-    (["phib", "--check", "unitarity"], 0, True, False, EXACT | {"saddle"}),
+    (["phib", "--check", "unitarity"], 0, False, False, EXACT | {"saddle"}),
+    (["phib", "--check", "recurrence", "--b", "1.3"], 0, False, False,
+     EXACT | {"saddle"}),
+    (["phib", "--check", "phipsi", "--b", "0.8,0.3"], 0, False, False,
+     EXACT | {"saddle"}),
     (["verify", "classical", "--builtin", "A2"], 0, False, False,
      EXACT | {"phib", "saddle"}),
     (["verify", "saddle", "--builtin", "A2"], 0, False, False,
@@ -384,10 +388,10 @@ COLD_LAUNCHES = [
 
 
 class TestColdStart:
-    """A launch imports numpy only for Phi_b quadrature, as the unitarity
-    check does; exact and combinatorial commands, the classical and
-    stationary-point checks, the early exits and Phi_b(0), which is a
-    closed form, never load it.  No launch loads `dataclasses`,
+    """No launch imports numpy: not the exact and combinatorial commands,
+    the classical and stationary-point checks or the early exits, and not
+    the Phi_b checks, whose quadrature runs on cmath and math.  No launch
+    loads `dataclasses`,
     and only the exact commands load `fractions` (and with it `decimal`).
     Each command loads only the modules it runs."""
 

@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -279,6 +281,40 @@ class TestClassicalIdentity:
             rep = verify_classical_identity(B, sched, [1e160, 1e160])
         assert [t[3] for t in rep.terms] == [1e160, 1 / 1e160]
         assert rep.passed()
+
+    @pytest.mark.parametrize("name", ["A2", "A3"])
+    def test_positive_terms_reuse_their_value(self, name, monkeypatch):
+        """For eps = +1 the signed sum's argument is y / (1 + y), the one
+        the unsigned sum takes, so each such step calls rogers_L twice, not
+        three times; the terms, sums and residuals keep the bits of three
+        separate calls."""
+        module = sys.modules["clusterdilog.dilog"]
+        if name == "A3":
+            B = ExchangeMatrix([[0, -1, 0], [1, 0, -1], [0, 1, 0]])
+            sched = MutationSchedule((1, 2, 1, 3, 2, 1, 3, 2, 1), (3, 2, 1))
+        else:
+            B, sched = A2, A2_SCHED
+        rng = random.Random(35)
+        for _ in range(20):
+            y0 = [math.exp(rng.uniform(-7.0, 7.0)) for _ in range(B.n)]
+            calls = []
+            monkeypatch.setattr(module, "rogers_L",
+                                lambda x: calls.append(x) or rogers_L(x))
+            rep = verify_classical_identity(B, sched, y0)
+            monkeypatch.undo()
+            signed = di = di_prime = 0.0
+            for t, k, eps, y, arg, val in rep.terms:
+                ye = y if eps > 0 else 1.0 / y
+                assert (arg, val) == (ye / (1.0 + ye), rogers_L(arg))
+                signed += eps * val
+                di += rogers_L(y / (1.0 + y))
+                di_prime += rogers_L(1.0 / (1.0 + y))
+            assert (rep.sum_signed, rep.sum_di, rep.sum_di_prime) == (
+                signed, di, di_prime)
+            assert rep.di_residual == abs(di - rep.n_minus * PI2_6)
+            assert rep.di_prime_residual == abs(
+                di_prime - rep.n_plus * PI2_6)
+            assert len(calls) == 3 * len(rep.terms) - rep.n_plus
 
 
 def psiq(x, q):

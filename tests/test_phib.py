@@ -359,11 +359,73 @@ class TestStripHandling:
         assert abs(val - ref) < 1e-12 * abs(ref)
 
 
+class TestRule:
+    """The Gauss-Legendre tables are computed in the package by Newton's
+    method on P_n; numpy's leggauss is the oracle."""
+
+    @pytest.mark.parametrize("n", (16, 32))
+    def test_nodes_and_weights_match_leggauss(self, n):
+        rule = sys.modules["clusterdilog.phib"]._rule(n)
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        assert len(rule) == n
+        for (offset, w, _), x_ref, w_ref in zip(rule, nodes, weights):
+            assert abs(offset - 1.0 - x_ref) <= 1e-15
+            assert abs(w - w_ref) <= 1e-15
+
+    def test_null_column_integrates_low_powers_to_zero(self):
+        """The null weights kill 1, x, ..., x^13 on the 16 nodes, but not
+        x^14, and have the weights' Euclidean norm."""
+        rule = sys.modules["clusterdilog.phib"]._rule(16)
+        for j in range(15):
+            moment = math.fsum(v * (offset - 1.0) ** j
+                               for offset, _, v in rule)
+            assert (abs(moment) < 1e-15) == (j < 14), (j, moment)
+        assert math.fsum(v * v for *_, v in rule) == pytest.approx(
+            math.fsum(w * w for _, w, _ in rule), rel=1e-14)
+
+
+class TestSecondPass:
+    """The 16-point sums stand when their null estimate is within a tenth
+    of the budget; otherwise the rays are summed again with the 32-point
+    rule."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Each call of the ray quadrature as (nodes per panel, estimate)."""
+        module = sys.modules["clusterdilog.phib"]
+        rays, seen = module._rays, []
+
+        def spy(rule, *args):
+            sums, estimate = rays(rule, *args)
+            seen.append((len(rule), estimate))
+            return sums, estimate
+        monkeypatch.setattr(module, "_rays", spy)
+        return seen
+
+    @pytest.mark.parametrize("b", (1.0, 1.3, 0.8 + 0.3j))
+    def test_benchmark_inputs_settle_on_sixteen_points(self, b, passes):
+        """Real z in [-0.4, 0.4] and z +- i s / 2 in both step directions,
+        as the unitarity, recurrence and product-ratio checks take them."""
+        p = PhibParams(b)
+        for z in np.linspace(-0.4, 0.4, 9):
+            for s in (0, b, 1 / b):
+                for sign in (1, -1):
+                    phib(complex(z) + sign * 0.5j * s, p)
+        assert passes and {n for n, _ in passes} == {16}
+
+    @pytest.mark.parametrize("b,z", [(0.3 + 1j, -0.2), (0.001, 0.1)])
+    def test_hard_inputs_take_the_32_point_pass(self, b, z, passes):
+        log_phib(z, PhibParams(b))
+        assert [n for n, _ in passes] == [16, 32]
+        assert passes[0][1] > 1e-7
+
+
 def test_depends_only_on_numpy():
     """In a fresh interpreter where importing anything outside the standard
-    library, numpy and the package fails, the CLI imports and Phi_b evaluates;
-    until the first quadrature numpy fails too, through an exact check and
-    the classical and stationary-point checks."""
+    library, numpy and the package fails, the CLI imports; until the array
+    views are read numpy fails too, through an exact check, the classical
+    and stationary-point checks, and Phi_b by quadrature and against the
+    product ratio."""
     code = textwrap.dedent("""
         import sys
 
@@ -383,10 +445,14 @@ def test_depends_only_on_numpy():
                                       "--builtin", "A2", "--trials", "3"]) == 0
         assert clusterdilog.cli.main(["verify", "saddle-lambda",
                                       "--builtin", "A2"]) == 0
-        finder.allowed = finder.allowed | {"numpy"}
         from clusterdilog.phib import PhibParams, phib, phipsi_residual
         assert abs(abs(phib(0.3, PhibParams(1.0))) - 1) < 1e-8
         assert phipsi_residual(0.1, PhibParams(0.8 + 0.3j)) < 1e-6
+        assert "numpy" not in sys.modules
+        finder.allowed = finder.allowed | {"numpy"}
+        from clusterdilog import ExchangeMatrix
+        assert ExchangeMatrix([[0, 1], [-1, 0]]).entries.tolist() == [
+            [0, 1], [-1, 0]]
     """)
     src = os.path.dirname(os.path.dirname(clusterdilog.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -205,13 +205,29 @@ MUTANTS = [
            "the rays turn by up to pi/4 for every b, past the poles of a "
            "complex b"),
     Mutant("phib-no-projection", PKG + "phib.py",
-           "value = 1j * value.imag",
-           "value = value",
-           "for real b and z the rounding noise in Re log Phi_b is kept",
-           equivalent="for real b and z the two rays are complex conjugates "
-                      "node by node and numpy sums both in the same order, "
-                      "so Re log Phi_b is already 0.0 exactly; the "
-                      "projection keeps it so under any summation order"),
+           "return -2j * sums[0].imag, 2.0 * estimate",
+           "return sums[0].conjugate() - sums[0], 2.0 * estimate",
+           "for real b and z the mirrored value is conj(R) - R of the right "
+           "ray's sum R, not -2i Im R",
+           equivalent="conj(R) - R has the real part R.real - R.real = 0.0 "
+                      "and the imaginary part -2 Im R exactly, the bits of "
+                      "-2i Im R; the mirrored ray, not a projection, keeps "
+                      "Re log Phi_b at 0.0 for real b and z"),
+    Mutant("phib-mirror-complex-b", PKG + "phib.py",
+           "mirror = b.imag == 0 and x.imag == 0",
+           "mirror = x.imag == 0",
+           "the left ray is taken as the right one's conjugate for complex b "
+           "too"),
+    Mutant("phib-no-second-pass", PKG + "phib.py",
+           "if achieved > 10 * _TOL:",
+           "if False:",
+           "the 32-point pass never runs, so the null estimate is always "
+           "the reported error"),
+    Mutant("phib-parts-on-max", PKG + "phib.py",
+           "small = min(abs(mb), abs(mbi))",
+           "small = max(abs(mb), abs(mbi))",
+           "expm1 by parts is hoisted to the panel on max(abs(2b), abs(2/b)), "
+           "so at b far from 1 the smaller factor cancels in e^u - 1"),
     Mutant("dilog-small-z", PKG + "dilog.py",
            "return _bernoulli_series(-cmath.log(u) * (z / (1.0 - u)), 30)",
            "return _bernoulli_series(-cmath.log(u), 30)",
